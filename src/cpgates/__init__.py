@@ -16,7 +16,6 @@ from .gates import (
 )
 from .catalog import broadband, passband, single
 from .derivatives import (
-    ErrorModel,
     ResidualVector,
     broadband_residuals,
     derivative_sequence,

@@ -27,8 +27,7 @@ from .gates import (
     FAMILY_COMBINED,
     CompositeSequence,
     PhasedGate,
-    distorted_theta,
-    phased_cphase,
+    sequence_propagator,
 )
 
 
@@ -58,10 +57,7 @@ def absolute_composite_propagator(
 ) -> np.ndarray:
     """Propagator of the two-gate composite with both angles offset by xi
     (and optionally scaled by 1 + epsilon)."""
-    m = np.eye(4, dtype=complex)
-    for g in c.gates():
-        m = phased_cphase(distorted_theta(g.theta, epsilon, xi), g.phi) @ m
-    return m
+    return sequence_propagator(c.sequence(), epsilon, xi)
 
 
 def wrap_sequence_absolute(seq: CompositeSequence) -> CompositeSequence:

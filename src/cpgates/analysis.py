@@ -5,17 +5,22 @@ Fidelity is Tr(A^dag B)/4 with the modulus taken, so sequences that
 reproduce the target up to a global phase score exactly 1.  The raw
 (complex) trace overlap is exposed separately for callers that care about
 the phase.
+
+Scans, band searches and order fits use the 2x2 blocks V of
+:mod:`cpgates.gates`: for a 4x4 reference R with 2x2 blocks R_jk,
+Tr(R^dag U)/4 = Tr(r^dag V)/2 with the 2x2 reference
+r = (diag(R_00 + R_11) + offdiag(R_01 + R_10))/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CompositeSequence, ideal_cphase, sequence_propagator
+from .gates import CompositeSequence, _sequence_blocks, ideal_cphase
 from .linalg import is_unitary
 
 
@@ -41,9 +46,27 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return abs(trace_overlap(a, b))
 
 
+def _reference_block(r: np.ndarray) -> np.ndarray:
+    """2x2 reference r with Tr(R^dag U)/4 = Tr(r^dag V)/2 for every
+    sequence propagator U of block V (see the module docstring)."""
+    if r.shape != (4, 4) or not is_unitary(r, 1e-9):
+        raise ValidationError("the reference must be a 4x4 unitary")
+    same, cross = r[:2, :2] + r[2:, 2:], r[:2, 2:] + r[2:, :2]
+    return (np.diag(np.diag(same)) + cross - np.diag(np.diag(cross))) / 2.0
+
+
+def _fidelities(seq: CompositeSequence, epsilons, xi: float = 0.0, ref=None) -> np.ndarray:
+    """Fidelities against the 2x2 reference ``ref`` (default: the target)
+    over a grid of relative errors."""
+    if ref is None:
+        ref = _reference_block(ideal_cphase(seq.target_theta))
+    v = _sequence_blocks(seq, epsilons, xi)
+    return np.abs(np.einsum("ij,eij->e", ref.conj(), v)) / 2.0
+
+
 def sequence_fidelity(seq: CompositeSequence, epsilon: float = 0.0, xi: float = 0.0) -> float:
     """Fidelity of the distorted sequence propagator against U(target)."""
-    return fidelity(ideal_cphase(seq.target_theta), sequence_propagator(seq, epsilon, xi))
+    return float(_fidelities(seq, epsilon, xi)[0])
 
 
 @dataclass(frozen=True)
@@ -78,16 +101,17 @@ def scan(
     """Uniform fidelity scan over [eps_min, eps_max].
 
     ``reference`` defaults to the ideal target gate; pass the identity to
-    probe the narrowband behaviour around eps = -1.
+    probe the narrowband behaviour around eps = -1.  Any 4x4 unitary
+    reference is exact.
     """
     if steps < 2:
         raise ValidationError("a scan needs at least 2 steps")
     if not eps_min < eps_max:
         raise ValidationError("eps_min must be below eps_max")
-    ref = ideal_cphase(seq.target_theta) if reference is None else reference
+    ref = None if reference is None else _reference_block(np.asarray(reference))
     eps = np.linspace(eps_min, eps_max, steps)
-    fids = [fidelity(ref, sequence_propagator(seq, e, xi)) for e in eps]
-    return ScanResult(tuple(eps), tuple(fids), seq.label or seq.family, seq.target_theta)
+    fids = _fidelities(seq, eps, xi, ref)
+    return ScanResult(tuple(eps), tuple(fids.tolist()), seq.label or seq.family, seq.target_theta)
 
 
 @dataclass(frozen=True)
@@ -97,6 +121,7 @@ class ToleranceBand:
     eps_low: float
     eps_high: float
     threshold: float
+    eps_limit: float = float("inf")
 
     def __post_init__(self):
         if not (self.eps_low <= 0.0 <= self.eps_high):
@@ -105,31 +130,14 @@ class ToleranceBand:
     def symmetric_width(self) -> float:
         return min(-self.eps_low, self.eps_high)
 
+    def sides_at_limit(self) -> tuple[str, ...]:
+        """Sides ("low", "high") that reached eps_limit without a crossing."""
+        edges = (("low", -self.eps_low), ("high", self.eps_high))
+        return tuple(side for side, edge in edges if edge >= self.eps_limit)
 
-def _first_crossing(
-    infid: Callable[[float], float],
-    threshold: float,
-    direction: float,
-    coarse_step: float,
-    eps_limit: float,
-    locate_tol: float,
-) -> float:
-    """March outward from 0, then bisect the bracketing interval."""
-    prev = 0.0
-    e = coarse_step
-    while e <= eps_limit:
-        if infid(direction * e) > threshold:
-            lo, hi = prev, e
-            while hi - lo > locate_tol:
-                mid = 0.5 * (lo + hi)
-                if infid(direction * mid) > threshold:
-                    hi = mid
-                else:
-                    lo = mid
-            return direction * 0.5 * (lo + hi)
-        prev = e
-        e += coarse_step
-    return direction * eps_limit
+
+#: Coarse-grid points evaluated per batched call of the band search.
+_MARCH_CHUNK = 4096
 
 
 def tolerance_band(
@@ -143,16 +151,47 @@ def tolerance_band(
 
     Marches outward from zero in ``coarse_step`` increments to bracket the
     first crossing on each side, then bisects to ``locate_tol``.  Raises
-    ValidationError when the sequence already fails at eps = 0.
+    ValidationError when the sequence already fails at eps = 0, or when a
+    parameter is out of range.
     """
-    def infid(e: float) -> float:
-        return 1.0 - sequence_fidelity(seq, e)
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
+    for name, value in dict(eps_limit=eps_limit, coarse_step=coarse_step, locate_tol=locate_tol).items():
+        if not 0.0 < value < np.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
+    if eps_limit + coarse_step == eps_limit:
+        raise ValidationError("coarse_step is too small to advance to eps_limit")
+    ref = _reference_block(ideal_cphase(seq.target_theta))
 
-    if infid(0.0) > threshold:
+    def infid(eps):
+        return 1.0 - _fidelities(seq, eps, ref=ref)
+
+    if infid(0.0)[0] > threshold:
         raise ValidationError("sequence exceeds the threshold already at eps = 0")
-    hi = _first_crossing(infid, threshold, +1.0, coarse_step, eps_limit, locate_tol)
-    lo = _first_crossing(infid, threshold, -1.0, coarse_step, eps_limit, locate_tol)
-    return ToleranceBand(lo, hi, threshold)
+    # march both sides over coarse_step, 2*coarse_step, ... accumulated one
+    # step at a time (the values of ``e += coarse_step``), a chunk per call
+    brackets, prev = {}, 0.0
+    while prev + coarse_step <= eps_limit and len(brackets) < 2:
+        grid = np.cumsum(np.r_[prev, np.full(_MARCH_CHUNK, coarse_step)])
+        grid = grid[grid <= eps_limit]
+        sides = [d for d in (1.0, -1.0) if d not in brackets]
+        over = infid(np.concatenate([d * grid[1:] for d in sides])) > threshold
+        for d, row in zip(sides, over.reshape(len(sides), -1)):
+            if row.any():
+                k = int(np.argmax(row))
+                brackets[d] = (grid[k], grid[k + 1])
+        prev = grid[-1]
+
+    def edge(d):
+        if d not in brackets:
+            return d * eps_limit
+        lo, hi = brackets[d]
+        while hi - lo > locate_tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if infid(d * mid)[0] > threshold else (mid, hi)
+        return d * 0.5 * (lo + hi)
+
+    return ToleranceBand(edge(-1.0), edge(1.0), threshold, eps_limit)
 
 
 INFIDELITY_FLOOR = 1e-14
@@ -176,7 +215,7 @@ def infidelity_order(
     if not 0 < lo < hi:
         raise ValidationError("fit window must satisfy 0 < lo < hi")
     eps = np.logspace(np.log10(lo), np.log10(hi), points)
-    infid = np.array([1.0 - sequence_fidelity(seq, e, xi) for e in eps])
+    infid = 1.0 - _fidelities(seq, eps, xi)
     usable = infid > INFIDELITY_FLOOR
     if np.count_nonzero(usable) < 2:
         return float("nan")

@@ -191,6 +191,9 @@ def cmd_scan(args) -> int:
 def cmd_band(args) -> int:
     seq = _load_sequence(args)
     band = tolerance_band(seq, threshold=args.threshold)
+    if sides := band.sides_at_limit():
+        print(f"note: band reached eps_limit={band.eps_limit:g} without crossing the "
+              f"threshold (sides: {', '.join(sides)})", file=sys.stderr)
     _emit(band_report(band) + "\n", args.out)
     return 0
 

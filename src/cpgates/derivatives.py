@@ -8,51 +8,23 @@ The l-th derivative of a single distorted gate has the closed form
         = theta^l * U(theta*(1+eps0) + l*pi/2, phi),
 
 and derivatives of a gate product follow by the (multinomial) Leibniz
-rule.  The production path evaluates the Leibniz rule as a left-to-right
-recursion over the gates, which is algebraically identical to the explicit
-sum over derivative-order compositions but costs O(N l^2) small matrix
-products instead of enumerating all tuples; the explicit enumeration is
-kept as :func:`derivative_sequence_multinomial` and cross-checked in the
-tests together with finite differences.
+rule.  It is evaluated as a left-to-right recursion over the gates,
+which is algebraically identical to the explicit sum over derivative-order
+compositions but costs O(N l^2) small matrix products instead of
+enumerating all tuples; the tests cross-check it against that sum and
+against finite differences.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb, factorial, pi
+from math import comb, pi
 
 import numpy as np
 
 from .errors import ValidationError
 from .gates import CompositeSequence, ideal_cphase, phase_gate, phased_cphase
 from .linalg import frobenius_norm
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Systematic rotation-angle errors: relative epsilon and absolute xi.
-
-    epsilon = -1 is legal; it is the operating point of the narrowband
-    conditions (all rotation angles vanish there).
-    """
-
-    epsilon: float = 0.0
-    xi: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and np.isfinite(self.xi)):
-            raise ValidationError("error model parameters must be finite")
-
-    def distort(self, theta: float) -> float:
-        """Distorted rotation angle theta*(1+epsilon) + xi."""
-        return theta * (1.0 + self.epsilon) + self.xi
-
-    def propagator(self, seq: CompositeSequence) -> np.ndarray:
-        """Sequence propagator under this error model."""
-        from .gates import sequence_propagator
-
-        return sequence_propagator(seq, self.epsilon, self.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +115,6 @@ def derivative_sequence(
     if seq.terminal_phase != 0.0:
         p = phase_gate(seq.terminal_phase, 2) @ p
     return p
-
-
-def derivative_sequence_multinomial(
-    seq: CompositeSequence, l: int, at_epsilon: float = 0.0
-) -> np.ndarray:
-    """Explicit sum over derivative-order compositions (reference route)."""
-    thetas = seq.thetas()
-    phis = seq.phis()
-    n = len(thetas)
-    total = np.zeros((4, 4), dtype=complex)
-    for combo in itertools.product(range(l + 1), repeat=n):
-        if sum(combo) != l:
-            continue
-        coeff = factorial(l)
-        for c in combo:
-            coeff //= factorial(c)
-        m = np.eye(4, dtype=complex)
-        for k in range(n):
-            m = derivative_single_gate(thetas[k], phis[k], combo[k], at_epsilon) @ m
-        total = total + coeff * m
-    if seq.terminal_phase != 0.0:
-        total = phase_gate(seq.terminal_phase, 2) @ total
-    return total
 
 
 # ---------------------------------------------------------------------------

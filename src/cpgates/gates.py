@@ -11,6 +11,14 @@ Conventions
 * Equality of propagators is generally meant up to a global phase; the
   fidelity used in :mod:`cpgates.analysis` takes the trace modulus, and
   residual comparisons align the sign of the zero-error target.
+* Block identity: every gate acts as ``sigma_x`` on qubit 1, and in its
+  eigenbasis ``U(theta, phi) = diag(W, sigma_z W sigma_z)`` with
+  ``W = e^{i theta sigma_phi}``; F commutes with ``sigma_z``.  So every
+  sequence propagator is ``diag(V, sigma_z V sigma_z)`` for one 2x2 SU(2)
+  block V, i.e. ``I (x) d + sigma_x (x) o`` in the computational basis with
+  d, o the diagonal and off-diagonal parts of V (Jones, PRA 67, 012317
+  (2003)).  :func:`_sequence_blocks` computes V over a whole error grid;
+  the public 4x4 propagators are thin embeddings of one block.
 """
 
 from __future__ import annotations
@@ -135,6 +143,23 @@ def distorted_theta(theta, epsilon: float = 0.0, xi: float = 0.0):
     return theta * (1.0 + epsilon) + xi
 
 
+def _sequence_blocks(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.ndarray:
+    """(E, 2, 2) blocks V of the distorted propagators, one per entry of
+    ``epsilons``, frame rotation included.  Each gate cos(t) I + i sin(t)
+    sigma_phi is kept in Cayley-Klein form [[a, b], [-conj(b), conj(a)]]."""
+    eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
+    if not (np.all(np.isfinite(eps)) and np.isfinite(xi)):
+        raise ValidationError("epsilon and xi must be finite")
+    a, b = np.ones(eps.shape, dtype=complex), np.zeros(eps.shape, dtype=complex)
+    for g in seq.gates:
+        t = distorted_theta(g.theta, eps, xi)
+        c, s = np.cos(t), 1j * np.sin(t) * np.exp(-1j * g.phi)
+        a, b = c * a - s * b.conj(), c * b + s * a.conj()
+    f = np.exp(-1j * seq.terminal_phase)
+    a, b = f * a, f * b
+    return np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
+
+
 def sequence_propagator(
     seq: CompositeSequence, epsilon: float = 0.0, xi: float = 0.0
 ) -> np.ndarray:
@@ -142,25 +167,11 @@ def sequence_propagator(
 
     Every gate angle is distorted as theta -> theta*(1+epsilon) + xi; the
     terminal frame rotation is error-free (it is a software phase shift,
-    not a physical rotation).
+    not a physical rotation).  Embeds the block V as I (x) d + sigma_x (x) o.
     """
-    m = IDENTITY_4
-    for g in seq.gates:
-        m = phased_cphase(distorted_theta(g.theta, epsilon, xi), g.phi) @ m
-    if seq.terminal_phase != 0.0:
-        m = phase_gate(seq.terminal_phase, 2) @ m
-    return m
-
-
-def gate_product_propagator(
-    seq: CompositeSequence, epsilon: float = 0.0, xi: float = 0.0
-) -> np.ndarray:
-    """Like :func:`sequence_propagator` but without the terminal frame
-    rotation.  This is the part neighbouring qubits are exposed to."""
-    m = IDENTITY_4
-    for g in seq.gates:
-        m = phased_cphase(distorted_theta(g.theta, epsilon, xi), g.phi) @ m
-    return m
+    v = _sequence_blocks(seq, epsilon, xi)[0]
+    d = np.diag(np.diag(v))
+    return np.kron(IDENTITY_2, d) + np.kron(SIGMA_X, v - d)
 
 
 def convert_phase_conventions(varphis) -> tuple[list[float], float]:

@@ -169,3 +169,30 @@ def test_fidelity_curves_even_in_epsilon():
             abs(sequence_fidelity(seq, e) - sequence_fidelity(seq, -e)) for e in grid
         )
         assert asym < 1e-12, seq.label
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, 1.0, 2.0, -0.1])
+def test_tolerance_band_rejects_bad_threshold(threshold):
+    with pytest.raises(ValidationError):
+        tolerance_band(catalog.single(TH), threshold=threshold)
+
+
+@pytest.mark.parametrize("name", ["coarse_step", "locate_tol", "eps_limit"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+def test_tolerance_band_rejects_bad_search_parameters(name, value):
+    with pytest.raises(ValidationError):
+        tolerance_band(catalog.single(TH), **{name: value})
+
+
+def test_tolerance_band_rejects_step_that_cannot_advance():
+    with pytest.raises(ValidationError):
+        tolerance_band(catalog.single(TH), coarse_step=1e-20)
+
+
+def test_tolerance_band_flags_eps_limit():
+    # the single-gate band is about +-0.018, so a 0.01 limit is reached
+    # on both sides without a crossing
+    band = tolerance_band(catalog.single(TH), eps_limit=0.01)
+    assert (band.eps_low, band.eps_high) == (-0.01, 0.01)
+    assert band.sides_at_limit() == ("low", "high")
+    assert tolerance_band(catalog.single(TH)).sides_at_limit() == ()

@@ -1,0 +1,98 @@
+"""Property tests for the 2x2 block kernel behind the 4x4 propagators,
+scans and band searches."""
+
+from math import pi
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cpgates import analysis, catalog
+from cpgates.analysis import fidelity, infidelity_order, scan, sequence_fidelity, tolerance_band
+from cpgates.errors import ValidationError
+from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
+from cpgates.linalg import frobenius_norm
+from oracles import scalar_march_band, sequence_product_propagator
+
+angles = st.floats(-2 * pi, 2 * pi)
+phases = st.floats(0.0, 2 * pi)
+epsilons = st.one_of(st.just(-1.0), st.floats(-2.0, 2.0))
+offsets = st.floats(-1.0, 1.0)
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def sequences(draw, max_gates=8):
+    gates = draw(st.lists(st.builds(PhasedGate, angles, phases), min_size=1, max_size=max_gates))
+    return CompositeSequence(gates=tuple(gates), terminal_phase=draw(st.floats(-pi, pi)))
+
+
+#: Basis change to the sigma_x eigenbasis of qubit 1.
+SIGMA_X_BASIS = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), np.eye(2))
+
+
+@st.composite
+def unitaries(draw):
+    """Random 4x4 unitary (QR of a random complex matrix)."""
+    flat = draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    m = np.array(flat[:16]).reshape(4, 4) + 1j * np.array(flat[16:]).reshape(4, 4)
+    q, _ = np.linalg.qr(m + 2.0 * np.eye(4))  # shifted to stay well conditioned
+    return q
+
+
+@given(sequences(), epsilons, offsets)
+def test_block_embedding_equals_gate_product(seq, eps, xi):
+    got = sequence_propagator(seq, eps, xi)
+    assert frobenius_norm(got - sequence_product_propagator(seq, eps, xi)) < 1e-14
+
+
+@settings(max_examples=50)
+@given(sequences(max_gates=5), unitaries(), offsets)
+def test_scan_with_general_reference_matches_pointwise_fidelity(seq, ref, xi):
+    # only references that mix the two sigma_x blocks of qubit 1
+    assume(frobenius_norm((SIGMA_X_BASIS @ ref @ SIGMA_X_BASIS)[:2, 2:]) > 0.05)
+    result = scan(seq, -1.2, 0.8, 21, xi=xi, reference=ref)
+    for e, f in zip(result.epsilons, result.fidelities):
+        assert abs(f - fidelity(ref, sequence_product_propagator(seq, e, xi))) < 1e-14
+
+
+BAND_SEQUENCES = [
+    lambda th: catalog.single(th),
+    lambda th: catalog.broadband(1, th),
+    lambda th: catalog.broadband(2, th),
+    lambda th: catalog.passband(1, 1, th),
+]
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(BAND_SEQUENCES),
+    st.floats(0.1 * pi, 0.45 * pi),
+    st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 0.9]),
+    st.floats(0.05, 1.5),
+    st.floats(5e-3, 5e-2),
+    st.floats(1e-4, 1e-2),
+    st.integers(1, 64),
+)
+def test_batched_band_equals_scalar_march(make, theta, threshold, limit, step, tol, chunk):
+    seq = make(theta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_MARCH_CHUNK", chunk)
+        band = tolerance_band(seq, threshold, limit, step, tol)
+    assert (band.eps_low, band.eps_high) == scalar_march_band(seq, threshold, limit, step, tol)
+
+
+@given(non_finite, st.booleans())
+def test_non_finite_errors_raise(bad, as_xi):
+    seq = catalog.broadband(1, pi / 4)
+    eps, xi = (0.1, bad) if as_xi else (bad, 0.0)
+    with pytest.raises(ValidationError):
+        sequence_propagator(seq, eps, xi)
+    with pytest.raises(ValidationError):
+        sequence_fidelity(seq, eps, xi)
+    if as_xi:
+        with pytest.raises(ValidationError):
+            scan(seq, -0.5, 0.5, 11, xi=xi)
+        with pytest.raises(ValidationError):
+            infidelity_order(seq, xi=xi)

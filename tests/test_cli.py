@@ -1,3 +1,6 @@
+import pytest
+
+from cpgates.analysis import band_report, tolerance_band
 from cpgates.cli import build_parser, main
 from cpgates.seqio import read_sequence
 
@@ -127,3 +130,37 @@ def test_every_subcommand_documents_pi_units():
     for name, sp in subparsers.items():
         text = sp.format_help()
         assert "pi" in text, name
+
+
+@pytest.mark.parametrize("threshold", ["nan", "2"])
+def test_band_rejects_invalid_threshold(tmp_path, capsys, threshold):
+    seq_path = tmp_path / "single.csv"
+    main(["catalog", "--entry", "single", "--out", str(seq_path)])
+    capsys.readouterr()
+    assert main(["band", "--seq", str(seq_path), "--threshold", threshold]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_band_notes_eps_limit_on_stderr(tmp_path, capsys):
+    seq_path = tmp_path / "single.csv"
+    main(["catalog", "--entry", "single", "--out", str(seq_path)])
+    seq = read_sequence(seq_path)
+    capsys.readouterr()
+    # a single gate at pi/4 never loses 90% fidelity within |eps| <= 1.5
+    assert main(["band", "--seq", str(seq_path), "--threshold", "0.9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == band_report(tolerance_band(seq, 0.9)) + "\n"
+    notes = [ln for ln in captured.err.splitlines() if ln.startswith("note:")]
+    assert len(notes) == 1 and "eps_limit" in notes[0]
+    assert main(["band", "--seq", str(seq_path)]) == 0
+    assert "note:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan", "order"])
+def test_non_finite_xi_exit_code(tmp_path, capsys, command):
+    seq_path = tmp_path / "bb1.csv"
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    argv = [command, "--seq", str(seq_path), "--xi", "nan"]
+    if command == "scan":
+        argv += ["--min", "-0.5", "--max", "0.5", "--steps", "11"]
+    assert main(argv) == 1

@@ -4,10 +4,8 @@ from math import pi
 
 from cpgates import catalog
 from cpgates.derivatives import (
-    ErrorModel,
     broadband_residuals,
     derivative_sequence,
-    derivative_sequence_multinomial,
     derivative_single_gate,
     narrowband_residuals,
     passband_residuals,
@@ -18,10 +16,10 @@ from cpgates.gates import (
     CompositeSequence,
     PhasedGate,
     phased_cphase,
-    gate_product_propagator,
     sequence_propagator,
 )
 from cpgates.linalg import frobenius_norm
+from oracles import ErrorModel, derivative_sequence_multinomial, gate_product_propagator
 
 
 def _fd(fun, order, at=0.0, h=1e-3):
