@@ -33,6 +33,7 @@ from .derivatives import broadband_residuals, narrowband_residuals
 from .errors import TruncationError, ValidationError
 from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND, ideal_cphase
 from .iontrap import (
+    check_tolerances,
     composite_physical_gate,
     extract_qubit_gate,
     ideal_two_pulse_gate,
@@ -227,6 +228,7 @@ def _matrix_csv(m: np.ndarray) -> str:
 
 
 def cmd_iontrap(args) -> int:
+    check_tolerances(args.rtol)
     with open(args.config) as fh:
         cfg, eps_g = parse_config(fh.read())
     if args.eps_g is not None:

@@ -28,6 +28,19 @@ integrator below is the independent arbiter for both, and the tests pin
 the comparison.  A second pulse of equal g and T with zm shifted by pi
 flips alpha, cancelling the displacement exactly and doubling theta_c,
 which induces the phased two-qubit gate used by the composite sequences.
+
+The numerical integrator uses only a symmetry of H, not the closed form.
+H(t) commutes with sigma(zp_1) (x) 1 and 1 (x) sigma(zp_2).  In their
+joint eigenbasis, with eigenvalues b = (s1, s2) and projectors P_b, each
+pulse splits into four driven oscillators of n_max+1 levels:
+
+    H_b(t) = g (beta_b e^{i Delta t} a^dag + h.c.),
+    beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2},
+    U(T)   = sum_b P_b (x) U_b(T).
+
+Each U_b is still integrated step by step from H_b in the truncated Fock
+space.  None of the Magnus results above (phi0, theta_c, alpha) enters
+it, so it stays an independent check on :func:`analytic_propagator`.
 """
 
 from __future__ import annotations
@@ -44,6 +57,8 @@ from .gates import CompositeSequence, phase_gate
 from .linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
 
 LEAKAGE_LIMIT = 1e-8
+#: smallest rtol scipy's integrators accept without clamping it
+RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -59,11 +74,16 @@ class TrapConfig:
     initial_fock: int = 0
 
     def __post_init__(self):
+        reals = (self.g, self.delta, self.duration, *self.zeta_plus, *self.zeta_minus)
+        if not np.all(np.isfinite(reals)):
+            raise ValidationError("g, delta, duration and the zeta phases must be finite")
         if self.g < 0 or self.delta == 0 or self.duration <= 0:
             raise ValidationError("need g >= 0, delta != 0 and duration > 0")
         if not (0 <= self.initial_fock <= self.n_max):
             raise ValidationError("initial Fock level must lie within the truncation")
         amax = self.displacement_bound()
+        if not np.isfinite(amax):
+            raise ValidationError("peak displacement g/delta overflows")
         required = ceil((amax + 4.0) ** 2)
         if self.n_max < required:
             raise ValidationError(
@@ -145,32 +165,62 @@ def _check_leakage(u: np.ndarray, cfg: TrapConfig) -> None:
         )
 
 
+def check_tolerances(rtol: float, atol: float = 1e-12) -> None:
+    """Reject integrator tolerances that scipy would loop on or clamp."""
+    if not (np.isfinite(rtol) and np.isfinite(atol) and rtol > 0 and atol > 0):
+        raise ValidationError(f"rtol={rtol} and atol={atol} must be finite and positive")
+    if rtol < RTOL_FLOOR:
+        raise ValidationError(f"rtol must be at least {RTOL_FLOOR:.3g}")
+
+
+def _spin_branches(cfg: TrapConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Joint eigenbasis of sigma(zp_1) (x) 1 and 1 (x) sigma(zp_2), as the
+    columns of a 4x4 unitary ordered (s1, s2) = (+,+), (+,-), (-,+), (-,-),
+    and the branch amplitudes beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2}."""
+    signs = np.array([1.0, -1.0])
+    w1, w2 = (
+        np.array([np.ones(2), signs * np.exp(1j * zp)]) / np.sqrt(2.0)
+        for zp in cfg.zeta_plus
+    )
+    s1, s2 = np.repeat(signs, 2), np.tile(signs, 2)
+    beta = s1 * np.exp(-1j * cfg.zeta_minus[0]) + s2 * np.exp(-1j * cfg.zeta_minus[1])
+    return np.kron(w1, w2), beta
+
+
 def evolve_numerical(
     cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12,
     check: bool = True,
 ) -> np.ndarray:
     """Time-ordered propagator over [0, T] by adaptive high-order
-    integration of dU/dt = -i H(t) U.
+    integration of dU/dt = -i H(t) U, one phonon block per spin branch.
 
     Independent of the closed form: it sees only the Hamiltonian.  Raises
-    TruncationError when population leaks into the top two Fock levels.
+    ValidationError for tolerances that are not finite, not positive or
+    below scipy's rtol floor, and TruncationError when population leaks
+    into the top two Fock levels.
     """
-    b, _, _ = _spin_phonon(cfg)
-    bdag = b.conj().T
-    dim = cfg.dim
-    u0 = np.eye(dim, dtype=complex).reshape(-1)
+    check_tolerances(rtol, atol)
+    levels = cfg.n_max + 1
+    a = destroy(levels)
+    adag = a.conj().T
+    w, beta = _spin_branches(cfg)
+    u0 = np.broadcast_to(np.eye(levels, dtype=complex), (4, levels, levels)).reshape(-1)
 
     def rhs(t, y):
-        u = y.reshape(dim, dim)
-        h = cfg.g * (np.exp(1j * cfg.delta * t) * b + np.exp(-1j * cfg.delta * t) * bdag)
-        return (-1j * (h @ u)).reshape(-1)
+        # -i H_b = c_b a^dag - c_b^* a, with c_b = -i g beta_b e^{i Delta t}
+        c = (-1j * cfg.g * np.exp(1j * cfg.delta * t) * beta)[:, None, None]
+        k = c * adag - np.conj(c) * a
+        return (k @ y.reshape(4, levels, levels)).reshape(-1)
 
     sol = solve_ivp(
-        rhs, (0.0, cfg.duration), u0, method="DOP853", rtol=rtol, atol=atol
+        rhs, (0.0, cfg.duration), u0, method="DOP853", rtol=rtol, atol=atol,
+        t_eval=[cfg.duration],
     )
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    u = sol.y[:, -1].reshape(dim, dim)
+    blocks = sol.y[:, -1].reshape(4, levels, levels)
+    # U = sum_b P_b (x) U_b with P_b = w_b w_b^dag
+    u = np.einsum("qb,rb,bmn->qmrn", w, w.conj(), blocks).reshape(cfg.dim, cfg.dim)
     if check:
         _check_leakage(u, cfg)
     return u
@@ -310,9 +360,13 @@ def fock_population(u: np.ndarray, cfg: TrapConfig, qubit_state: np.ndarray, lev
 
 def duration_for_angle(g: float, delta: float, theta: float) -> float:
     """Pulse duration making the two-pulse rotation angle equal theta."""
-    if theta <= 0:
-        raise ValidationError("target angle must be positive")
+    if not (np.isfinite(theta) and theta > 0):
+        raise ValidationError("target angle must be finite and positive")
+    if g <= 0:
+        raise ValidationError("a gate angle needs g > 0")
     y = theta * delta**2 / (4.0 * g**2)
+    if not np.isfinite(y):
+        raise ValidationError("target angle out of reach: theta*delta^2/g^2 overflows")
     f = lambda x: x - np.sin(x) - y
     lo = max(y - 1.0, 1e-9)
     hi = y + 1.0 + 1e-9
@@ -368,6 +422,7 @@ _CONFIG_KEYS = {
     "g", "delta", "t", "delta_t", "nmax", "fock0",
     "zeta1p", "zeta2p", "zeta1m", "zeta2m", "eps_g",
 }
+_INTEGER_KEYS = {"nmax", "fock0"}
 
 
 def parse_config(text: str) -> tuple[TrapConfig, float]:
@@ -388,13 +443,23 @@ def parse_config(text: str) -> tuple[TrapConfig, float]:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
-        values[key] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            raise ValidationError(f"line {lineno}: {key} is not a number: {val.strip()!r}") from None
+        if not np.isfinite(value):
+            raise ValidationError(f"line {lineno}: {key} must be finite")
+        if key in _INTEGER_KEYS and not value.is_integer():
+            raise ValidationError(f"line {lineno}: {key} must be an integer, got {val.strip()!r}")
+        values[key] = value
     for required in ("g", "delta"):
         if required not in values:
             raise ValidationError(f"missing required key {required!r}")
     if "t" in values:
         duration = values["t"]
     elif "delta_t" in values:
+        if values["delta"] == 0:
+            raise ValidationError("delta_t needs delta != 0")
         duration = values["delta_t"] * pi / values["delta"]
     else:
         raise ValidationError("provide either t or delta_t")

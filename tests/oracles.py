@@ -2,7 +2,8 @@
 
 Each oracle computes its quantity the slow, literal way: 4x4 products
 gate by gate, the explicit multinomial sum over derivative orders, and
-the band search as a scalar march one grid point at a time.
+the band search as a scalar march one grid point at a time, and the
+ion-trap pulse as one dense integration over the full spin-phonon space.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from cpgates.analysis import sequence_fidelity
 from cpgates.derivatives import derivative_single_gate
 from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, distorted_theta, phase_gate, phased_cphase
+from cpgates.iontrap import TrapConfig, _spin_phonon
 
 
 def gate_product_propagator(
@@ -111,3 +114,26 @@ def scalar_march_band(seq, threshold, eps_limit, coarse_step, locate_tol):
     low = _scalar_crossing(infid, threshold, -1.0, coarse_step, eps_limit, locate_tol)
     high = _scalar_crossing(infid, threshold, 1.0, coarse_step, eps_limit, locate_tol)
     return low, high
+
+
+def evolve_full_space(
+    cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12
+) -> np.ndarray:
+    """Pulse propagator from integrating dU/dt = -i H(t) U on the whole
+    4(n_max+1)-dimensional space, every step of the dense state kept."""
+    b, _, _ = _spin_phonon(cfg)
+    bdag = b.conj().T
+    dim = cfg.dim
+    u0 = np.eye(dim, dtype=complex).reshape(-1)
+
+    def rhs(t, y):
+        u = y.reshape(dim, dim)
+        h = cfg.g * (np.exp(1j * cfg.delta * t) * b + np.exp(-1j * cfg.delta * t) * bdag)
+        return (-1j * (h @ u)).reshape(-1)
+
+    sol = solve_ivp(
+        rhs, (0.0, cfg.duration), u0, method="DOP853", rtol=rtol, atol=atol
+    )
+    if not sol.success:
+        raise RuntimeError(f"integrator failed: {sol.message}")
+    return sol.y[:, -1].reshape(dim, dim)

@@ -164,3 +164,48 @@ def test_non_finite_xi_exit_code(tmp_path, capsys, command):
     if command == "scan":
         argv += ["--min", "-0.5", "--max", "0.5", "--steps", "11"]
     assert main(argv) == 1
+
+
+TRAP_CONFIG = "g = 0.1767766952966369\ndelta = 1.0\ndelta_t = 2.0\nnmax = 25\n"
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1", "1e-15"])
+@pytest.mark.parametrize("analytic", [False, True])
+def test_iontrap_rejects_invalid_rtol(tmp_path, capsys, rtol, analytic):
+    config = tmp_path / "trap.txt"
+    config.write_text(TRAP_CONFIG)
+    argv = ["iontrap", "--config", str(config), "--rtol", rtol]
+    assert main(argv + ["--analytic"] * analytic) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: rtol" in captured.err
+
+
+@pytest.mark.parametrize("eps_g", ["nan", "inf"])
+def test_iontrap_rejects_non_finite_eps_g(tmp_path, capsys, eps_g):
+    config = tmp_path / "trap.txt"
+    config.write_text(TRAP_CONFIG)
+    assert main(["iontrap", "--config", str(config), "--eps-g", eps_g]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("line,value", [(1, "g = abc"), (4, "nmax = 25.7"), (2, "delta = nan")])
+def test_iontrap_config_error_names_the_line(tmp_path, capsys, line, value):
+    lines = TRAP_CONFIG.splitlines()
+    lines[line - 1] = value
+    config = tmp_path / "trap.txt"
+    config.write_text("\n".join(lines) + "\n")
+    assert main(["iontrap", "--config", str(config), "--analytic"]) == 1
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_iontrap_seq_with_zero_coupling(tmp_path, capsys):
+    config = tmp_path / "trap.txt"
+    config.write_text(TRAP_CONFIG.replace("0.1767766952966369", "0"))
+    seq_path = tmp_path / "single.csv"
+    main(["catalog", "--entry", "single", "--out", str(seq_path)])
+    capsys.readouterr()
+    assert main(["iontrap", "--config", str(config), "--seq", str(seq_path)]) == 1
+    assert "g > 0" in capsys.readouterr().err
+    # without a gate angle to reach, g = 0 is a valid (idle) pulse
+    assert main(["iontrap", "--config", str(config)]) == 0

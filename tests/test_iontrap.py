@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from math import pi, sqrt
 
-from cpgates import catalog
+from cpgates import catalog, iontrap
 from cpgates.errors import TruncationError, ValidationError
 from cpgates.gates import ideal_cphase
 from cpgates.iontrap import (
@@ -25,6 +27,7 @@ from cpgates.iontrap import (
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_hermitian, sigma_axis
+from oracles import evolve_full_space
 
 G_QUARTER = 1.0 / sqrt(32.0)  # g/Delta giving a pi/4 two-pulse gate at Delta*T = 2*pi
 
@@ -342,3 +345,104 @@ def test_leakage_reports_zero_for_closed_loop():
     cfg = quarter_cfg()
     u = two_pulse_gate(cfg, analytic=True)
     assert leakage(u, cfg) < 1e-12
+
+
+# --- spin-branch integrator ----------------------------------------------------
+
+phases = st.floats(0.0, 2 * pi)
+
+
+@settings(max_examples=20)
+@given(
+    zeta_plus=st.tuples(phases, phases),
+    zeta_minus=st.tuples(phases, phases),
+    g=st.floats(0.0, 0.1),
+    delta=st.sampled_from([1.0, -1.0]),
+    duration=st.floats(0.1, 2.0),
+)
+def test_branch_integration_matches_full_space(zeta_plus, zeta_minus, g, delta, duration):
+    # g/|delta| <= 0.1 keeps the peak displacement small enough for n_max=20
+    cfg = TrapConfig(g=g, delta=delta, duration=duration, zeta_plus=zeta_plus,
+                     zeta_minus=zeta_minus, n_max=20)
+    u = evolve_numerical(cfg, check=False)
+    assert np.max(np.abs(u - evolve_full_space(cfg))) < 1e-8
+
+
+def test_branch_propagator_commutes_with_each_spin_axis():
+    cfg = TrapConfig(g=0.12, delta=-1.1, duration=3.0, zeta_plus=(0.4, 2.3),
+                     zeta_minus=(1.3, 0.2), n_max=22)
+    u = evolve_numerical(cfg)
+    phonon = np.eye(cfg.n_max + 1)
+    for spin in (np.kron(sigma_axis(cfg.zeta_plus[0]), np.eye(2)),
+                 np.kron(np.eye(2), sigma_axis(cfg.zeta_plus[1]))):
+        s = np.kron(spin, phonon)
+        assert frobenius_norm(u @ s - s @ u) < 1e-12
+
+
+def test_one_integration_per_pulse_keeping_only_the_end_state(monkeypatch):
+    solutions = []
+    solve_ivp = iontrap.solve_ivp
+
+    def recording_solve_ivp(*args, **kwargs):
+        solutions.append(solve_ivp(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(iontrap, "solve_ivp", recording_solve_ivp)
+    cfg = TrapConfig(g=0.1, delta=1.0, duration=2.0, n_max=20)
+    two_pulse_gate(cfg)
+    assert len(solutions) == 2
+    for sol in solutions:
+        assert sol.y.shape == (4 * (cfg.n_max + 1) ** 2, 1)
+        assert sol.t.tolist() == [cfg.duration]
+
+
+@pytest.mark.parametrize("rtol,atol", [
+    (float("nan"), 1e-12), (float("inf"), 1e-12), (0.0, 1e-12), (-1.0, 1e-12),
+    (1e-15, 1e-12), (1e-10, float("nan")), (1e-10, 0.0), (1e-10, -1e-12),
+])
+def test_invalid_integrator_tolerances_raise(rtol, atol):
+    cfg = TrapConfig(g=0.1, delta=1.0, duration=1.0, n_max=20)
+    with pytest.raises(ValidationError):
+        evolve_numerical(cfg, rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize("field", ["g", "delta", "duration", "zeta_plus", "zeta_minus"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_trap_parameters_raise(field, bad):
+    params = dict(g=0.1, delta=1.0, duration=1.0, n_max=20)
+    params[field] = (0.0, bad) if field.startswith("zeta") else bad
+    with pytest.raises(ValidationError):
+        TrapConfig(**params)
+
+
+def test_overflowing_displacement_raises():
+    with pytest.raises(ValidationError):
+        TrapConfig(g=1e200, delta=1e-200, duration=1.0, n_max=20)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("g=abc\ndelta=1\nt=1\n", 1),
+    ("g=0.1\ndelta=1\nt=1\nnmax=25.7\n", 4),
+    ("g=0.1\ndelta=1\nt=1\nnmax=25\nfock0=1.5\n", 5),
+    ("g=0.1\ndelta=nan\nt=1\n", 2),
+])
+def test_parse_config_names_the_bad_line(text, lineno):
+    with pytest.raises(ValidationError, match=f"line {lineno}:"):
+        parse_config(text)
+
+
+def test_parse_config_accepts_integral_float_levels():
+    cfg, _ = parse_config("g=0.1\ndelta=1\nt=1\nnmax=2.5e1\nfock0=2.0\n")
+    assert (cfg.n_max, cfg.initial_fock) == (25, 2)
+
+
+def test_parse_config_delta_t_needs_nonzero_delta():
+    with pytest.raises(ValidationError):
+        parse_config("g=0.1\ndelta=0\ndelta_t=2\n")
+
+
+def test_duration_for_angle_needs_positive_coupling():
+    with pytest.raises(ValidationError, match="g > 0"):
+        duration_for_angle(0.0, 1.0, pi / 4)
+    with pytest.raises(ValidationError):
+        duration_for_angle(0.1, 1.0, float("nan"))
