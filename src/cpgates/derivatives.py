@@ -7,23 +7,28 @@ The l-th derivative of a single distorted gate has the closed form
     d^l/d eps^l U(theta*(1+eps), phi) |_(eps=eps0)
         = theta^l * U(theta*(1+eps0) + l*pi/2, phi),
 
-and derivatives of a gate product follow by the (multinomial) Leibniz
-rule.  It is evaluated as a left-to-right recursion over the gates,
-which is algebraically identical to the explicit sum over derivative-order
-compositions but costs O(N l^2) small matrix products instead of
-enumerating all tuples; the tests cross-check it against that sum and
-against finite differences.
+and derivatives of a gate product follow by the Leibniz rule.  All of
+them embed 2x2 Cayley-Klein blocks [[a, b], [-conj(b), conj(a)]] (see
+:mod:`cpgates.gates`), so the kernel carries the Taylor coefficients of
+(a, b) in eps - eps0.  Gate k has c_l = theta^l/l! cos(alpha + l pi/2)
+and s_l = i theta^l/l! sin(alpha + l pi/2) e^{-i phi}, alpha =
+theta (1+eps0); multiplying by it is a Cauchy product, i.e. one
+triangular Toeplitz matrix per gate applied to a whole batch of phase
+vectors, and derivative l is l! times coefficient l.  The tests check
+the kernel against the 4x4 Leibniz recursion, the multinomial sum and
+finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, pi
+from functools import lru_cache
+from math import factorial, pi
 
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CompositeSequence, ideal_cphase, phase_gate, phased_cphase
+from .gates import CompositeSequence, _embed_blocks, ideal_cphase, phased_cphase
 from .linalg import frobenius_norm
 
 
@@ -31,64 +36,61 @@ from .linalg import frobenius_norm
 # batched derivative engine
 # ---------------------------------------------------------------------------
 
-def _gate_derivative_stack(thetas, phis, l_max: int, at_epsilon: float):
-    """Derivative stacks for every gate of every batch member.
-
-    Parameters
-    ----------
-    thetas : (G,) array of gate angles
-    phis : (B, G) array of gate phases
-    l_max : highest derivative order
-    at_epsilon : expansion point of the relative error
-
-    Returns
-    -------
-    (B, G, l_max+1, 4, 4) array; entry [b, k, l] is
-    theta_k^l * U(theta_k*(1+at_epsilon) + l*pi/2, phis[b, k]).
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    b, g = phis.shape
+@lru_cache(maxsize=64)
+def _taylor_factors(thetas: tuple, l_max: int, at_epsilon: float):
+    """Per-gate Toeplitz factors [C_k | S_k] of shape (G, L, 2L) for the
+    cos and i sin parts (row i, column m holds coefficient m - i), and l!
+    for l < L."""
+    thetas = np.array(thetas)
     orders = np.arange(l_max + 1)
-    ang = thetas[None, :, None] * (1.0 + at_epsilon) + orders[None, None, :] * (pi / 2)
-    c = np.broadcast_to(np.cos(ang), (b, g, l_max + 1)).copy()
-    s = 1j * np.broadcast_to(np.sin(ang), (b, g, l_max + 1))
-    eminus = np.exp(-1j * phis)[:, :, None]
-    eplus = np.exp(1j * phis)[:, :, None]
-    out = np.zeros((b, g, l_max + 1, 4, 4), dtype=complex)
-    for d in range(4):
-        out[..., d, d] = c
-    # i sin(ang) * kron(sigma_x, sigma_phi)
-    out[..., 0, 3] = s * eminus
-    out[..., 1, 2] = s * eplus
-    out[..., 2, 1] = s * eminus
-    out[..., 3, 0] = s * eplus
-    powers = thetas[None, :, None] ** orders[None, None, :]
-    out *= powers[..., None, None]
-    return out
+    factorials = np.array([float(factorial(l)) for l in orders])
+    taylor = thetas[:, None] ** orders / factorials
+    ang = thetas[:, None] * (1.0 + at_epsilon) + orders * (pi / 2)
+    lag = orders[None, :] - orders[:, None]
+    below, lag = lag < 0, np.maximum(lag, 0)
+    factors = np.concatenate([
+        np.where(below, 0j, (taylor * np.cos(ang))[:, lag]),
+        np.where(below, 0j, (1j * taylor * np.sin(ang))[:, lag]),
+    ], axis=2)
+    factors.flags.writeable = factorials.flags.writeable = False
+    return factors, factorials
 
 
 def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
-    """Derivatives 0..l_max of the ordered gate product (gate 0 first).
+    """Blocks V_l of the derivatives 0..l_max of the ordered gate product
+    (gate 0 first) at eps = at_epsilon.
 
-    ``phis`` may be (G,) or (B, G); the result is (B, l_max+1, 4, 4) with
+    ``phis`` may be (G,) or (B, G); the result is (B, l_max+1, 2, 2) with
     B = 1 for a flat input.  The terminal frame rotation is not included
     (it does not depend on the error).
     """
-    stacks = _gate_derivative_stack(thetas, phis, l_max, at_epsilon)
-    b = stacks.shape[0]
-    g = stacks.shape[1]
-    p = stacks[:, 0].copy()
-    for k in range(1, g):
-        gk = stacks[:, k]
-        new = np.empty_like(p)
-        for m in range(l_max + 1):
-            acc = gk[:, 0] @ p[:, m]
-            for j in range(1, m + 1):
-                acc = acc + comb(m, j) * (gk[:, j] @ p[:, m - j])
-            new[:, m] = acc
-        p = new
-    return p
+    if l_max < 0:
+        raise ValidationError(f"derivative order must be non-negative, got {l_max}")
+    factors, factorials = _taylor_factors(
+        tuple(map(float, thetas)), int(l_max), float(at_epsilon))
+    phis = np.atleast_2d(np.asarray(phis, dtype=float))
+    batch, n = len(phis), l_max + 1
+    # With S_k purely imaginary, conj(b) S = -conj(b S), so gate k maps
+    #   a -> a C + e conj(b S),   b -> b C - e conj(a S),   e = e^{-i phi_k}.
+    # The rows of a and b form one (2B, L) matrix, so that each batch row
+    # goes through the same matrix products whatever B is.
+    e = np.exp(-1j * phis)
+    signed = (np.array([1.0, -1.0])[:, None, None] * e)[..., None]
+    first = factors[0, :1]  # gate 0 applied to the identity
+    ab = np.concatenate([np.repeat(first[:, :n], batch, axis=0), e[:, :1] * first[:, n:]])
+    for k in range(1, len(factors)):
+        y = (ab @ factors[k]).reshape(2, batch, 2 * n)
+        ab = (y[..., :n] + signed[:, :, k] * y[::-1, :, n:].conj()).reshape(2 * batch, n)
+    a, b = ab.reshape(2, batch, n) * factorials
+    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, b
+    out[..., 1, 0], out[..., 1, 1] = -b.conj(), a.conj()
+    return out
+
+
+def _framed(blocks, terminal: float):
+    """Blocks left-multiplied by the frame rotation diag(e^{-it}, e^{it})."""
+    return np.exp(-1j * terminal * np.array([1.0, -1.0]))[:, None] * blocks
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +113,8 @@ def derivative_sequence(
     frame rotation) with respect to the relative error."""
     if l < 0 or int(l) != l:
         raise ValidationError(f"derivative order must be a non-negative integer, got {l}")
-    p = product_derivative_stack(seq.thetas(), seq.phis(), l, at_epsilon)[0, l]
-    if seq.terminal_phase != 0.0:
-        p = phase_gate(seq.terminal_phase, 2) @ p
-    return p
+    v = product_derivative_stack(seq.thetas(), seq.phis(), l, at_epsilon)[0, l]
+    return _embed_blocks(_framed(v, seq.terminal_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +178,7 @@ def broadband_residuals(seq: CompositeSequence, n: int) -> ResidualVector:
     if n < 0:
         raise ValidationError("order must be non-negative")
     p = product_derivative_stack(seq.thetas(), seq.phis(), n)[0]
-    if seq.terminal_phase != 0.0:
-        f = phase_gate(seq.terminal_phase, 2)
-        p = np.einsum("ij,ljk->lik", f, p)
-    entries = list(p)
+    entries = list(_embed_blocks(_framed(p, seq.terminal_phase)))
     entries[0] = entries[0] - aligned_target(seq, entries[0])
     return ResidualVector(tuple(entries), residual_scale(seq))
 
@@ -197,7 +194,7 @@ def narrowband_residuals(seq: CompositeSequence, n2: int) -> ResidualVector:
     if n2 < 0:
         raise ValidationError("order must be non-negative")
     p = product_derivative_stack(seq.thetas(), seq.phis(), n2, at_epsilon=-1.0)[0]
-    entries = list(p)
+    entries = list(_embed_blocks(p))
     entries[0] = entries[0] - np.eye(4, dtype=complex)
     return ResidualVector(tuple(entries), residual_scale(seq))
 

@@ -160,6 +160,13 @@ def _sequence_blocks(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.nd
     return np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
 
 
+def _embed_blocks(v: np.ndarray) -> np.ndarray:
+    """4x4 matrices I (x) d + sigma_x (x) o of blocks V = d + o (d diagonal,
+    o off-diagonal), batched over the leading axes of ``v``."""
+    d = np.where(np.eye(2, dtype=bool), v, 0)
+    return np.block([[d, v - d], [v - d, d]])
+
+
 def sequence_propagator(
     seq: CompositeSequence, epsilon: float = 0.0, xi: float = 0.0
 ) -> np.ndarray:
@@ -169,9 +176,7 @@ def sequence_propagator(
     terminal frame rotation is error-free (it is a software phase shift,
     not a physical rotation).  Embeds the block V as I (x) d + sigma_x (x) o.
     """
-    v = _sequence_blocks(seq, epsilon, xi)[0]
-    d = np.diag(np.diag(v))
-    return np.kron(IDENTITY_2, d) + np.kron(SIGMA_X, v - d)
+    return _embed_blocks(_sequence_blocks(seq, epsilon, xi)[0])
 
 
 def convert_phase_conventions(varphis) -> tuple[list[float], float]:

@@ -45,16 +45,31 @@ it, so it stays an independent check on :func:`analytic_propagator`.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 from math import ceil, pi
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import TruncationError, ValidationError
 from .gates import CompositeSequence, phase_gate
 from .linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
+
+
+def __getattr__(name: str):
+    """Import scipy's ``solve_ivp`` and ``brentq`` on first use (PEP 562),
+    since scipy.integrate is most of the package's import time, and keep
+    them as module globals, which callers and tests may rebind."""
+    module = {"solve_ivp": "scipy.integrate", "brentq": "scipy.optimize"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(module), name)
+    return globals()[name]
+
+
+def _scipy(name: str):
+    return globals().get(name) or __getattr__(name)
+
 
 LEAKAGE_LIMIT = 1e-8
 #: smallest rtol scipy's integrators accept without clamping it
@@ -212,7 +227,7 @@ def evolve_numerical(
         k = c * adag - np.conj(c) * a
         return (k @ y.reshape(4, levels, levels)).reshape(-1)
 
-    sol = solve_ivp(
+    sol = _scipy("solve_ivp")(
         rhs, (0.0, cfg.duration), u0, method="DOP853", rtol=rtol, atol=atol,
         t_eval=[cfg.duration],
     )
@@ -372,7 +387,7 @@ def duration_for_angle(g: float, delta: float, theta: float) -> float:
     hi = y + 1.0 + 1e-9
     if f(lo) > 0:
         lo = 1e-12
-    x = brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
+    x = _scipy("brentq")(f, lo, hi, xtol=1e-14, rtol=1e-15)
     return x / delta
 
 

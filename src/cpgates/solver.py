@@ -2,19 +2,27 @@
 conditions, with seeded Monte-Carlo restarts and gate-count escalation.
 
 The unknowns are the free gate phases (plus, for the shortest broadband
-shape, the terminal frame rotation).  The residual vector stacks the real
-and imaginary parts of every matrix entry of the targeted derivative
-conditions; order l is scaled by 1/A**l with A the total rotation angle,
-which keeps all orders at comparable magnitude and makes the default
-tolerance attainable at every catalog order.  The objective D reported in
-results and logs is the sum of the scaled residual norms, including the
-(sign-aligned) order-0 term, so D = 0 exactly when every targeted order
-cancels.
+shape, the terminal frame rotation).  Each targeted order is a 2x2
+Cayley-Klein block [[a, b], [-conj(b), conj(a)]] (see
+:mod:`cpgates.derivatives`); the residual vector stacks the real and
+imaginary parts of 2 (a, b), whose norm is that of the 4x4 matrix, with
+order l scaled by 1/A**l (A the total rotation angle), which keeps all
+orders at comparable magnitude and makes the default tolerance
+attainable at every catalog order.  The objective D reported in results and logs is the sum of the
+scaled residual norms, including the (sign-aligned) order-0 term, so
+D = 0 exactly when every targeted order cancels.
+
+Each Newton step takes a central-difference Jacobian from one batched
+residual call, then accepts the first candidate step that lowers D: the
+full least-squares step, evaluated alone, then its 19 halvings in one
+batched call, then 25 Levenberg-regularised steps, solved together and
+evaluated in one batched call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import pi
 from typing import Optional
 
@@ -27,7 +35,6 @@ from .gates import (
     CompositeSequence,
     PhasedGate,
     canonical_angle,
-    ideal_cphase,
 )
 from .derivatives import product_derivative_stack
 
@@ -57,6 +64,19 @@ class SolverProblem:
     phi0: float = 0.0
     free_terminal: bool = False
     shape: str = SHAPE_HALF_CHAIN
+
+    def __post_init__(self):
+        if min(self.orders) < 0:
+            raise ValidationError(f"orders must be non-negative, got {self.orders}")
+
+    @cached_property
+    def residual_constants(self):
+        """Row weights 2 / A**l (orders 0..n1 at eps = 0, then 1..n2 at
+        eps = -1; A the total angle) and target rows +-2 (cos, i sin)."""
+        n1, n2 = self.orders
+        orders = np.concatenate([np.arange(n1 + 1), np.arange(1, n2 + 1)])
+        row = np.array([np.cos(self.target_theta), 1j * np.sin(self.target_theta)])
+        return (2.0 / max(1.0, self.total_angle()) ** orders)[:, None], 2.0 * np.array([row, -row])
 
     @property
     def free_phase_count(self) -> int:
@@ -118,8 +138,11 @@ class SolverConfig:
     initial_phases: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.residual_tolerance <= 0 or self.jacobian_step <= 0:
-            raise ValidationError("tolerances and steps must be positive")
+        steps = (self.residual_tolerance, self.jacobian_step)
+        if not all(np.isfinite(v) and v > 0 for v in steps):
+            raise ValidationError("tolerances and steps must be finite and positive")
+        if self.max_newton_iters < 1 or self.max_restarts < 1:
+            raise ValidationError("iteration and restart budgets must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -133,48 +156,31 @@ class SolverResult:
     attempted_gate_counts: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _apply_terminal(frames: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    """Left-multiply each batch stack by exp(-i terminal sigma_z) on qubit 2."""
-    e = np.exp(-1j * terminal)[:, None]
-    phase = np.concatenate([e, e.conj(), e, e.conj()], axis=1)
-    return phase[:, None, :, None] * frames
-
-
 def _residuals(problem: SolverProblem, x_batch: np.ndarray):
     """Stacked real residual components and objective D for a batch.
 
-    Returns (R, D): R is (B, p) float, D is (B,).
+    Returns (R, D): R is (B, p) float, D is (B,).  Each order enters as
+    the first row (a, b) of its block, which fixes the block; its 4x4
+    Frobenius norm is 2 sqrt(|a|^2 + |b|^2).
     """
     x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    b = x_batch.shape[0]
     phis, terminal = problem.split(x_batch)
     n1, n2 = problem.orders
-    scale = max(1.0, problem.total_angle())
-    target = ideal_cphase(problem.target_theta)
-
-    p = product_derivative_stack(problem.thetas, phis, n1)
-    p = _apply_terminal(p, terminal)
-    blocks = []
-    d = np.zeros(b)
-    c0 = p[:, 0]
-    dplus = np.linalg.norm((c0 - target).reshape(b, -1), axis=1)
-    dminus = np.linalg.norm((c0 + target).reshape(b, -1), axis=1)
-    sign = np.where(dplus <= dminus, 1.0, -1.0)
-    r0 = c0 - sign[:, None, None] * target
-    blocks.append(r0.reshape(b, -1))
-    d += np.minimum(dplus, dminus)
-    for l in range(1, n1 + 1):
-        rl = p[:, l].reshape(b, -1) / scale**l
-        blocks.append(rl)
-        d += np.linalg.norm(rl, axis=1)
+    # the frame rotation acts on the first row as the scalar e^{-i t}
+    rows = product_derivative_stack(problem.thetas, phis, n1)[:, :, 0]
+    rows = np.exp(-1j * terminal)[:, None, None] * rows
     if n2 > 0:
-        pn = product_derivative_stack(problem.thetas, phis, n2, at_epsilon=-1.0)
-        for l in range(1, n2 + 1):
-            rl = pn[:, l].reshape(b, -1) / scale**l
-            blocks.append(rl)
-            d += np.linalg.norm(rl, axis=1)
-    rc = np.concatenate(blocks, axis=1)
-    return np.concatenate([rc.real, rc.imag], axis=1), d
+        narrow = product_derivative_stack(problem.thetas, phis, n2, at_epsilon=-1.0)
+        rows = np.concatenate([rows, narrow[:, 1:, 0]], axis=1)
+    weights, targets = problem.residual_constants
+    rows = rows * weights
+    # order 0 is compared with the target of the sign it is closer to
+    zero = rows[:, :1] - targets
+    sq = np.sum(zero.real**2 + zero.imag**2, axis=2)
+    rows[:, 0] = zero[np.arange(len(rows)), (sq[:, 1] < sq[:, 0]).astype(int)]
+    d = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=2)).sum(axis=1)
+    rows = rows.reshape(len(rows), 2 * rows.shape[1])
+    return np.concatenate([rows.real, rows.imag], axis=1), d
 
 
 def objective_D(problem: SolverProblem, phases) -> float:
@@ -193,16 +199,35 @@ def objective_D(problem: SolverProblem, phases) -> float:
     return float(d[0])
 
 
+def _first_improving(problem, candidates, d):
+    """Index and D of the first candidate row that lowers D, or None."""
+    _, dn = _residuals(problem, candidates)
+    hit = np.flatnonzero(dn < d)
+    return (int(hit[0]), float(dn[hit[0]])) if hit.size else None
+
+
+def _levenberg_steps(jtj, jtr, lams):
+    """Steps solving (J^T J + lam I) dx = -J^T r, one row per lam.
+
+    For a Gram matrix J^T J and lam > 0 every system is positive
+    definite; should one still be singular, there are no steps."""
+    systems = jtj + lams[:, None, None] * np.eye(len(jtr))
+    try:
+        return np.linalg.solve(systems, -jtr[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.empty((0, len(jtr)))
+
+
 def _newton_from(problem, x, d, config):
     """Damped Newton least-squares iteration from a given start.
 
-    Returns (x, D, iterations).  A plain least-squares step with step
-    halving is tried first; when no shorter step improves D, the step is
-    recomputed with increasing Levenberg regularisation before giving up.
+    Returns (x, D, iterations).  The Levenberg weights grow tenfold from
+    1e-6 mean(diag J^T J); when no candidate step improves, it stops.
     """
     n = problem.free_phase_count
     eye = np.eye(n)
     h = config.jacobian_step
+    halvings = np.multiply.accumulate(np.full(19, 0.5))[:, None]
     for it in range(config.max_newton_iters):
         if d <= config.residual_tolerance:
             return x, d, it
@@ -210,33 +235,21 @@ def _newton_from(problem, x, d, config):
         r, _ = _residuals(problem, probes)
         r0 = r[0]
         jac = (r[1 : n + 1] - r[n + 1 :]).T / (2.0 * h)
-        accepted = False
         dx, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        step = 1.0
-        for _ in range(20):
-            xn = x + step * dx
-            _, dn = _residuals(problem, xn[None, :])
-            if dn[0] < d:
-                x, d, accepted = xn, float(dn[0]), True
-                break
-            step *= 0.5
-        if not accepted:
+        candidates = (x + dx)[None, :]
+        found = _first_improving(problem, candidates, d)
+        if found is None:
+            candidates = x + halvings * dx
+            found = _first_improving(problem, candidates, d)
+        if found is None:
             jtj = jac.T @ jac
-            jtr = jac.T @ r0
             lam = 1e-6 * max(np.trace(jtj) / n, 1e-30)
-            for _ in range(25):
-                try:
-                    dx = np.linalg.solve(jtj + lam * eye, -jtr)
-                except np.linalg.LinAlgError:
-                    break
-                xn = x + dx
-                _, dn = _residuals(problem, xn[None, :])
-                if dn[0] < d:
-                    x, d, accepted = xn, float(dn[0]), True
-                    break
-                lam *= 10.0
-        if not accepted:
+            lams = np.multiply.accumulate(np.r_[lam, np.full(24, 10.0)])
+            candidates = x + _levenberg_steps(jtj, jac.T @ r0, lams)
+            found = _first_improving(problem, candidates, d)
+        if found is None:
             return x, d, it + 1
+        x, d = candidates[found[0]], found[1]
     return x, d, config.max_newton_iters
 
 
@@ -255,7 +268,6 @@ def solve(
     rng = np.random.default_rng(config.rng_seed)
     n = problem.free_phase_count
     best_d = np.inf
-    total_restarts = 0
     for k in range(config.max_restarts):
         if k == 0 and config.initial_phases is not None and len(config.initial_phases) == n:
             x = np.asarray(config.initial_phases, dtype=float)
@@ -263,7 +275,6 @@ def solve(
             x = rng.uniform(0.0, 2.0 * pi, n)
         _, d0 = _residuals(problem, x[None, :])
         x, d, iters = _newton_from(problem, x, float(d0[0]), config)
-        total_restarts = k + 1
         if log is not None:
             log.write(f"restart={k} iters={iters} D={d:.6e}\n")
         best_d = min(best_d, d)
@@ -272,7 +283,7 @@ def solve(
             return SolverResult(
                 sequence=problem.build_sequence(x),
                 residual_D=float(objective_D(problem, x)),
-                restarts_used=total_restarts,
+                restarts_used=k + 1,
                 iterations_used=iters,
                 converged=True,
                 problem=problem,
@@ -280,7 +291,7 @@ def solve(
     return SolverResult(
         sequence=None,
         residual_D=float(best_d),
-        restarts_used=total_restarts,
+        restarts_used=config.max_restarts,
         iterations_used=config.max_newton_iters,
         converged=False,
         problem=problem,
@@ -390,6 +401,8 @@ def solve_with_escalation(
     ``config.max_restarts`` at every stage.  Feasible stages converge
     within a few dozen restarts in practice.
     """
+    if stage_restarts is not None and stage_restarts < 1:
+        raise ValidationError(f"stage_restarts must be at least 1, got {stage_restarts}")
     if family == FAMILY_BROADBAND:
         n = orders if isinstance(orders, int) else orders[0]
         stages = broadband_progression(n, target_theta)
@@ -399,7 +412,6 @@ def solve_with_escalation(
     else:
         raise ValidationError(f"escalation is defined for broadband/passband, got {family!r}")
     attempted: list[int] = []
-    last = None
     for stage in stages:
         attempted.append(stage.gate_count)
         if log is not None:
@@ -407,41 +419,15 @@ def solve_with_escalation(
                 f"stage gates={stage.gate_count} shape={stage.shape!r} "
                 f"unknowns={stage.free_phase_count}\n"
             )
-        budget = config.max_restarts
-        if stage_restarts is not None:
-            budget = min(budget, stage_restarts)
+        budget = min(config.max_restarts, stage_restarts or config.max_restarts)
         seed_phases = config.initial_phases
         if seed_phases is not None and len(seed_phases) != stage.free_phase_count:
             seed_phases = None
-        stage_config = SolverConfig(
-            residual_tolerance=config.residual_tolerance,
-            jacobian_step=config.jacobian_step,
-            max_newton_iters=config.max_newton_iters,
-            max_restarts=budget,
-            rng_seed=config.rng_seed,
-            initial_phases=seed_phases,
-        )
+        stage_config = replace(config, max_restarts=budget, initial_phases=seed_phases)
         last = solve(stage, stage_config, log=log)
         if last.converged:
-            return SolverResult(
-                sequence=last.sequence,
-                residual_D=last.residual_D,
-                restarts_used=last.restarts_used,
-                iterations_used=last.iterations_used,
-                converged=True,
-                problem=last.problem,
-                attempted_gate_counts=tuple(attempted),
-            )
-    assert last is not None
-    return SolverResult(
-        sequence=None,
-        residual_D=last.residual_D,
-        restarts_used=last.restarts_used,
-        iterations_used=last.iterations_used,
-        converged=False,
-        problem=last.problem,
-        attempted_gate_counts=tuple(attempted),
-    )
+            break
+    return replace(last, attempted_gate_counts=tuple(attempted))
 
 
 def polish(seq: CompositeSequence, orders, config: SolverConfig = SolverConfig()) -> SolverResult:
@@ -465,12 +451,6 @@ def polish(seq: CompositeSequence, orders, config: SolverConfig = SolverConfig()
     x0 = [g.phi for g in seq.gates[1:]]
     if free_terminal:
         x0.append(seq.terminal_phase)
-    cfg = SolverConfig(
-        residual_tolerance=config.residual_tolerance,
-        jacobian_step=config.jacobian_step,
-        max_newton_iters=max(config.max_newton_iters, 300),
-        max_restarts=1,
-        rng_seed=config.rng_seed,
-        initial_phases=tuple(x0),
-    )
+    cfg = replace(config, max_newton_iters=max(config.max_newton_iters, 300),
+                  max_restarts=1, initial_phases=tuple(x0))
     return solve(problem, cfg)

@@ -1,16 +1,18 @@
 """Reference routes kept only for cross-checking the library.
 
 Each oracle computes its quantity the slow, literal way: 4x4 products
-gate by gate, the explicit multinomial sum over derivative orders, and
-the band search as a scalar march one grid point at a time, and the
-ion-trap pulse as one dense integration over the full spin-phonon space.
+gate by gate, the explicit multinomial sum over derivative orders, the
+4x4 Leibniz recursion and the solver residuals built from it, the Newton
+step ladder one candidate at a time, the band search as a scalar march
+one grid point at a time, and the ion-trap pulse as one dense
+integration over the full spin-phonon space.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial, pi
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,8 +20,11 @@ from scipy.integrate import solve_ivp
 from cpgates.analysis import sequence_fidelity
 from cpgates.derivatives import derivative_single_gate
 from cpgates.errors import ValidationError
-from cpgates.gates import CompositeSequence, distorted_theta, phase_gate, phased_cphase
+from cpgates.gates import (
+    CompositeSequence, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
+)
 from cpgates.iontrap import TrapConfig, _spin_phonon
+from cpgates.solver import _residuals
 
 
 def gate_product_propagator(
@@ -61,6 +66,121 @@ def derivative_sequence_multinomial(
     if seq.terminal_phase != 0.0:
         total = phase_gate(seq.terminal_phase, 2) @ total
     return total
+
+
+def gate_derivative_stack(thetas, phis, l_max: int, at_epsilon: float):
+    """(B, G, l_max+1, 4, 4) array; entry [b, k, l] is
+    theta_k^l * U(theta_k*(1+at_epsilon) + l*pi/2, phis[b, k])."""
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.atleast_2d(np.asarray(phis, dtype=float))
+    b, g = phis.shape
+    orders = np.arange(l_max + 1)
+    ang = thetas[None, :, None] * (1.0 + at_epsilon) + orders[None, None, :] * (pi / 2)
+    c = np.broadcast_to(np.cos(ang), (b, g, l_max + 1)).copy()
+    s = 1j * np.broadcast_to(np.sin(ang), (b, g, l_max + 1))
+    eminus = np.exp(-1j * phis)[:, :, None]
+    eplus = np.exp(1j * phis)[:, :, None]
+    out = np.zeros((b, g, l_max + 1, 4, 4), dtype=complex)
+    for d in range(4):
+        out[..., d, d] = c
+    # i sin(ang) * kron(sigma_x, sigma_phi)
+    out[..., 0, 3] = s * eminus
+    out[..., 1, 2] = s * eplus
+    out[..., 2, 1] = s * eminus
+    out[..., 3, 0] = s * eplus
+    powers = thetas[None, :, None] ** orders[None, None, :]
+    out *= powers[..., None, None]
+    return out
+
+
+def leibniz_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
+    """(B, l_max+1, 4, 4) derivatives of the gate product by the 4x4
+    Leibniz recursion over the gates, with binomial weights."""
+    stacks = gate_derivative_stack(thetas, phis, l_max, at_epsilon)
+    p = stacks[:, 0].copy()
+    for k in range(1, stacks.shape[1]):
+        gk = stacks[:, k]
+        new = np.empty_like(p)
+        for m in range(l_max + 1):
+            acc = gk[:, 0] @ p[:, m]
+            for j in range(1, m + 1):
+                acc = acc + comb(m, j) * (gk[:, j] @ p[:, m - j])
+            new[:, m] = acc
+        p = new
+    return p
+
+
+def residuals_4x4(problem, x_batch):
+    """Solver residuals (R, D) from the 4x4 Leibniz stack: every matrix
+    entry of every targeted order, order l scaled by 1/A**l."""
+    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
+    b = x_batch.shape[0]
+    phis, terminal = problem.split(x_batch)
+    n1, n2 = problem.orders
+    scale = max(1.0, problem.total_angle())
+    target = ideal_cphase(problem.target_theta)
+    e = np.exp(-1j * terminal)[:, None]
+    frame = np.concatenate([e, e.conj(), e, e.conj()], axis=1)
+    p = frame[:, None, :, None] * leibniz_derivative_stack(problem.thetas, phis, n1)
+    c0 = p[:, 0]
+    dplus = np.linalg.norm((c0 - target).reshape(b, -1), axis=1)
+    dminus = np.linalg.norm((c0 + target).reshape(b, -1), axis=1)
+    sign = np.where(dplus <= dminus, 1.0, -1.0)
+    blocks = [(c0 - sign[:, None, None] * target).reshape(b, -1)]
+    d = np.minimum(dplus, dminus)
+    orders = [(p, l) for l in range(1, n1 + 1)]
+    if n2 > 0:
+        pn = leibniz_derivative_stack(problem.thetas, phis, n2, at_epsilon=-1.0)
+        orders += [(pn, l) for l in range(1, n2 + 1)]
+    for stack, l in orders:
+        rl = stack[:, l].reshape(b, -1) / scale**l
+        blocks.append(rl)
+        d = d + np.linalg.norm(rl, axis=1)
+    rc = np.concatenate(blocks, axis=1)
+    return np.concatenate([rc.real, rc.imag], axis=1), d
+
+
+def newton_sequential(problem, x, d, config, residuals=_residuals):
+    """Damped Newton least squares with the step ladder tried one
+    candidate at a time: full step, halvings, then Levenberg rungs."""
+    n = problem.free_phase_count
+    eye = np.eye(n)
+    h = config.jacobian_step
+    for it in range(config.max_newton_iters):
+        if d <= config.residual_tolerance:
+            return x, d, it
+        probes = np.vstack([x[None, :], x + h * eye, x - h * eye])
+        r, _ = residuals(problem, probes)
+        r0 = r[0]
+        jac = (r[1 : n + 1] - r[n + 1 :]).T / (2.0 * h)
+        accepted = False
+        dx, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
+        step = 1.0
+        for _ in range(20):
+            xn = x + step * dx
+            _, dn = residuals(problem, xn[None, :])
+            if dn[0] < d:
+                x, d, accepted = xn, float(dn[0]), True
+                break
+            step *= 0.5
+        if not accepted:
+            jtj = jac.T @ jac
+            jtr = jac.T @ r0
+            lam = 1e-6 * max(np.trace(jtj) / n, 1e-30)
+            for _ in range(25):
+                try:
+                    dx = np.linalg.solve(jtj + lam * eye, -jtr)
+                except np.linalg.LinAlgError:
+                    break
+                xn = x + dx
+                _, dn = residuals(problem, xn[None, :])
+                if dn[0] < d:
+                    x, d, accepted = xn, float(dn[0]), True
+                    break
+                lam *= 10.0
+        if not accepted:
+            return x, d, it + 1
+    return x, d, config.max_newton_iters
 
 
 @dataclass(frozen=True)

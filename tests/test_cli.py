@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cpgates
 from cpgates.analysis import band_report, tolerance_band
 from cpgates.cli import build_parser, main
 from cpgates.seqio import read_sequence
@@ -209,3 +215,42 @@ def test_iontrap_seq_with_zero_coupling(tmp_path, capsys):
     assert "g > 0" in capsys.readouterr().err
     # without a gate angle to reach, g = 0 is a valid (idle) pulse
     assert main(["iontrap", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("extra", [
+    ["--tolerance", "nan"],
+    ["--tolerance", "inf"],
+    ["--stage-restarts", "0"],
+    ["--stage-restarts", "-3"],
+    ["--max-restarts", "0"],
+    ["--max-iters", "-1"],
+])
+def test_solve_rejects_invalid_budgets(tmp_path, capsys, extra):
+    out = tmp_path / "seq.csv"
+    argv = ["solve", "--family", "bb", "--order", "1", "--out", str(out)]
+    assert main(argv + extra) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", [
+    ["--family", "bb", "--order", "-1"],
+    ["--family", "pb", "--order", "-2", "--order2", "1"],
+    ["--family", "pb", "--order", "1", "--order2", "-1"],
+])
+def test_solve_rejects_negative_orders(tmp_path, capsys, orders):
+    out = tmp_path / "seq.csv"
+    assert main(["solve", *orders, "--out", str(out)]) == 1
+    assert "must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    src = str(Path(cpgates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, cpgates.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from math import pi
 
 from cpgates import catalog
@@ -9,17 +11,24 @@ from cpgates.derivatives import (
     derivative_single_gate,
     narrowband_residuals,
     passband_residuals,
+    product_derivative_stack,
     reduced_narrowband_conditions,
 )
 from cpgates.errors import ValidationError
 from cpgates.gates import (
     CompositeSequence,
+    _embed_blocks,
     PhasedGate,
     phased_cphase,
     sequence_propagator,
 )
 from cpgates.linalg import frobenius_norm
-from oracles import ErrorModel, derivative_sequence_multinomial, gate_product_propagator
+from oracles import (
+    ErrorModel,
+    derivative_sequence_multinomial,
+    gate_product_propagator,
+    leibniz_derivative_stack,
+)
 
 
 def _fd(fun, order, at=0.0, h=1e-3):
@@ -229,3 +238,40 @@ def test_passband_chi_sign_branch_matters():
     seq = CompositeSequence(gates=gates, target_theta=theta)
     bb, nb = passband_residuals(seq, 1, 2)
     assert max(nb.scaled_norms) > 1e-2
+
+
+# --- 2x2 Cayley-Klein kernel against the 4x4 Leibniz recursion ---------------
+
+@settings(max_examples=80)
+@given(
+    gates=st.integers(1, 12),
+    order=st.integers(0, 6),
+    at_epsilon=st.sampled_from([0.0, -1.0]),
+    batch=st.integers(1, 4),
+    data=st.data(),
+)
+def test_blocks_equal_leibniz_oracle(gates, order, at_epsilon, batch, data):
+    thetas = data.draw(st.lists(st.floats(-2 * pi, 2 * pi), min_size=gates, max_size=gates))
+    flat = data.draw(st.lists(st.floats(0.0, 2 * pi), min_size=batch * gates,
+                              max_size=batch * gates))
+    phis = np.array(flat).reshape(batch, gates)
+    blocks = product_derivative_stack(thetas, phis, order, at_epsilon)
+    assert blocks.shape == (batch, order + 1, 2, 2)
+    oracle = leibniz_derivative_stack(thetas, phis, order, at_epsilon)
+    # order l of the stack is bounded by (total angle)^l
+    scale = max(1.0, float(np.sum(np.abs(thetas)))) ** np.arange(order + 1)
+    err = np.max(np.abs(_embed_blocks(blocks) - oracle), axis=(2, 3)) / scale
+    assert np.max(err) < 1e-14
+
+
+def test_stack_of_flat_phases_is_one_batch_row():
+    rng = np.random.default_rng(29)
+    thetas, phis = rng.uniform(0.1, 2.0, 5), rng.uniform(0, 2 * pi, 5)
+    flat = product_derivative_stack(thetas, phis, 3)
+    assert flat.shape == (1, 4, 2, 2)
+    assert np.array_equal(flat, product_derivative_stack(thetas, phis[None, :], 3))
+
+
+def test_stack_rejects_negative_order():
+    with pytest.raises(ValidationError):
+        product_derivative_stack([0.5], [0.0], -1)

@@ -446,3 +446,20 @@ def test_duration_for_angle_needs_positive_coupling():
         duration_for_angle(0.0, 1.0, pi / 4)
     with pytest.raises(ValidationError):
         duration_for_angle(0.1, 1.0, float("nan"))
+
+
+def test_scipy_functions_stay_module_level_names(monkeypatch):
+    # imported on first use, yet rebindable like ordinary module globals
+    assert iontrap.solve_ivp.__module__.startswith("scipy.integrate")
+    assert iontrap.brentq.__module__.startswith("scipy.optimize")
+    calls = []
+
+    def fake_brentq(f, lo, hi, **kw):
+        calls.append((lo, hi))
+        return 1.0
+
+    monkeypatch.setattr(iontrap, "brentq", fake_brentq)
+    assert iontrap.duration_for_angle(0.1, 2.0, 0.5) == 0.5
+    assert len(calls) == 1
+    with pytest.raises(AttributeError):
+        iontrap.no_such_name

@@ -2,14 +2,18 @@ import io
 import re
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from math import acos, pi
 
-from cpgates import catalog
+from cpgates import catalog, solver
 from cpgates.derivatives import broadband_residuals, narrowband_residuals
 from cpgates.errors import ValidationError
 from cpgates.gates import FAMILY_BROADBAND, FAMILY_PASSBAND
 from cpgates.solver import (
     SolverConfig,
+    SolverProblem,
+    _residuals,
     broadband_problem,
     objective_D,
     passband_problem,
@@ -17,6 +21,7 @@ from cpgates.solver import (
     solve,
     solve_with_escalation,
 )
+from oracles import newton_sequential, residuals_4x4
 
 TH = pi / 4
 
@@ -197,3 +202,119 @@ def test_passband_escalation_pb11():
     assert result.converged
     assert result.attempted_gate_counts == (3,)
     assert abs(result.sequence.total_angle() - (2 * pi + TH)) < 1e-12
+
+
+# --- residuals on 2x2 blocks, batched step ladder, budgets ------------------
+
+@st.composite
+def problems(draw):
+    gates = draw(st.integers(1, 10))
+    thetas = tuple(draw(st.lists(st.floats(-2 * pi, 2 * pi), min_size=gates, max_size=gates)))
+    return SolverProblem(
+        family=FAMILY_PASSBAND,
+        orders=(draw(st.integers(0, 6)), draw(st.integers(0, 4))),
+        target_theta=draw(st.floats(-pi, pi)),
+        thetas=thetas,
+        phi0=draw(st.floats(0.0, 2 * pi)),
+        free_terminal=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=80)
+@given(problem=problems(), batch=st.integers(1, 5), data=st.data())
+def test_residuals_equal_4x4_oracle(problem, batch, data):
+    n = problem.free_phase_count
+    flat = data.draw(st.lists(st.floats(0.0, 2 * pi), min_size=batch * n, max_size=batch * n))
+    x = np.array(flat).reshape(batch, n)
+    r, d = _residuals(problem, x)
+    r_oracle, d_oracle = residuals_4x4(problem, x)
+    np.testing.assert_allclose(d, d_oracle, rtol=1e-12)
+    np.testing.assert_allclose(
+        np.linalg.norm(r, axis=1), np.linalg.norm(r_oracle, axis=1), rtol=1e-12)
+
+
+#: (problem, solver seed) starts; together they reach every rung of the
+#: step ladder: full steps, halvings and Levenberg regularisation
+LADDER_PANEL = [
+    (broadband_problem(1, TH, 2, free_terminal=True), 0),
+    (broadband_problem(2, TH, 4), 1),
+    (broadband_problem(3, TH, 6), 2),
+    (broadband_problem(3, TH, 4), 3),
+    (passband_problem(1, 1, TH, 2), 4),
+    (passband_problem(2, 2, TH, 5), 5),
+]
+
+
+def test_batched_ladder_equals_sequential_oracle(monkeypatch):
+    batches = []
+
+    def counting(problem, x_batch):
+        batches.append(len(np.atleast_2d(x_batch)))
+        return _residuals(problem, x_batch)
+
+    monkeypatch.setattr(solver, "_residuals", counting)
+    config = SolverConfig(max_newton_iters=60)
+    for problem, seed in LADDER_PANEL:
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x0 = rng.uniform(0.0, 2 * pi, problem.free_phase_count)
+            d0 = float(_residuals(problem, x0[None, :])[1][0])
+            x, d, iters = solver._newton_from(problem, x0, d0, config)
+            x_ref, d_ref, iters_ref = newton_sequential(problem, x0, d0, config)
+            assert iters == iters_ref
+            assert d == d_ref
+            assert np.array_equal(x, x_ref)
+    # halvings come in one call of 19 rows, Levenberg rungs in one of 25
+    assert 19 in batches and 25 in batches
+
+
+def test_levenberg_steps_match_one_solve_per_rung():
+    jac = np.random.default_rng(3).normal(size=(12, 4))
+    jtj, jtr = jac.T @ jac, jac.T @ np.ones(12)
+    lams = np.multiply.accumulate(np.r_[1e-6, np.full(24, 10.0)])
+    steps = solver._levenberg_steps(jtj, jtr, lams)
+    assert steps.shape == (25, 4)
+    for lam, step in zip(lams, steps):
+        np.testing.assert_allclose(step, np.linalg.solve(jtj + lam * np.eye(4), -jtr),
+                                   rtol=1e-12, atol=0)
+
+
+def test_levenberg_ladder_is_empty_when_a_rung_is_singular():
+    # lam = 10 makes jtj + lam I singular (jtj is no Gram matrix here)
+    steps = solver._levenberg_steps(np.diag([-10.0, 1.0]), np.array([1.0, 1.0]),
+                                    np.array([1.0, 10.0, 100.0]))
+    assert steps.shape == (0, 2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"residual_tolerance": float("nan")},
+    {"residual_tolerance": float("inf")},
+    {"residual_tolerance": 0.0},
+    {"jacobian_step": float("nan")},
+    {"jacobian_step": float("inf")},
+    {"max_newton_iters": 0},
+    {"max_newton_iters": -1},
+    {"max_restarts": 0},
+])
+def test_solver_config_rejects_invalid_budgets(kwargs):
+    with pytest.raises(ValidationError):
+        SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("stage_restarts", [0, -3])
+def test_escalation_rejects_empty_stage_budget(stage_restarts):
+    with pytest.raises(ValidationError):
+        solve_with_escalation(FAMILY_BROADBAND, 1, TH, stage_restarts=stage_restarts)
+
+
+def test_escalation_uncapped_stage_budget():
+    result = solve_with_escalation(
+        FAMILY_BROADBAND, 1, TH, SolverConfig(rng_seed=7, max_restarts=50), stage_restarts=None
+    )
+    assert result.converged
+
+
+@pytest.mark.parametrize("orders", [(-1, 0), (1, -1), (-2, 1)])
+def test_problem_rejects_negative_orders(orders):
+    with pytest.raises(ValidationError):
+        SolverProblem(family=FAMILY_PASSBAND, orders=orders, target_theta=TH, thetas=(TH, pi))
