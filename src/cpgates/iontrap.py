@@ -29,18 +29,24 @@ the comparison.  A second pulse of equal g and T with zm shifted by pi
 flips alpha, cancelling the displacement exactly and doubling theta_c,
 which induces the phased two-qubit gate used by the composite sequences.
 
-The numerical integrator uses only a symmetry of H, not the closed form.
 H(t) commutes with sigma(zp_1) (x) 1 and 1 (x) sigma(zp_2).  In their
-joint eigenbasis, with eigenvalues b = (s1, s2) and projectors P_b, each
-pulse splits into four driven oscillators of n_max+1 levels:
+joint eigenbasis (:func:`_spin_branches`), with eigenvalues b = (s1, s2)
+and projectors P_b, each pulse splits into four driven oscillators of
+n_max+1 levels, and every operator is assembled from its branch blocks
+by :func:`_from_branches`:
 
     H_b(t) = g (beta_b e^{i Delta t} a^dag + h.c.),
     beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2},
     U(T)   = sum_b P_b (x) U_b(T).
 
-Each U_b is still integrated step by step from H_b in the truncated Fock
-space.  None of the Magnus results above (phi0, theta_c, alpha) enters
-it, so it stays an independent check on :func:`analytic_propagator`.
+The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
+alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b.  The numerical
+integrator steps each U_b from H_b in the truncated Fock space; none of
+the Magnus results (phi0, theta_c, alpha) enters it, and the closed form
+never integrates, so each route stays an independent check on the other.
+The branch basis and assembly they share are pinned by the tests against
+dense kron operators on the full spin-phonon space, for both the
+Hamiltonian and the integrated propagator.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import numpy as np
 
 from .errors import TruncationError, ValidationError
 from .gates import CompositeSequence, phase_gate
-from .linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
+from .linalg import mat_exp_hermitian_generator, sigma_axis
 
 
 def __getattr__(name: str):
@@ -137,35 +143,30 @@ def destroy(levels: int) -> np.ndarray:
     return a
 
 
-def _spin_phonon(cfg: TrapConfig):
-    """The operators B_k = sigma(zp_k) e^{-i zm_k} (x) a^dag for both ions,
-    summed, plus the bare spin axes."""
-    levels = cfg.n_max + 1
-    adag = destroy(levels).conj().T
-    s1 = np.kron(np.kron(sigma_axis(cfg.zeta_plus[0]), IDENTITY_2), np.eye(levels))
-    s2 = np.kron(np.kron(IDENTITY_2, sigma_axis(cfg.zeta_plus[1])), np.eye(levels))
-    raising = np.kron(np.eye(4), adag)
-    b = (
-        np.exp(-1j * cfg.zeta_minus[0]) * s1
-        + np.exp(-1j * cfg.zeta_minus[1]) * s2
-    ) @ raising
-    return b, s1, s2
-
-
 def hamiltonian_at(cfg: TrapConfig, t: float) -> np.ndarray:
     """Interaction Hamiltonian at time t (Hermitian, linear in g)."""
     if not 0 <= t <= cfg.duration:
         raise ValidationError("t must lie within the pulse duration")
-    b, _, _ = _spin_phonon(cfg)
-    phase = np.exp(1j * cfg.delta * t)
-    return cfg.g * (phase * b + np.conj(phase) * b.conj().T)
+    a = destroy(cfg.n_max + 1)
+    w, beta = _spin_branches(cfg)
+    c = (np.exp(1j * cfg.delta * t) * beta)[:, None, None]
+    return cfg.g * _from_branches(w, c * a.conj().T + np.conj(c) * a)
+
+
+def _fock_level(cfg: TrapConfig, level: int | None, default: int | None, name: str) -> int:
+    """``level`` (``default`` when None) as an index into the truncated Fock
+    space; ValidationError unless it is an integer in [0, n_max]."""
+    level = default if level is None else level
+    if not (isinstance(level, (int, np.integer)) and 0 <= level <= cfg.n_max):
+        raise ValidationError(f"{name}={level!r} must be an integer in [0, n_max={cfg.n_max}]")
+    return int(level)
 
 
 def leakage(u: np.ndarray, cfg: TrapConfig, source_levels: int | None = None) -> float:
     """Worst-case population in the top two phonon levels over all input
     basis states with phonon level <= source_levels."""
     levels = cfg.n_max + 1
-    src = cfg.initial_fock if source_levels is None else source_levels
+    src = _fock_level(cfg, source_levels, cfg.initial_fock, "source_levels")
     blocks = u.reshape(4, levels, 4, levels)
     top = blocks[:, -2:, :, : src + 1]
     return float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
@@ -202,6 +203,13 @@ def _spin_branches(cfg: TrapConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(w1, w2), beta
 
 
+def _from_branches(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_b P_b (x) blocks[b], P_b = w_b w_b^dag, on the spin (x) phonon
+    space, for the branch basis w of :func:`_spin_branches`."""
+    dim = 4 * blocks.shape[-1]
+    return np.einsum("qb,rb,bmn->qmrn", w, w.conj(), blocks).reshape(dim, dim)
+
+
 def evolve_numerical(
     cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12,
     check: bool = True,
@@ -233,9 +241,7 @@ def evolve_numerical(
     )
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    blocks = sol.y[:, -1].reshape(4, levels, levels)
-    # U = sum_b P_b (x) U_b with P_b = w_b w_b^dag
-    u = np.einsum("qb,rb,bmn->qmrn", w, w.conj(), blocks).reshape(cfg.dim, cfg.dim)
+    u = _from_branches(w, sol.y[:, -1].reshape(4, levels, levels))
     if check:
         _check_leakage(u, cfg)
     return u
@@ -257,27 +263,23 @@ def displacement_amplitudes(cfg: TrapConfig) -> np.ndarray:
     """Coherent displacement per simultaneous spin eigenbranch (s1, s2),
     ordered (+1,+1), (+1,-1), (-1,+1), (-1,-1)."""
     c = -(cfg.g / cfg.delta) * (np.exp(1j * cfg.phase_angle()) - 1.0)
-    e1 = np.exp(-1j * cfg.zeta_minus[0])
-    e2 = np.exp(-1j * cfg.zeta_minus[1])
-    return np.array(
-        [c * (s1 * e1 + s2 * e2) for s1 in (+1, -1) for s2 in (+1, -1)]
-    )
+    return c * _spin_branches(cfg)[1]
 
 
 def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     """Closed-form single-pulse propagator (displacement times spin-spin
-    exponential times scalar phase), built in the truncated space."""
-    levels = cfg.n_max + 1
-    b, s1, s2 = _spin_phonon(cfg)
-    dt = cfg.phase_angle()
-    area = (dt - np.sin(dt)) * 2.0 * (cfg.g / cfg.delta) ** 2
-    phi0 = area
-    theta_c = area * np.cos(cfg.zeta_minus[0] - cfg.zeta_minus[1])
-    c = -(cfg.g / cfg.delta) * (np.exp(1j * dt) - 1.0)
-    gen = c * b - np.conj(c) * b.conj().T        # anti-Hermitian
-    disp = mat_exp_hermitian_generator(-1j * gen, 1.0)
-    spin = mat_exp_hermitian_generator(s1 @ s2, theta_c)
-    u = np.exp(1j * phi0) * (disp @ spin)
+    exponential times scalar phase), built per spin branch in the
+    truncated space: e^{i (phi0 + theta_c s1 s2)} D(alpha_b)."""
+    a = destroy(cfg.n_max + 1)
+    w, _ = _spin_branches(cfg)
+    s1s2 = np.kron([1.0, -1.0], [1.0, -1.0])
+    phases = np.exp(1j * (0.5 * rotation_angle(cfg) + single_pulse_spin_angle(cfg) * s1s2))
+    # D(alpha) = exp(i h) with the Hermitian h = -i (alpha a^dag - alpha^* a)
+    blocks = np.array([
+        phase * mat_exp_hermitian_generator(-1j * (alpha * a.conj().T - np.conj(alpha) * a), 1.0)
+        for phase, alpha in zip(phases, displacement_amplitudes(cfg))
+    ])
+    u = _from_branches(w, blocks)
     if check:
         _check_leakage(u, cfg)
     return u
@@ -337,7 +339,7 @@ def propagator_distance(
     same truncated operators legitimately differ.
     """
     levels = cfg.n_max + 1
-    src = safe_source_level(cfg) if source_levels is None else source_levels
+    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
     da = (a - b).reshape(4, levels, 4, levels)[:, :, :, : src + 1]
     return float(np.linalg.norm(da))
 
@@ -346,7 +348,7 @@ def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig, fock_level: int | None = 
     """4x4 qubit block of a propagator that acts as identity on the
     phonon factor, read off at the given Fock level."""
     levels = cfg.n_max + 1
-    p = cfg.initial_fock if fock_level is None else fock_level
+    p = _fock_level(cfg, fock_level, cfg.initial_fock, "fock_level")
     return u.reshape(4, levels, 4, levels)[:, p, :, p].copy()
 
 
@@ -356,7 +358,7 @@ def phonon_identity_defect(
     """Frobenius distance between u and (qubit block) (x) 1, over source
     columns that stay clear of the truncation edge."""
     levels = cfg.n_max + 1
-    src = safe_source_level(cfg) if source_levels is None else source_levels
+    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
     q = extract_qubit_gate(u, cfg, fock_level=min(cfg.initial_fock, src))
     ideal = np.einsum("qr,pm->qprm", q, np.eye(levels))
     da = (u.reshape(4, levels, 4, levels) - ideal)[:, :, :, : src + 1]
@@ -367,7 +369,7 @@ def fock_population(u: np.ndarray, cfg: TrapConfig, qubit_state: np.ndarray, lev
     """Population of phonon |level> after applying u to qubit_state (x) |level>."""
     levels = cfg.n_max + 1
     phonon = np.zeros(levels, dtype=complex)
-    phonon[level] = 1.0
+    phonon[_fock_level(cfg, level, None, "level")] = 1.0
     psi = np.kron(np.asarray(qubit_state, dtype=complex), phonon)
     out = (u @ psi).reshape(4, levels)
     return float(np.sum(np.abs(out[:, level]) ** 2))

@@ -4,8 +4,8 @@ Each oracle computes its quantity the slow, literal way: 4x4 products
 gate by gate, the explicit multinomial sum over derivative orders, the
 4x4 Leibniz recursion and the solver residuals built from it, the Newton
 step ladder one candidate at a time, the band search as a scalar march
-one grid point at a time, and the ion-trap pulse as one dense
-integration over the full spin-phonon space.
+one grid point at a time, and the ion-trap pulse, closed form and
+integrated, as dense operators over the full spin-phonon space.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from cpgates.errors import ValidationError
 from cpgates.gates import (
     CompositeSequence, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
 )
-from cpgates.iontrap import TrapConfig, _spin_phonon
+from cpgates.iontrap import TrapConfig, destroy
+from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import _residuals
 
 
@@ -236,12 +237,41 @@ def scalar_march_band(seq, threshold, eps_limit, coarse_step, locate_tol):
     return low, high
 
 
+def spin_phonon(cfg: TrapConfig):
+    """The operators B_k = sigma(zp_k) e^{-i zm_k} (x) a^dag for both ions,
+    summed, plus the bare spin axes, as 4(n_max+1)-square kron products."""
+    levels = cfg.n_max + 1
+    adag = destroy(levels).conj().T
+    s1 = np.kron(np.kron(sigma_axis(cfg.zeta_plus[0]), IDENTITY_2), np.eye(levels))
+    s2 = np.kron(np.kron(IDENTITY_2, sigma_axis(cfg.zeta_plus[1])), np.eye(levels))
+    raising = np.kron(np.eye(4), adag)
+    b = (
+        np.exp(-1j * cfg.zeta_minus[0]) * s1
+        + np.exp(-1j * cfg.zeta_minus[1]) * s2
+    ) @ raising
+    return b, s1, s2
+
+
+def analytic_full_space(cfg: TrapConfig) -> np.ndarray:
+    """Closed-form pulse propagator e^{i phi0} D(alpha) exp(i theta_c s1 s2)
+    with every factor a dense operator on the full spin-phonon space."""
+    b, s1, s2 = spin_phonon(cfg)
+    dt = cfg.phase_angle()
+    phi0 = (dt - np.sin(dt)) * 2.0 * (cfg.g / cfg.delta) ** 2
+    theta_c = phi0 * np.cos(cfg.zeta_minus[0] - cfg.zeta_minus[1])
+    c = -(cfg.g / cfg.delta) * (np.exp(1j * dt) - 1.0)
+    gen = c * b - np.conj(c) * b.conj().T        # anti-Hermitian
+    disp = mat_exp_hermitian_generator(-1j * gen, 1.0)
+    spin = mat_exp_hermitian_generator(s1 @ s2, theta_c)
+    return np.exp(1j * phi0) * (disp @ spin)
+
+
 def evolve_full_space(
     cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12
 ) -> np.ndarray:
     """Pulse propagator from integrating dU/dt = -i H(t) U on the whole
     4(n_max+1)-dimensional space, every step of the dense state kept."""
-    b, _, _ = _spin_phonon(cfg)
+    b, _, _ = spin_phonon(cfg)
     bdag = b.conj().T
     dim = cfg.dim
     u0 = np.eye(dim, dtype=complex).reshape(-1)

@@ -22,14 +22,16 @@ from cpgates.iontrap import (
     leakage,
     parse_config,
     phonon_identity_defect,
+    propagator_distance,
     rotation_angle,
     single_pulse_spin_angle,
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_hermitian, sigma_axis
-from oracles import evolve_full_space
+from oracles import analytic_full_space, evolve_full_space, spin_phonon
 
 G_QUARTER = 1.0 / sqrt(32.0)  # g/Delta giving a pi/4 two-pulse gate at Delta*T = 2*pi
+phases = st.floats(0.0, 2 * pi)
 
 
 def quarter_cfg(n_max=25, **kw):
@@ -90,6 +92,21 @@ def test_hamiltonian_time_validation():
         hamiltonian_at(cfg, 2.0)
 
 
+@settings(max_examples=20)
+@given(
+    zeta_plus=st.tuples(phases, phases),
+    zeta_minus=st.tuples(phases, phases),
+    t_fraction=st.floats(0.0, 1.0),
+)
+def test_hamiltonian_matches_kron_operators(zeta_plus, zeta_minus, t_fraction):
+    cfg = TrapConfig(g=0.07, delta=-1.3, duration=2.5, zeta_plus=zeta_plus,
+                     zeta_minus=zeta_minus, n_max=20)
+    t = t_fraction * cfg.duration
+    b, _, _ = spin_phonon(cfg)
+    expected = cfg.g * (np.exp(1j * cfg.delta * t) * b + np.exp(-1j * cfg.delta * t) * b.conj().T)
+    assert np.max(np.abs(hamiltonian_at(cfg, t) - expected)) < 1e-14
+
+
 # --- numerical propagator ----------------------------------------------------
 
 def test_zero_coupling_evolves_to_identity():
@@ -119,7 +136,7 @@ def test_small_coupling_matches_first_order_dyson():
     # first Magnus/Dyson integral, computed independently by quadrature
     from scipy.integrate import quad
 
-    b, _, _ = __import__("cpgates.iontrap", fromlist=["_spin_phonon"])._spin_phonon(cfg)
+    b, _, _ = spin_phonon(cfg)
     re_w = quad(lambda t: np.cos(cfg.delta * t), 0, cfg.duration)[0]
     im_w = quad(lambda t: np.sin(cfg.delta * t), 0, cfg.duration)[0]
     w = re_w + 1j * im_w
@@ -192,6 +209,21 @@ def test_displacement_prefactor_is_not_scaled_by_duration():
     assert abs(alpha_measured - amps[0]) < 1e-6
     scaled_by_duration = amps[0] * cfg.duration
     assert abs(alpha_measured - scaled_by_duration) > 1e-2
+
+
+@settings(max_examples=20)
+@given(
+    zeta_plus=st.tuples(phases, phases),
+    zeta_minus=st.tuples(phases, phases),
+    g=st.floats(0.0, 0.1),
+    delta=st.sampled_from([1.0, -1.0]),
+    duration=st.floats(0.1, 2.0),
+)
+def test_closed_form_matches_dense_oracle(zeta_plus, zeta_minus, g, delta, duration):
+    cfg = TrapConfig(g=g, delta=delta, duration=duration, zeta_plus=zeta_plus,
+                     zeta_minus=zeta_minus, n_max=20)
+    u = analytic_propagator(cfg, check=False)
+    assert np.max(np.abs(u - analytic_full_space(cfg))) < 1e-12
 
 
 # --- two-pulse scheme ---------------------------------------------------------
@@ -349,8 +381,6 @@ def test_leakage_reports_zero_for_closed_loop():
 
 # --- spin-branch integrator ----------------------------------------------------
 
-phases = st.floats(0.0, 2 * pi)
-
 
 @settings(max_examples=20)
 @given(
@@ -463,3 +493,23 @@ def test_scipy_functions_stay_module_level_names(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(AttributeError):
         iontrap.no_such_name
+
+
+LEVEL_READERS = {
+    "leakage": lambda u, cfg, p: leakage(u, cfg, source_levels=p),
+    "propagator_distance": lambda u, cfg, p: propagator_distance(u, u, cfg, source_levels=p),
+    "phonon_identity_defect": lambda u, cfg, p: phonon_identity_defect(u, cfg, source_levels=p),
+    "extract_qubit_gate": lambda u, cfg, p: extract_qubit_gate(u, cfg, fock_level=p),
+    "fock_population": lambda u, cfg, p: fock_population(u, cfg, np.eye(4)[0], p),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LEVEL_READERS))
+def test_phonon_levels_outside_the_truncation_raise(reader):
+    cfg = TrapConfig(g=0.1, delta=1.0, duration=1.0, n_max=20)
+    u = np.eye(cfg.dim, dtype=complex)
+    for level in (-1, cfg.n_max + 1, 2.0):
+        with pytest.raises(ValidationError, match="n_max=20"):
+            LEVEL_READERS[reader](u, cfg, level)
+    for level in (0, cfg.n_max, np.int64(3)):
+        LEVEL_READERS[reader](u, cfg, level)
