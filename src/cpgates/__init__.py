@@ -19,7 +19,6 @@ from .derivatives import (
     ResidualVector,
     broadband_residuals,
     derivative_sequence,
-    derivative_single_gate,
     narrowband_residuals,
     passband_residuals,
 )

@@ -14,6 +14,7 @@ truncation-guard failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from math import pi
 
@@ -55,6 +56,10 @@ _ANALYTIC_RESIDUAL_TOL = 1e-10
 _DECIMAL_RESIDUAL_TOL = 5e-2
 _CATALOG_FIDELITY_TOL = 1e-4
 _ANALYTIC_FIDELITY_TOL = 1e-12
+#: leakage below the square of the double rounding unit is rounding noise
+#: of the top Fock amplitudes; it is printed as 0, so that equivalent
+#: computations give the same output bytes
+_LEAKAGE_FLOOR = np.finfo(float).eps ** 2
 
 
 def _print_config(args: argparse.Namespace) -> None:
@@ -246,6 +251,8 @@ def cmd_iontrap(args) -> int:
         reference = extract_qubit_gate(ideal_two_pulse_gate(cfg), cfg)
     qubit_gate = extract_qubit_gate(u, cfg)
     leak = leakage(u, cfg)
+    if leak < _LEAKAGE_FLOOR:
+        leak = 0.0
     overlap = np.trace(reference.conj().T @ qubit_gate) / 4.0
     fidelity_value = abs(overlap)
     _emit(
@@ -293,8 +300,18 @@ def cmd_catalog(args) -> int:
 _UNITS_NOTE = "All angles on this interface are given in units of pi."
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser that reads every negative number, exponent forms such as
+    -2.8e-05 included, as a value rather than as an option flag (the
+    stock pattern has no exponent form).  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpgates",
         description="Composite two-qubit controlled-phase gate toolkit. "
         "All angles are given in units of pi.",

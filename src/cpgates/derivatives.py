@@ -14,9 +14,11 @@ them embed 2x2 Cayley-Klein blocks [[a, b], [-conj(b), conj(a)]] (see
 and s_l = i theta^l/l! sin(alpha + l pi/2) e^{-i phi}, alpha =
 theta (1+eps0); multiplying by it is a Cauchy product, i.e. one
 triangular Toeplitz matrix per gate applied to a whole batch of phase
-vectors, and derivative l is l! times coefficient l.  The tests check
-the kernel against the 4x4 Leibniz recursion, the multinomial sum and
-finite differences.
+vectors, and derivative l is l! times coefficient l.  Phase phi_k enters
+gate k only through e^{-i phi_k}, so the same kernel also gives the exact
+partial derivatives with respect to the phases (the solver's Jacobian).
+The tests check the kernel against the 4x4 Leibniz recursion, the
+multinomial sum and finite differences.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import factorial, pi
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CompositeSequence, _embed_blocks, ideal_cphase, phased_cphase
+from .gates import CompositeSequence, _embed_blocks, ideal_cphase
 from .linalg import frobenius_norm
 
 
@@ -56,6 +58,43 @@ def _taylor_factors(thetas: tuple, l_max: int, at_epsilon: float):
     return factors, factorials
 
 
+def _kernel(thetas, e, l_max: int, at_epsilon: float, keep=None):
+    """Taylor rows (a, b), each (B, l_max+1), of the ordered gate product
+    for per-gate phase factors ``e`` (B, G), scaled to derivatives.
+
+    ``keep`` (B, G), when given, weights each gate's C_k part.  Gate k
+    enters the product linearly, as C_k + e_k S_k, so zeroing its C_k part
+    and multiplying e_k by -i turns a row into the product's partial
+    derivative with respect to phi_k.
+    """
+    if l_max < 0:
+        raise ValidationError(f"derivative order must be non-negative, got {l_max}")
+    factors, factorials = _taylor_factors(
+        tuple(map(float, thetas)), int(l_max), float(at_epsilon))
+    batch, n = len(e), l_max + 1
+    # With S_k purely imaginary, conj(b) S = -conj(b S), so gate k maps
+    #   a -> a C + e conj(b S),   b -> b C - e conj(a S),   e = e^{-i phi_k}.
+    # The rows of a and b form one (2B, L) matrix, so that each batch row
+    # goes through the same matrix products whatever B is.
+    signed = (np.array([1.0, -1.0])[:, None, None] * e)[..., None]
+    first = factors[0, :1]  # gate 0 applied to the identity
+    a = np.repeat(first[:, :n], batch, axis=0)
+    ab = np.concatenate([a if keep is None else keep[:, :1] * a, e[:, :1] * first[:, n:]])
+    for k in range(1, len(factors)):
+        y = (ab @ factors[k]).reshape(2, batch, 2 * n)
+        c = y[..., :n] if keep is None else keep[:, k, None] * y[..., :n]
+        ab = (c + signed[:, :, k] * y[::-1, :, n:].conj()).reshape(2 * batch, n)
+    return ab.reshape(2, batch, n) * factorials
+
+
+def _blocks(a, b):
+    """Cayley-Klein blocks [[a, b], [-conj(b), conj(a)]] from (a, b)."""
+    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, b
+    out[..., 1, 0], out[..., 1, 1] = -b.conj(), a.conj()
+    return out
+
+
 def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     """Blocks V_l of the derivatives 0..l_max of the ordered gate product
     (gate 0 first) at eps = at_epsilon.
@@ -64,28 +103,28 @@ def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     B = 1 for a flat input.  The terminal frame rotation is not included
     (it does not depend on the error).
     """
-    if l_max < 0:
-        raise ValidationError(f"derivative order must be non-negative, got {l_max}")
-    factors, factorials = _taylor_factors(
-        tuple(map(float, thetas)), int(l_max), float(at_epsilon))
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    batch, n = len(phis), l_max + 1
-    # With S_k purely imaginary, conj(b) S = -conj(b S), so gate k maps
-    #   a -> a C + e conj(b S),   b -> b C - e conj(a S),   e = e^{-i phi_k}.
-    # The rows of a and b form one (2B, L) matrix, so that each batch row
-    # goes through the same matrix products whatever B is.
-    e = np.exp(-1j * phis)
-    signed = (np.array([1.0, -1.0])[:, None, None] * e)[..., None]
-    first = factors[0, :1]  # gate 0 applied to the identity
-    ab = np.concatenate([np.repeat(first[:, :n], batch, axis=0), e[:, :1] * first[:, n:]])
-    for k in range(1, len(factors)):
-        y = (ab @ factors[k]).reshape(2, batch, 2 * n)
-        ab = (y[..., :n] + signed[:, :, k] * y[::-1, :, n:].conj()).reshape(2 * batch, n)
-    a, b = ab.reshape(2, batch, n) * factorials
-    out = np.empty(a.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = a, b
-    out[..., 1, 0], out[..., 1, 1] = -b.conj(), a.conj()
-    return out
+    return _blocks(*_kernel(thetas, np.exp(-1j * phis), l_max, at_epsilon))
+
+
+def phase_partials_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
+    """Derivative blocks of the gate product and of its exact partials
+    with respect to the phases of gates 1..G-1, at one phase vector.
+
+    ``phis`` is (G,); the result is (G, l_max+1, 2, 2).  Entry 0 is
+    ``product_derivative_stack(thetas, phis, ...)[0]`` and entry k its
+    derivative with respect to phis[k]: gate k's block C_k + e_k S_k is
+    replaced by its phase derivative -i e_k S_k, all entries in one
+    batched kernel pass.
+    """
+    phis = np.asarray(phis, dtype=float)
+    g = len(phis)
+    e = np.tile(np.exp(-1j * phis), (g, 1))
+    keep = 1.0 - np.eye(g)
+    keep[0, 0] = 1.0
+    partial = np.arange(1, g)
+    e[partial, partial] *= -1j
+    return _blocks(*_kernel(thetas, e, l_max, at_epsilon, keep))
 
 
 def _framed(blocks, terminal: float):
@@ -96,15 +135,6 @@ def _framed(blocks, terminal: float):
 # ---------------------------------------------------------------------------
 # public single-sequence API
 # ---------------------------------------------------------------------------
-
-def derivative_single_gate(
-    theta: float, phi: float, l: int, at_epsilon: float = 0.0
-) -> np.ndarray:
-    """l-th derivative of U(theta*(1+eps), phi) at eps = at_epsilon."""
-    if l < 0 or int(l) != l:
-        raise ValidationError(f"derivative order must be a non-negative integer, got {l}")
-    return theta**l * phased_cphase(theta * (1.0 + at_epsilon) + l * pi / 2, phi)
-
 
 def derivative_sequence(
     seq: CompositeSequence, l: int, at_epsilon: float = 0.0
@@ -204,28 +234,3 @@ def passband_residuals(
 ) -> tuple[ResidualVector, ResidualVector]:
     """Broadband residuals at eps = 0 and narrowband residuals at eps = -1."""
     return broadband_residuals(seq, n1), narrowband_residuals(seq, n2)
-
-
-def reduced_narrowband_conditions(seq: CompositeSequence) -> tuple[complex, complex]:
-    """Closed-form first and second narrowband conditions.
-
-    Writing theta_k, phi_k for the gate angles and phases, the first two
-    derivatives of the gate product at eps = -1 vanish exactly when
-
-        c1 = sum_k theta_k exp(i phi_k) = 0
-        c2 = sum_k theta_k^2
-             + 2 sum_{s<t} theta_s theta_t exp(i (phi_t - phi_s)) = 0
-
-    (s < t in application order).  Both are returned; the passband catalog
-    entries drive them to rounding level.
-    """
-    thetas = seq.thetas()
-    phis = seq.phis()
-    e = np.exp(1j * phis)
-    c1 = complex(np.sum(thetas * e))
-    weighted = thetas * e
-    cross = 0.0 + 0.0j
-    for s in range(len(thetas)):
-        cross += np.conj(weighted[s]) * np.sum(weighted[s + 1 :])
-    c2 = complex(np.sum(thetas**2) + 2.0 * cross)
-    return c1, c2

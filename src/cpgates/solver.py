@@ -12,11 +12,16 @@ attainable at every catalog order.  The objective D reported in results and logs
 scaled residual norms, including the (sign-aligned) order-0 term, so
 D = 0 exactly when every targeted order cancels.
 
-Each Newton step takes a central-difference Jacobian from one batched
-residual call, then accepts the first candidate step that lowers D: the
-full least-squares step, evaluated alone, then its 19 halvings in one
-batched call, then 25 Levenberg-regularised steps, solved together and
-evaluated in one batched call.
+Each Newton step takes the exact Jacobian with respect to the phases
+from one batched kernel pass (:func:`cpgates.derivatives.phase_partials_stack`;
+the terminal rotation's partial is -i times the framed broadband rows),
+then accepts the first candidate step that lowers D: the full
+least-squares step, evaluated alone, then its 19 halvings in one batched
+call, then 25 Levenberg-regularised steps, solved together and evaluated
+in one batched call.  A run ends when D reaches the tolerance, when no
+candidate lowers it, when the iteration budget is spent, or when D has
+fallen by less than 0.1 % over the last 5 iterations (a stall: such runs
+sit at a false minimum, typically on a stage too short for the order).
 """
 
 from __future__ import annotations
@@ -36,9 +41,14 @@ from .gates import (
     PhasedGate,
     canonical_angle,
 )
-from .derivatives import product_derivative_stack
+from .derivatives import phase_partials_stack, product_derivative_stack
 
 HALF = pi / 2
+
+#: a Newton run stalls when D has fallen by less than STALL_DROP
+#: (relative) over the last STALL_WINDOW iterations
+STALL_WINDOW = 5
+STALL_DROP = 1e-3
 
 SHAPE_HALF_CHAIN_TERMINAL = "half-pi chain + free terminal"
 SHAPE_HALF_CHAIN = "half-pi chain"
@@ -131,16 +141,15 @@ class SolverProblem:
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tolerance: float = 1e-10
-    jacobian_step: float = 1e-6
     max_newton_iters: int = 200
     max_restarts: int = 10_000
     rng_seed: int = 0
     initial_phases: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        steps = (self.residual_tolerance, self.jacobian_step)
-        if not all(np.isfinite(v) and v > 0 for v in steps):
-            raise ValidationError("tolerances and steps must be finite and positive")
+        tol = self.residual_tolerance
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValidationError(f"residual_tolerance must be finite and positive, got {tol}")
         if self.max_newton_iters < 1 or self.max_restarts < 1:
             raise ValidationError("iteration and restart budgets must be at least 1")
 
@@ -156,31 +165,67 @@ class SolverResult:
     attempted_gate_counts: tuple[int, ...] = field(default_factory=tuple)
 
 
+def _weighted_rows(problem: SolverProblem, phis, terminal, partials: bool = False):
+    """First rows (a, b) of every targeted order, framed and weighted.
+
+    Returns (B, orders, 2) complex: orders 0..n1 at eps = 0, then 1..n2
+    at eps = -1.  With ``partials`` the phases are one vector and the rows
+    come from :func:`phase_partials_stack` (row 0 the value, row k its
+    derivative with respect to gate k's phase).  Each order's block is
+    fixed by its first row, and its 4x4 Frobenius norm is
+    2 sqrt(|a|^2 + |b|^2).
+    """
+    stack = phase_partials_stack if partials else product_derivative_stack
+    n1, n2 = problem.orders
+    # the frame rotation acts on the first row as the scalar e^{-i t}
+    rows = stack(problem.thetas, phis, n1)[:, :, 0]
+    rows = np.exp(-1j * np.asarray(terminal))[..., None, None] * rows
+    if n2 > 0:
+        narrow = stack(problem.thetas, phis, n2, at_epsilon=-1.0)
+        rows = np.concatenate([rows, narrow[:, 1:, 0]], axis=1)
+    return rows * problem.residual_constants[0]
+
+
+def _compare_target(problem: SolverProblem, rows):
+    """Real residual components (B, p), the real and imaginary parts of
+    the weighted rows interleaved, and the objective D (B,); order 0 is
+    compared with the target of the sign it is closer to."""
+    targets = problem.residual_constants[1]
+    zero = rows[:, :1] - targets
+    sq = np.sum(zero.view(float) ** 2, axis=2)
+    rows[:, 0] = zero[np.arange(len(rows)), (sq[:, 1] < sq[:, 0]).astype(int)]
+    r = rows.view(float).reshape(len(rows), -1)
+    d = np.sqrt(np.sum(r.reshape(len(rows), -1, 4) ** 2, axis=2)).sum(axis=1)
+    return r, d
+
+
 def _residuals(problem: SolverProblem, x_batch: np.ndarray):
     """Stacked real residual components and objective D for a batch.
 
-    Returns (R, D): R is (B, p) float, D is (B,).  Each order enters as
-    the first row (a, b) of its block, which fixes the block; its 4x4
-    Frobenius norm is 2 sqrt(|a|^2 + |b|^2).
+    Returns (R, D): R is (B, p) float, D is (B,).
     """
     x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
     phis, terminal = problem.split(x_batch)
-    n1, n2 = problem.orders
-    # the frame rotation acts on the first row as the scalar e^{-i t}
-    rows = product_derivative_stack(problem.thetas, phis, n1)[:, :, 0]
-    rows = np.exp(-1j * terminal)[:, None, None] * rows
-    if n2 > 0:
-        narrow = product_derivative_stack(problem.thetas, phis, n2, at_epsilon=-1.0)
-        rows = np.concatenate([rows, narrow[:, 1:, 0]], axis=1)
-    weights, targets = problem.residual_constants
-    rows = rows * weights
-    # order 0 is compared with the target of the sign it is closer to
-    zero = rows[:, :1] - targets
-    sq = np.sum(zero.real**2 + zero.imag**2, axis=2)
-    rows[:, 0] = zero[np.arange(len(rows)), (sq[:, 1] < sq[:, 0]).astype(int)]
-    d = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=2)).sum(axis=1)
-    rows = rows.reshape(len(rows), 2 * rows.shape[1])
-    return np.concatenate([rows.real, rows.imag], axis=1), d
+    return _compare_target(problem, _weighted_rows(problem, phis, terminal))
+
+
+def _jacobian(problem: SolverProblem, x: np.ndarray):
+    """Residual vector R (p,) at one point and its exact Jacobian (p, n).
+
+    The target is constant, so the partials of the weighted rows are the
+    Jacobian columns; the terminal rotation's partial is -i times the
+    framed broadband rows (the narrowband rows do not see it).
+    """
+    phis, terminal = problem.split(x)
+    rows = _weighted_rows(problem, phis, terminal, partials=True)
+    if problem.free_terminal:
+        broadband = problem.orders[0] + 1
+        dt = np.zeros_like(rows[:1])
+        dt[:, :broadband] = -1j * rows[:1, :broadband]
+        rows = np.concatenate([rows, dt])
+    jac = rows[1:].view(float).reshape(len(rows) - 1, -1).T
+    r, _ = _compare_target(problem, rows[:1])
+    return r[0], jac
 
 
 def objective_D(problem: SolverProblem, phases) -> float:
@@ -221,20 +266,19 @@ def _levenberg_steps(jtj, jtr, lams):
 def _newton_from(problem, x, d, config):
     """Damped Newton least-squares iteration from a given start.
 
-    Returns (x, D, iterations).  The Levenberg weights grow tenfold from
-    1e-6 mean(diag J^T J); when no candidate step improves, it stops.
+    Returns (x, D, iterations, reason), the reason one of "converged",
+    "stalled", "no_step" (no candidate lowers D) and "budget".  The
+    Levenberg weights grow tenfold from 1e-6 mean(diag J^T J).
     """
     n = problem.free_phase_count
-    eye = np.eye(n)
-    h = config.jacobian_step
     halvings = np.multiply.accumulate(np.full(19, 0.5))[:, None]
+    trail = [d]
     for it in range(config.max_newton_iters):
         if d <= config.residual_tolerance:
-            return x, d, it
-        probes = np.vstack([x[None, :], x + h * eye, x - h * eye])
-        r, _ = _residuals(problem, probes)
-        r0 = r[0]
-        jac = (r[1 : n + 1] - r[n + 1 :]).T / (2.0 * h)
+            return x, d, it, "converged"
+        if it >= STALL_WINDOW and d > (1.0 - STALL_DROP) * trail[it - STALL_WINDOW]:
+            return x, d, it, "stalled"
+        r0, jac = _jacobian(problem, x)
         dx, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
         candidates = (x + dx)[None, :]
         found = _first_improving(problem, candidates, d)
@@ -248,9 +292,11 @@ def _newton_from(problem, x, d, config):
             candidates = x + _levenberg_steps(jtj, jac.T @ r0, lams)
             found = _first_improving(problem, candidates, d)
         if found is None:
-            return x, d, it + 1
+            return x, d, it + 1, "no_step"
         x, d = candidates[found[0]], found[1]
-    return x, d, config.max_newton_iters
+        trail.append(d)
+    reason = "converged" if d <= config.residual_tolerance else "budget"
+    return x, d, config.max_newton_iters, reason
 
 
 def solve(
@@ -263,24 +309,28 @@ def solve(
     length); every other restart draws the free phases uniformly from
     [0, 2*pi) with a generator seeded by ``config.rng_seed``, so results
     are bit-for-bit reproducible.  Non-convergence is reported in the
-    result, not raised.
+    result, not raised.  ``log`` receives one line per restart and a
+    closing ``stage-end`` line counting how the restarts ended.
     """
     rng = np.random.default_rng(config.rng_seed)
     n = problem.free_phase_count
     best_d = np.inf
+    ends = dict.fromkeys(("converged", "stalled", "no_step", "budget"), 0)
+    result = None
     for k in range(config.max_restarts):
         if k == 0 and config.initial_phases is not None and len(config.initial_phases) == n:
             x = np.asarray(config.initial_phases, dtype=float)
         else:
             x = rng.uniform(0.0, 2.0 * pi, n)
         _, d0 = _residuals(problem, x[None, :])
-        x, d, iters = _newton_from(problem, x, float(d0[0]), config)
+        x, d, iters, reason = _newton_from(problem, x, float(d0[0]), config)
+        ends[reason] += 1
         if log is not None:
             log.write(f"restart={k} iters={iters} D={d:.6e}\n")
         best_d = min(best_d, d)
         if d <= config.residual_tolerance:
             x = np.mod(x, 2.0 * pi)
-            return SolverResult(
+            result = SolverResult(
                 sequence=problem.build_sequence(x),
                 residual_D=float(objective_D(problem, x)),
                 restarts_used=k + 1,
@@ -288,7 +338,11 @@ def solve(
                 converged=True,
                 problem=problem,
             )
-    return SolverResult(
+            break
+    if log is not None:
+        counts = " ".join(f"{reason}={count}" for reason, count in ends.items())
+        log.write(f"stage-end restarts={sum(ends.values())} {counts}\n")
+    return result or SolverResult(
         sequence=None,
         residual_D=float(best_d),
         restarts_used=config.max_restarts,

@@ -1,10 +1,12 @@
 """Reference routes kept only for cross-checking the library.
 
 Each oracle computes its quantity the slow, literal way: 4x4 products
-gate by gate, the explicit multinomial sum over derivative orders, the
-4x4 Leibniz recursion and the solver residuals built from it, the Newton
-step ladder one candidate at a time, the band search as a scalar march
-one grid point at a time, and the ion-trap pulse, closed form and
+gate by gate, single-gate derivatives from the shifted-angle closed form
+and the explicit multinomial sum over them, the 4x4 Leibniz recursion and
+the solver residuals built from it, the closed-form low narrowband
+conditions, the solver Jacobian by central differences, the Newton step
+ladder one candidate at a time, the band search as a scalar march one
+grid point at a time, and the ion-trap pulse, closed form and
 integrated, as dense operators over the full spin-phonon space.
 """
 
@@ -18,14 +20,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from cpgates.analysis import sequence_fidelity
-from cpgates.derivatives import derivative_single_gate
 from cpgates.errors import ValidationError
 from cpgates.gates import (
     CompositeSequence, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
 )
 from cpgates.iontrap import TrapConfig, destroy
 from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
-from cpgates.solver import _residuals
+from cpgates.solver import STALL_DROP, STALL_WINDOW, _jacobian, _residuals
 
 
 def gate_product_propagator(
@@ -44,6 +45,15 @@ def sequence_product_propagator(
 ) -> np.ndarray:
     """Full 4x4 sequence propagator, terminal frame rotation included."""
     return phase_gate(seq.terminal_phase, 2) @ gate_product_propagator(seq, epsilon, xi)
+
+
+def derivative_single_gate(
+    theta: float, phi: float, l: int, at_epsilon: float = 0.0
+) -> np.ndarray:
+    """l-th derivative of U(theta*(1+eps), phi) at eps = at_epsilon."""
+    if l < 0 or int(l) != l:
+        raise ValidationError(f"derivative order must be a non-negative integer, got {l}")
+    return theta**l * phased_cphase(theta * (1.0 + at_epsilon) + l * pi / 2, phi)
 
 
 def derivative_sequence_multinomial(
@@ -67,6 +77,31 @@ def derivative_sequence_multinomial(
     if seq.terminal_phase != 0.0:
         total = phase_gate(seq.terminal_phase, 2) @ total
     return total
+
+
+def reduced_narrowband_conditions(seq: CompositeSequence) -> tuple[complex, complex]:
+    """Closed-form first and second narrowband conditions.
+
+    Writing theta_k, phi_k for the gate angles and phases, the first two
+    derivatives of the gate product at eps = -1 vanish exactly when
+
+        c1 = sum_k theta_k exp(i phi_k) = 0
+        c2 = sum_k theta_k^2
+             + 2 sum_{s<t} theta_s theta_t exp(i (phi_t - phi_s)) = 0
+
+    (s < t in application order).  Both are returned; the passband catalog
+    entries drive them to rounding level.
+    """
+    thetas = seq.thetas()
+    phis = seq.phis()
+    e = np.exp(1j * phis)
+    c1 = complex(np.sum(thetas * e))
+    weighted = thetas * e
+    cross = 0.0 + 0.0j
+    for s in range(len(thetas)):
+        cross += np.conj(weighted[s]) * np.sum(weighted[s + 1 :])
+    c2 = complex(np.sum(thetas**2) + 2.0 * cross)
+    return c1, c2
 
 
 def gate_derivative_stack(thetas, phis, l_max: int, at_epsilon: float):
@@ -141,25 +176,34 @@ def residuals_4x4(problem, x_batch):
     return np.concatenate([rc.real, rc.imag], axis=1), d
 
 
-def newton_sequential(problem, x, d, config, residuals=_residuals):
-    """Damped Newton least squares with the step ladder tried one
-    candidate at a time: full step, halvings, then Levenberg rungs."""
+def central_difference_jacobian(problem, x, h=1e-6):
+    """(p, n) Jacobian of the solver residual vector by central
+    differences of step h in every free phase."""
     n = problem.free_phase_count
     eye = np.eye(n)
-    h = config.jacobian_step
+    r, _ = _residuals(problem, np.vstack([x + h * eye, x - h * eye]))
+    return (r[:n] - r[n:]).T / (2.0 * h)
+
+
+def newton_sequential(problem, x, d, config):
+    """Damped Newton least squares with the step ladder tried one
+    candidate at a time: full step, halvings, then Levenberg rungs.
+    Returns (x, D, iterations, stop reason) like the solver."""
+    n = problem.free_phase_count
+    eye = np.eye(n)
+    trail = [d]
     for it in range(config.max_newton_iters):
         if d <= config.residual_tolerance:
-            return x, d, it
-        probes = np.vstack([x[None, :], x + h * eye, x - h * eye])
-        r, _ = residuals(problem, probes)
-        r0 = r[0]
-        jac = (r[1 : n + 1] - r[n + 1 :]).T / (2.0 * h)
+            return x, d, it, "converged"
+        if it >= STALL_WINDOW and d > (1.0 - STALL_DROP) * trail[it - STALL_WINDOW]:
+            return x, d, it, "stalled"
+        r0, jac = _jacobian(problem, x)
         accepted = False
         dx, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
         step = 1.0
         for _ in range(20):
             xn = x + step * dx
-            _, dn = residuals(problem, xn[None, :])
+            _, dn = _residuals(problem, xn[None, :])
             if dn[0] < d:
                 x, d, accepted = xn, float(dn[0]), True
                 break
@@ -174,14 +218,16 @@ def newton_sequential(problem, x, d, config, residuals=_residuals):
                 except np.linalg.LinAlgError:
                     break
                 xn = x + dx
-                _, dn = residuals(problem, xn[None, :])
+                _, dn = _residuals(problem, xn[None, :])
                 if dn[0] < d:
                     x, d, accepted = xn, float(dn[0]), True
                     break
                 lam *= 10.0
         if not accepted:
-            return x, d, it + 1
-    return x, d, config.max_newton_iters
+            return x, d, it + 1, "no_step"
+        trail.append(d)
+    reason = "converged" if d <= config.residual_tolerance else "budget"
+    return x, d, config.max_newton_iters, reason
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from math import acos, cos, pi, sqrt
 from cpgates import catalog
 from cpgates.abserr import AbsoluteComposite, absolute_composite_propagator, wrap_sequence_absolute
 from cpgates.analysis import infidelity_order, scan, sequence_fidelity, tolerance_band
-from cpgates.derivatives import derivative_sequence, reduced_narrowband_conditions
+from cpgates.derivatives import derivative_sequence
 from cpgates.gates import (
     CompositeSequence,
     PhasedGate,
@@ -36,6 +36,7 @@ from cpgates.iontrap import (
 )
 from cpgates.linalg import frobenius_norm, is_unitary, pauli_string_matrix, pauli_string_product, sigma_axis
 from cpgates.solver import SolverConfig, broadband_problem, polish, solve
+from oracles import reduced_narrowband_conditions
 
 TH = pi / 4
 PASS = "ACCEPTANCE %d PASS: %s"

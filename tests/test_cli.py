@@ -59,6 +59,13 @@ def test_solve_writes_log(tmp_path):
     assert rc == 0
     lines = log.read_text().splitlines()
     assert any(ln.startswith("restart=") and " iters=" in ln and " D=" in ln for ln in lines)
+    # one stop-count line per stage; the sequence output does not change
+    assert sum(ln.startswith("stage-end ") for ln in lines) == sum(
+        ln.startswith("stage gates=") for ln in lines)
+    plain = tmp_path / "plain.csv"
+    assert main(["solve", "--family", "bb", "--order", "1", "--seed", "3",
+                 "--out", str(plain)]) == 0
+    assert plain.read_bytes() == out.read_bytes()
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):
@@ -254,3 +261,33 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["iontrap", "--config", "@trap", "--eps-g", "-2.8e-05"],
+    ["scan", "--seq", "@seq", "--min", "-1e-3", "--max", "1e-3", "--steps", "3"],
+    ["band", "--seq", "@seq", "--threshold", "1e-4"],
+])
+def test_float_options_take_exponent_forms(tmp_path, capsys, argv):
+    # argparse's stock negative-number pattern has no exponent form, so
+    # "-2.8e-05" used to be read as an option flag (exit 2)
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "bb1.csv"
+    config.write_text(TRAP_CONFIG)
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    paths = {"@trap": str(config), "@seq": str(seq_path)}
+    assert main([paths.get(a, a) for a in argv]) == 0
+
+
+def test_iontrap_noise_leakage_prints_one_value(tmp_path, capsys):
+    # the analytic and the integrated BB2 gate leak only rounding noise
+    # (populations of about 1e-34 and 1e-41), which prints as one value
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "bb2.csv"
+    config.write_text(TRAP_CONFIG)
+    main(["catalog", "--entry", "bb2", "--out", str(seq_path)])
+    fields = []
+    for route in (["--analytic"], []):
+        out = tmp_path / "gate.csv"
+        assert main(["iontrap", "--config", str(config), "--seq", str(seq_path),
+                     "--out", str(out)] + route) == 0
+        fields.append(out.read_text().splitlines()[4].split()[0])
+    assert fields == ["leakage=0.000000e+00"] * 2

@@ -8,11 +8,9 @@ from cpgates import catalog
 from cpgates.derivatives import (
     broadband_residuals,
     derivative_sequence,
-    derivative_single_gate,
     narrowband_residuals,
     passband_residuals,
     product_derivative_stack,
-    reduced_narrowband_conditions,
 )
 from cpgates.errors import ValidationError
 from cpgates.gates import (
@@ -26,8 +24,10 @@ from cpgates.linalg import frobenius_norm
 from oracles import (
     ErrorModel,
     derivative_sequence_multinomial,
+    derivative_single_gate,
     gate_product_propagator,
     leibniz_derivative_stack,
+    reduced_narrowband_conditions,
 )
 
 

@@ -1,13 +1,16 @@
 import io
 import re
+import time
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from math import acos, pi
 
 from cpgates import catalog, solver
-from cpgates.derivatives import broadband_residuals, narrowband_residuals
+from cpgates.derivatives import (
+    broadband_residuals, narrowband_residuals, product_derivative_stack,
+)
 from cpgates.errors import ValidationError
 from cpgates.gates import FAMILY_BROADBAND, FAMILY_PASSBAND
 from cpgates.solver import (
@@ -21,7 +24,7 @@ from cpgates.solver import (
     solve,
     solve_with_escalation,
 )
-from oracles import newton_sequential, residuals_4x4
+from oracles import central_difference_jacobian, newton_sequential, residuals_4x4
 
 TH = pi / 4
 
@@ -145,6 +148,29 @@ def test_solver_log_format():
     assert re.fullmatch(r"restart=\d+ iters=\d+ D=[\d.eE+-]+", lines[0])
 
 
+def test_solver_log_ends_each_stage_with_stop_counts():
+    log = io.StringIO()
+    solve_with_escalation(FAMILY_BROADBAND, 3, TH,
+                          SolverConfig(rng_seed=7, max_restarts=12, max_newton_iters=8), log=log)
+    lines = log.getvalue().splitlines()
+    ends = [ln for ln in lines if ln.startswith("stage-end ")]
+    assert len(ends) == sum(ln.startswith("stage gates=") for ln in lines)
+    counts = []
+    for ln in ends:
+        m = re.fullmatch(r"stage-end restarts=(\d+) converged=(\d+) stalled=(\d+) "
+                         r"no_step=(\d+) budget=(\d+)", ln)
+        assert m
+        counts.append([int(v) for v in m.groups()])
+    # every restart ends for exactly one reason, and the summary follows
+    # the stage's own restart lines
+    for (restarts, *reasons), ln in zip(counts, ends):
+        assert sum(reasons) == restarts
+        before = lines[: lines.index(ln)]
+        start = max(i for i, b in enumerate(before) if b.startswith("stage gates="))
+        assert sum(b.startswith("restart=") for b in before[start:]) == restarts
+    assert sum(c[4] for c in counts) > 0  # the small budget is hit
+
+
 def test_phases_reported_in_canonical_range():
     problem = broadband_problem(2, TH, 4)
     result = solve(problem, SolverConfig(rng_seed=7, max_restarts=300))
@@ -182,6 +208,26 @@ def test_escalation_bb6_total_angle():
     assert result.sequence is not None
     assert abs(result.sequence.total_angle() - 5.75 * pi) < 1e-12
     assert result.attempted_gate_counts[-1] == 12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_escalation_bb6_from_random_starts(seed):
+    # measured 5-10.5 s per seed (2 vCPU, one BLAS thread); dead stages end
+    # by the stall rule within a few iterations per restart
+    t0 = time.perf_counter()
+    result = solve_with_escalation(FAMILY_BROADBAND, 6, TH, SolverConfig(rng_seed=seed))
+    elapsed = time.perf_counter() - t0
+    assert result.converged
+    assert len(result.sequence.gates) == 12
+    assert abs(result.sequence.total_angle() - 5.75 * pi) < 1e-12
+    assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_polish_catalog_broadband_in_few_iterations(n):
+    result = polish(catalog.broadband(n, TH), n)
+    assert result.converged
+    assert result.iterations_used <= 5
 
 
 def test_polish_refines_catalog_decimals():
@@ -233,6 +279,29 @@ def test_residuals_equal_4x4_oracle(problem, batch, data):
         np.linalg.norm(r, axis=1), np.linalg.norm(r_oracle, axis=1), rtol=1e-12)
 
 
+def _sign_margin(problem, x):
+    """|Re <row, target>| of the framed order-0 row: the residual switches
+    target sign, and is not differentiable, where it is zero."""
+    phis, terminal = problem.split(x)
+    row = np.exp(-1j * terminal) * product_derivative_stack(problem.thetas, phis, 0)[0, 0, 0]
+    target = np.array([np.cos(problem.target_theta), 1j * np.sin(problem.target_theta)])
+    return abs(np.vdot(row, target).real)
+
+
+@settings(max_examples=80)
+@given(problem=problems(), data=st.data())
+def test_jacobian_equals_central_differences(problem, data):
+    n = problem.free_phase_count
+    assume(n > 0)
+    x = np.array(data.draw(st.lists(st.floats(0.0, 2 * pi), min_size=n, max_size=n)))
+    assume(_sign_margin(problem, x) > 1e-3)
+    r0, jac = solver._jacobian(problem, x)
+    r, _ = _residuals(problem, x[None, :])
+    np.testing.assert_allclose(r0, r[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(jac, central_difference_jacobian(problem, x, h=1e-6),
+                               rtol=0, atol=1e-8)
+
+
 #: (problem, solver seed) starts; together they reach every rung of the
 #: step ladder: full steps, halvings and Levenberg regularisation
 LADDER_PANEL = [
@@ -259,9 +328,10 @@ def test_batched_ladder_equals_sequential_oracle(monkeypatch):
         for _ in range(3):
             x0 = rng.uniform(0.0, 2 * pi, problem.free_phase_count)
             d0 = float(_residuals(problem, x0[None, :])[1][0])
-            x, d, iters = solver._newton_from(problem, x0, d0, config)
-            x_ref, d_ref, iters_ref = newton_sequential(problem, x0, d0, config)
+            x, d, iters, reason = solver._newton_from(problem, x0, d0, config)
+            x_ref, d_ref, iters_ref, reason_ref = newton_sequential(problem, x0, d0, config)
             assert iters == iters_ref
+            assert reason == reason_ref
             assert d == d_ref
             assert np.array_equal(x, x_ref)
     # halvings come in one call of 19 rows, Levenberg rungs in one of 25
@@ -290,8 +360,6 @@ def test_levenberg_ladder_is_empty_when_a_rung_is_singular():
     {"residual_tolerance": float("nan")},
     {"residual_tolerance": float("inf")},
     {"residual_tolerance": 0.0},
-    {"jacobian_step": float("nan")},
-    {"jacobian_step": float("inf")},
     {"max_newton_iters": 0},
     {"max_newton_iters": -1},
     {"max_restarts": 0},
