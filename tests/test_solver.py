@@ -360,6 +360,8 @@ def test_levenberg_ladder_is_empty_when_a_rung_is_singular():
     {"residual_tolerance": float("nan")},
     {"residual_tolerance": float("inf")},
     {"residual_tolerance": 0.0},
+    {"residual_tolerance": -1e-10},
+    {"residual_tolerance": float("-inf")},
     {"max_newton_iters": 0},
     {"max_newton_iters": -1},
     {"max_restarts": 0},
