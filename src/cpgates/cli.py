@@ -14,6 +14,7 @@ truncation-guard failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from math import pi
@@ -401,9 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses across calls; parse_args fills a new
+    namespace each time, so no call sees another's values."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     _print_config(args)
     try:
         return args.func(args)

@@ -39,14 +39,29 @@ by :func:`_from_branches`:
     beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2},
     U(T)   = sum_b P_b (x) U_b(T).
 
+Three facts of H_b, none of them taken from the Magnus closed form, fix
+how much work a gate needs:
+
+(a) beta_{-b} = -beta_b, and a pi shift of both zm maps beta_b to
+    -beta_b, so the second pulse of a gate has the blocks U_{-b} of the
+    first: the two-pulse gate is G_b = U_{-b} U_b, from one pulse.
+(b) The phonon parity Pi = diag((-1)^n) gives Pi a Pi = -a exactly in
+    the truncated space, so U_{-b} = Pi U_b Pi: only the branches (+,+)
+    and (+,-) are computed, the other two are sign flips.
+(c) A gate's spin phase enters only zp, which sets the branch basis, not
+    the blocks; so the gates of one composite sequence that share an
+    angle (up to sign) share their blocks G_b.
+
 The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
 alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b.  The numerical
-integrator steps each U_b from H_b in the truncated Fock space; none of
-the Magnus results (phi0, theta_c, alpha) enters it, and the closed form
-never integrates, so each route stays an independent check on the other.
-The branch basis and assembly they share are pinned by the tests against
-dense kron operators on the full spin-phonon space, for both the
-Hamiltonian and the integrated propagator.
+integrator steps U_(+,+) and U_(+,-) from H_b in the truncated Fock
+space; none of the Magnus results (phi0, theta_c, alpha) enters it, and
+the closed form never integrates, so each route stays an independent
+check on the other.  The branch basis, the assembly and the symmetries
+(a) and (b) they share are pinned by the tests against dense kron
+operators on the full spin-phonon space: the Hamiltonian, the integrated
+pulse, and the two-pulse gate as the product of two separately
+integrated pulses.
 """
 
 from __future__ import annotations
@@ -143,16 +158,6 @@ def destroy(levels: int) -> np.ndarray:
     return a
 
 
-def hamiltonian_at(cfg: TrapConfig, t: float) -> np.ndarray:
-    """Interaction Hamiltonian at time t (Hermitian, linear in g)."""
-    if not 0 <= t <= cfg.duration:
-        raise ValidationError("t must lie within the pulse duration")
-    a = destroy(cfg.n_max + 1)
-    w, beta = _spin_branches(cfg)
-    c = (np.exp(1j * cfg.delta * t) * beta)[:, None, None]
-    return cfg.g * _from_branches(w, c * a.conj().T + np.conj(c) * a)
-
-
 def _fock_level(cfg: TrapConfig, level: int | None, default: int | None, name: str) -> int:
     """``level`` (``default`` when None) as an index into the truncated Fock
     space; ValidationError unless it is an integer in [0, n_max]."""
@@ -172,8 +177,18 @@ def leakage(u: np.ndarray, cfg: TrapConfig, source_levels: int | None = None) ->
     return float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
 
 
-def _check_leakage(u: np.ndarray, cfg: TrapConfig) -> None:
-    leak = leakage(u, cfg)
+def _branch_leakage(blocks: np.ndarray, cfg: TrapConfig) -> float:
+    """:func:`leakage` of sum_b P_b (x) blocks[b] from the blocks alone.
+
+    Every entry of the branch basis has modulus 1/2, so a spin input sees
+    each branch with weight 1/4: the value depends neither on the basis
+    nor on the order of the blocks."""
+    top = np.abs(blocks[:, -2:, : cfg.initial_fock + 1]) ** 2
+    return float(np.max(np.mean(np.sum(top, axis=1), axis=0)))
+
+
+def _check_leakage(blocks: np.ndarray, cfg: TrapConfig) -> None:
+    leak = _branch_leakage(blocks, cfg)
     if leak > LEAKAGE_LIMIT:
         raise TruncationError(
             f"population {leak:.2e} reached the top two Fock levels; "
@@ -210,30 +225,28 @@ def _from_branches(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("qb,rb,bmn->qmrn", w, w.conj(), blocks).reshape(dim, dim)
 
 
-def evolve_numerical(
-    cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12,
-    check: bool = True,
-) -> np.ndarray:
-    """Time-ordered propagator over [0, T] by adaptive high-order
-    integration of dU/dt = -i H(t) U, one phonon block per spin branch.
+def _with_parity_images(pair: np.ndarray) -> np.ndarray:
+    """The four branch blocks in :func:`_spin_branches` order from those of
+    (+,+) and (+,-): U_{-b} = Pi U_b Pi with Pi = diag((-1)^n)."""
+    parity = (-1.0) ** np.arange(pair.shape[-1])
+    return np.concatenate([pair, np.outer(parity, parity) * pair[::-1]])
 
-    Independent of the closed form: it sees only the Hamiltonian.  Raises
-    ValidationError for tolerances that are not finite, not positive or
-    below scipy's rtol floor, and TruncationError when population leaks
-    into the top two Fock levels.
-    """
+
+def _integrated_pair(cfg: TrapConfig, rtol: float, atol: float) -> np.ndarray:
+    """U_b(T) of the branches (+,+) and (+,-), integrated from H_b in one
+    stacked solve_ivp call that keeps only the end state."""
     check_tolerances(rtol, atol)
     levels = cfg.n_max + 1
     a = destroy(levels)
     adag = a.conj().T
-    w, beta = _spin_branches(cfg)
-    u0 = np.broadcast_to(np.eye(levels, dtype=complex), (4, levels, levels)).reshape(-1)
+    beta = _spin_branches(cfg)[1][:2]
+    u0 = np.broadcast_to(np.eye(levels, dtype=complex), (2, levels, levels)).reshape(-1)
 
     def rhs(t, y):
         # -i H_b = c_b a^dag - c_b^* a, with c_b = -i g beta_b e^{i Delta t}
         c = (-1j * cfg.g * np.exp(1j * cfg.delta * t) * beta)[:, None, None]
         k = c * adag - np.conj(c) * a
-        return (k @ y.reshape(4, levels, levels)).reshape(-1)
+        return (k @ y.reshape(2, levels, levels)).reshape(-1)
 
     sol = _scipy("solve_ivp")(
         rhs, (0.0, cfg.duration), u0, method="DOP853", rtol=rtol, atol=atol,
@@ -241,10 +254,49 @@ def evolve_numerical(
     )
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    u = _from_branches(w, sol.y[:, -1].reshape(4, levels, levels))
+    return sol.y[:, -1].reshape(2, levels, levels)
+
+
+def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
+    """U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) of the branches
+    (+,+) and (+,-)."""
+    a = destroy(cfg.n_max + 1)
+    s1s2 = np.array([1.0, -1.0])
+    phases = np.exp(1j * (0.5 * rotation_angle(cfg) + single_pulse_spin_angle(cfg) * s1s2))
+    # D(alpha) = exp(i h) with the Hermitian h = -i (alpha a^dag - alpha^* a)
+    return np.array([
+        phase * mat_exp_hermitian_generator(-1j * (alpha * a.conj().T - np.conj(alpha) * a), 1.0)
+        for phase, alpha in zip(phases, displacement_amplitudes(cfg)[:2])
+    ])
+
+
+def _gate_blocks(cfg: TrapConfig, rtol: float, atol: float, analytic: bool) -> np.ndarray:
+    """Branch blocks G_b = U_{-b} U_b of the two-pulse gate: the second
+    pulse's blocks are the first pulse's in reverse branch order, and both
+    pulses share one leakage guard."""
+    pair = _closed_form_pair(cfg) if analytic else _integrated_pair(cfg, rtol, atol)
+    blocks = _with_parity_images(pair)
+    _check_leakage(blocks, cfg)
+    return blocks[::-1] @ blocks
+
+
+def evolve_numerical(
+    cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12,
+    check: bool = True,
+) -> np.ndarray:
+    """Time-ordered propagator over [0, T] by adaptive high-order
+    integration of dU/dt = -i H(t) U, one phonon block per spin branch
+    (two integrated, two by parity).
+
+    Independent of the closed form: it sees only the Hamiltonian.  Raises
+    ValidationError for tolerances that are not finite, not positive or
+    below scipy's rtol floor, and TruncationError when population leaks
+    into the top two Fock levels.
+    """
+    blocks = _with_parity_images(_integrated_pair(cfg, rtol, atol))
     if check:
-        _check_leakage(u, cfg)
-    return u
+        _check_leakage(blocks, cfg)
+    return _from_branches(_spin_branches(cfg)[0], blocks)
 
 
 def rotation_angle(cfg: TrapConfig) -> float:
@@ -270,19 +322,10 @@ def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     """Closed-form single-pulse propagator (displacement times spin-spin
     exponential times scalar phase), built per spin branch in the
     truncated space: e^{i (phi0 + theta_c s1 s2)} D(alpha_b)."""
-    a = destroy(cfg.n_max + 1)
-    w, _ = _spin_branches(cfg)
-    s1s2 = np.kron([1.0, -1.0], [1.0, -1.0])
-    phases = np.exp(1j * (0.5 * rotation_angle(cfg) + single_pulse_spin_angle(cfg) * s1s2))
-    # D(alpha) = exp(i h) with the Hermitian h = -i (alpha a^dag - alpha^* a)
-    blocks = np.array([
-        phase * mat_exp_hermitian_generator(-1j * (alpha * a.conj().T - np.conj(alpha) * a), 1.0)
-        for phase, alpha in zip(phases, displacement_amplitudes(cfg))
-    ])
-    u = _from_branches(w, blocks)
+    blocks = _with_parity_images(_closed_form_pair(cfg))
     if check:
-        _check_leakage(u, cfg)
-    return u
+        _check_leakage(blocks, cfg)
+    return _from_branches(_spin_branches(cfg)[0], blocks)
 
 
 def two_pulse_gate(
@@ -292,13 +335,9 @@ def two_pulse_gate(
     """Propagator of two equal pulses, the second with motional phases
     shifted by pi.  The displacement cancels, restoring the vibrational
     state regardless of the (common) detuning, and the spin-spin angle
-    doubles to :func:`rotation_angle`."""
-    second = cfg.shifted_motional_phases()
-    if analytic:
-        return analytic_propagator(second) @ analytic_propagator(cfg)
-    u1 = evolve_numerical(cfg, rtol, atol)
-    u2 = evolve_numerical(second, rtol, atol)
-    return u2 @ u1
+    doubles to :func:`rotation_angle`.  One pulse is computed; the second
+    one's branch blocks are its blocks in reverse order."""
+    return _from_branches(_spin_branches(cfg)[0], _gate_blocks(cfg, rtol, atol, analytic))
 
 
 def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
@@ -352,29 +391,6 @@ def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig, fock_level: int | None = 
     return u.reshape(4, levels, 4, levels)[:, p, :, p].copy()
 
 
-def phonon_identity_defect(
-    u: np.ndarray, cfg: TrapConfig, source_levels: int | None = None
-) -> float:
-    """Frobenius distance between u and (qubit block) (x) 1, over source
-    columns that stay clear of the truncation edge."""
-    levels = cfg.n_max + 1
-    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
-    q = extract_qubit_gate(u, cfg, fock_level=min(cfg.initial_fock, src))
-    ideal = np.einsum("qr,pm->qprm", q, np.eye(levels))
-    da = (u.reshape(4, levels, 4, levels) - ideal)[:, :, :, : src + 1]
-    return float(np.linalg.norm(da))
-
-
-def fock_population(u: np.ndarray, cfg: TrapConfig, qubit_state: np.ndarray, level: int) -> float:
-    """Population of phonon |level> after applying u to qubit_state (x) |level>."""
-    levels = cfg.n_max + 1
-    phonon = np.zeros(levels, dtype=complex)
-    phonon[_fock_level(cfg, level, None, "level")] = 1.0
-    psi = np.kron(np.asarray(qubit_state, dtype=complex), phonon)
-    out = (u @ psi).reshape(4, levels)
-    return float(np.sum(np.abs(out[:, level]) ** 2))
-
-
 def duration_for_angle(g: float, delta: float, theta: float) -> float:
     """Pulse duration making the two-pulse rotation angle equal theta."""
     if not (np.isfinite(theta) and theta > 0):
@@ -407,12 +423,14 @@ def composite_physical_gate(
     angle, and the Rabi frequency error eps_g enters every pulse.
 
     Negative gate angles are realised by a pi shift of the spin phase.
-    The terminal frame rotation, a software phase, is applied as an ideal
-    qubit operation.  The induced relative rotation-angle error is
+    The spin phases set only the branch basis, so gates of equal duration
+    share one set of branch blocks, computed once per call.  The terminal
+    frame rotation, a software phase, is applied as an ideal qubit
+    operation.  The induced relative rotation-angle error is
     (1+eps_g)^2 - 1.
     """
-    dim = cfg_base.dim
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(cfg_base.dim, dtype=complex)
+    gate_blocks: dict[float, np.ndarray] = {}
     for gate in seq.gates:
         theta = gate.theta
         phi = gate.phi
@@ -425,7 +443,9 @@ def composite_physical_gate(
             duration=duration,
             zeta_plus=(cfg_base.zeta_plus[0], cfg_base.zeta_plus[0] + phi),
         )
-        u = two_pulse_gate(cfg, rtol, atol, analytic=analytic) @ u
+        if duration not in gate_blocks:
+            gate_blocks[duration] = _gate_blocks(cfg, rtol, atol, analytic)
+        u = _from_branches(_spin_branches(cfg)[0], gate_blocks[duration]) @ u
     if seq.terminal_phase != 0.0:
         u = np.kron(phase_gate(seq.terminal_phase, 2), np.eye(cfg_base.n_max + 1)) @ u
     return u

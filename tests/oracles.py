@@ -6,14 +6,18 @@ and the explicit multinomial sum over them, the 4x4 Leibniz recursion and
 the solver residuals built from it, the closed-form low narrowband
 conditions, the solver Jacobian by central differences, the Newton step
 ladder one candidate at a time, the band search as a scalar march one
-grid point at a time, and the ion-trap pulse, closed form and
-integrated, as dense operators over the full spin-phonon space.
+grid point at a time, the ion-trap pulse, closed form and integrated,
+as dense operators over the full spin-phonon space, and composite
+ion-trap gates as a loop over gates and pulses, each pulse computed on
+its own.  The ion-trap readers that only tests use (the Hamiltonian at
+one time, the phonon-identity defect and a Fock population) live here
+too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, factorial, pi
 
 import numpy as np
@@ -24,7 +28,10 @@ from cpgates.errors import ValidationError
 from cpgates.gates import (
     CompositeSequence, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
 )
-from cpgates.iontrap import TrapConfig, destroy
+from cpgates.iontrap import (
+    TrapConfig, _fock_level, _from_branches, _spin_branches, analytic_propagator, destroy,
+    duration_for_angle, evolve_numerical, extract_qubit_gate, safe_source_level,
+)
 from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import STALL_DROP, STALL_WINDOW, _jacobian, _residuals
 
@@ -333,3 +340,68 @@ def evolve_full_space(
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
     return sol.y[:, -1].reshape(dim, dim)
+
+
+def hamiltonian_at(cfg: TrapConfig, t: float) -> np.ndarray:
+    """Interaction Hamiltonian at time t (Hermitian, linear in g), built
+    per spin branch with the library's branch basis and assembly."""
+    if not 0 <= t <= cfg.duration:
+        raise ValidationError("t must lie within the pulse duration")
+    a = destroy(cfg.n_max + 1)
+    w, beta = _spin_branches(cfg)
+    c = (np.exp(1j * cfg.delta * t) * beta)[:, None, None]
+    return cfg.g * _from_branches(w, c * a.conj().T + np.conj(c) * a)
+
+
+def phonon_identity_defect(
+    u: np.ndarray, cfg: TrapConfig, source_levels: int | None = None
+) -> float:
+    """Frobenius distance between u and (qubit block) (x) 1, over source
+    columns that stay clear of the truncation edge."""
+    levels = cfg.n_max + 1
+    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
+    q = extract_qubit_gate(u, cfg, fock_level=min(cfg.initial_fock, src))
+    ideal = np.einsum("qr,pm->qprm", q, np.eye(levels))
+    da = (u.reshape(4, levels, 4, levels) - ideal)[:, :, :, : src + 1]
+    return float(np.linalg.norm(da))
+
+
+def fock_population(u: np.ndarray, cfg: TrapConfig, qubit_state: np.ndarray, level: int) -> float:
+    """Population of phonon |level> after applying u to qubit_state (x) |level>."""
+    levels = cfg.n_max + 1
+    phonon = np.zeros(levels, dtype=complex)
+    phonon[_fock_level(cfg, level, None, "level")] = 1.0
+    psi = np.kron(np.asarray(qubit_state, dtype=complex), phonon)
+    out = (u @ psi).reshape(4, levels)
+    return float(np.sum(np.abs(out[:, level]) ** 2))
+
+
+def composite_per_pulse(
+    seq: CompositeSequence,
+    cfg_base: TrapConfig,
+    eps_g: float = 0.0,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    analytic: bool = False,
+) -> np.ndarray:
+    """Composite physical gate as a loop over gates and, within each gate,
+    over its two pulses, every pulse computed on its own on the full space
+    (the second with its motional phases shifted by pi) and nothing
+    shared between gates."""
+    pulse = analytic_propagator if analytic else (
+        lambda cfg: evolve_numerical(cfg, rtol, atol))
+    u = np.eye(cfg_base.dim, dtype=complex)
+    for gate in seq.gates:
+        theta, phi = gate.theta, gate.phi
+        if theta < 0:
+            theta, phi = -theta, phi + pi
+        cfg = replace(
+            cfg_base,
+            g=cfg_base.g * (1.0 + eps_g),
+            duration=duration_for_angle(cfg_base.g, cfg_base.delta, theta),
+            zeta_plus=(cfg_base.zeta_plus[0], cfg_base.zeta_plus[0] + phi),
+        )
+        u = pulse(cfg.shifted_motional_phases()) @ pulse(cfg) @ u
+    if seq.terminal_phase != 0.0:
+        u = np.kron(phase_gate(seq.terminal_phase, 2), np.eye(cfg_base.n_max + 1)) @ u
+    return u

@@ -30,13 +30,12 @@ from cpgates.iontrap import (
     composite_physical_gate,
     evolve_numerical,
     extract_qubit_gate,
-    fock_population,
     propagator_distance,
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_unitary, pauli_string_matrix, pauli_string_product, sigma_axis
 from cpgates.solver import SolverConfig, broadband_problem, polish, solve
-from oracles import reduced_narrowband_conditions
+from oracles import fock_population, reduced_narrowband_conditions
 
 TH = pi / 4
 PASS = "ACCEPTANCE %d PASS: %s"

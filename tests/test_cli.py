@@ -7,6 +7,7 @@ import pytest
 
 import cpgates
 from cpgates.analysis import band_report, tolerance_band
+from cpgates import cli
 from cpgates.cli import build_parser, main
 from cpgates.seqio import read_sequence
 
@@ -291,3 +292,30 @@ def test_iontrap_noise_leakage_prints_one_value(tmp_path, capsys):
                      "--out", str(out)] + route) == 0
         fields.append(out.read_text().splitlines()[4].split()[0])
     assert fields == ["leakage=0.000000e+00"] * 2
+
+
+def test_main_reuses_one_parser_without_leaking_values(tmp_path, capsys):
+    assert build_parser() is not build_parser()
+    paths = [tmp_path / f"{name}.csv" for name in ("seeded", "default", "zero")]
+    for path, extra in zip(paths, (["--seed", "5"], [], ["--seed", "0"])):
+        assert main(["solve", "--family", "bb", "--order", "1", "--out", str(path)] + extra) == 0
+    # the run after --seed 5 reads the default seed 0 again
+    configs = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("config:")]
+    assert [ln.split(" seed=")[1].split()[0] for ln in configs] == ["5", "0", "0"]
+    assert paths[1].read_bytes() == paths[2].read_bytes()
+    assert cli._shared_parser() is cli._shared_parser()
+
+
+@pytest.mark.parametrize("seq", [False, True])
+@pytest.mark.parametrize("analytic", [False, True])
+def test_iontrap_truncation_guard_exit_code(tmp_path, capsys, seq, analytic):
+    # population starting at Fock level 20 of 22 reaches the top levels
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "single.csv"
+    config.write_text("g = 0.15\ndelta = 1.0\nt = 4.0\nnmax = 22\nfock0 = 20\n")
+    main(["catalog", "--entry", "single", "--out", str(seq_path)])
+    capsys.readouterr()
+    argv = ["iontrap", "--config", str(config), "--out", str(tmp_path / "gate.csv")]
+    argv += ["--seq", str(seq_path)] * seq + ["--analytic"] * analytic
+    assert main(argv) == 2
+    assert "truncation guard:" in capsys.readouterr().err
+    assert not (tmp_path / "gate.csv").exists()

@@ -6,7 +6,7 @@ from math import pi, sqrt
 
 from cpgates import catalog, iontrap
 from cpgates.errors import TruncationError, ValidationError
-from cpgates.gates import ideal_cphase
+from cpgates.gates import CompositeSequence, PhasedGate, ideal_cphase
 from cpgates.iontrap import (
     TrapConfig,
     analytic_propagator,
@@ -16,19 +16,24 @@ from cpgates.iontrap import (
     duration_for_angle,
     evolve_numerical,
     extract_qubit_gate,
-    fock_population,
-    hamiltonian_at,
     ideal_two_pulse_gate,
     leakage,
     parse_config,
-    phonon_identity_defect,
     propagator_distance,
     rotation_angle,
     single_pulse_spin_angle,
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_hermitian, sigma_axis
-from oracles import analytic_full_space, evolve_full_space, spin_phonon
+from oracles import (
+    analytic_full_space,
+    composite_per_pulse,
+    evolve_full_space,
+    fock_population,
+    hamiltonian_at,
+    phonon_identity_defect,
+    spin_phonon,
+)
 
 G_QUARTER = 1.0 / sqrt(32.0)  # g/Delta giving a pi/4 two-pulse gate at Delta*T = 2*pi
 phases = st.floats(0.0, 2 * pi)
@@ -330,12 +335,23 @@ def test_composite_single_gate_plumbing():
     assert overlap >= 1 - 1e-9
 
 
+LEAKING_CFG = TrapConfig(g=0.15, delta=1.0, duration=4.0, n_max=22, initial_fock=20)
+
+
 def test_truncation_guard_raises():
-    cfg = TrapConfig(
-        g=0.15, delta=1.0, duration=4.0, n_max=22, initial_fock=20
-    )
     with pytest.raises(TruncationError):
-        evolve_numerical(cfg)
+        evolve_numerical(LEAKING_CFG)
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_truncation_guard_raises_on_every_route(analytic):
+    with pytest.raises(TruncationError):
+        two_pulse_gate(LEAKING_CFG, analytic=analytic)
+    with pytest.raises(TruncationError):
+        composite_physical_gate(catalog.single(pi / 4), LEAKING_CFG, analytic=analytic)
+    if analytic:
+        with pytest.raises(TruncationError):
+            analytic_propagator(LEAKING_CFG)
 
 
 def test_config_space_validation():
@@ -420,10 +436,73 @@ def test_one_integration_per_pulse_keeping_only_the_end_state(monkeypatch):
     monkeypatch.setattr(iontrap, "solve_ivp", recording_solve_ivp)
     cfg = TrapConfig(g=0.1, delta=1.0, duration=2.0, n_max=20)
     two_pulse_gate(cfg)
+    # one integration of the branches (+,+) and (+,-) serves both pulses
+    assert len(solutions) == 1
+    assert solutions[0].y.shape == (2 * (cfg.n_max + 1) ** 2, 1)
+    assert solutions[0].t.tolist() == [cfg.duration]
+    # one integration per distinct gate angle: BB1 has pi/4 and pi/2
+    base = quarter_cfg()
+    solutions.clear()
+    composite_physical_gate(catalog.broadband(1), base)
     assert len(solutions) == 2
-    for sol in solutions:
-        assert sol.y.shape == (4 * (cfg.n_max + 1) ** 2, 1)
-        assert sol.t.tolist() == [cfg.duration]
+    # a negative angle is a spin-phase shift of the positive one
+    solutions.clear()
+    composite_physical_gate(
+        CompositeSequence((PhasedGate(pi / 4, 0.3), PhasedGate(-pi / 4, 1.2))), base)
+    assert len(solutions) == 1
+
+
+@settings(max_examples=20)
+@given(
+    zeta_plus=st.tuples(phases, phases),
+    zeta_minus=st.tuples(phases, phases),
+    g=st.floats(0.0, 0.1),
+    delta=st.sampled_from([1.0, -1.0]),
+    duration=st.floats(0.1, 2.0),
+)
+def test_two_pulse_gate_equals_two_full_space_integrations(
+    zeta_plus, zeta_minus, g, delta, duration
+):
+    # the second pulse's blocks come from the first by branch reversal and
+    # phonon parity; the oracle integrates both pulses on the full space
+    cfg = TrapConfig(g=g, delta=delta, duration=duration, zeta_plus=zeta_plus,
+                     zeta_minus=zeta_minus, n_max=20)
+    expected = evolve_full_space(cfg.shifted_motional_phases()) @ evolve_full_space(cfg)
+    assert np.max(np.abs(two_pulse_gate(cfg) - expected)) < 1e-8
+
+
+gate_angles = st.sampled_from([pi / 8, pi / 4, 3 * pi / 8, -pi / 8, -pi / 4])
+
+
+@pytest.mark.parametrize("analytic,tol", [(True, 1e-12), (False, 1e-9)])
+@settings(max_examples=10)
+@given(
+    gates=st.lists(st.tuples(gate_angles, phases), min_size=1, max_size=4),
+    terminal=st.floats(-pi, pi),
+    zeta_minus=st.tuples(phases, phases),
+    zeta1p=phases,
+    eps_g=st.floats(-0.05, 0.05),
+)
+def test_composite_gate_equals_per_pulse_loop(analytic, tol, gates, terminal, zeta_minus,
+                                              zeta1p, eps_g):
+    # repeated and negative angles share blocks; the oracle shares nothing
+    seq = CompositeSequence(tuple(PhasedGate(t, p) for t, p in gates), terminal)
+    base = quarter_cfg(zeta_plus=(zeta1p, 0.0), zeta_minus=zeta_minus)
+    u = composite_physical_gate(seq, base, eps_g, analytic=analytic)
+    expected = composite_per_pulse(seq, base, eps_g, analytic=analytic)
+    assert np.max(np.abs(u - expected)) < tol
+
+
+def test_branch_leakage_equals_leakage_of_the_assembled_operator():
+    rng = np.random.default_rng(8)
+    for fock in (0, 3, 20):
+        cfg = TrapConfig(g=0.1, delta=1.0, duration=1.0, zeta_plus=tuple(rng.uniform(0, 2 * pi, 2)),
+                         n_max=20, initial_fock=fock)
+        blocks = rng.normal(size=(4, 21, 21)) + 1j * rng.normal(size=(4, 21, 21))
+        w, _ = iontrap._spin_branches(cfg)
+        expected = leakage(iontrap._from_branches(w, blocks), cfg)
+        for order in (blocks, blocks[::-1]):
+            assert abs(iontrap._branch_leakage(order, cfg) - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("rtol,atol", [
