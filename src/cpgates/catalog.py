@@ -59,13 +59,25 @@ def single(theta: float = pi / 4) -> CompositeSequence:
     )
 
 
+def _reached(theta: float, entry: str, turns: int) -> float:
+    """``theta``, when the closed-form phases of ``entry`` reach it
+    (|theta| <= turns * pi); a ValidationError otherwise."""
+    if not abs(theta) <= turns * pi:
+        bound = "pi" if turns == 1 else f"{turns}pi"
+        raise ValidationError(
+            f"{entry} has closed-form phases only for |theta| <= {bound}, "
+            f"got theta = {theta / pi:.17g}*pi"
+        )
+    return theta
+
+
 def bb1_phase(theta: float) -> float:
     """Closed-form phase of the first-order broadband sequence."""
-    return acos(-theta / pi)
+    return acos(-_reached(theta, "BB1", 1) / pi)
 
 def bb2_phase(theta: float) -> float:
     """Closed-form phase of the second-order broadband sequence."""
-    return acos(-theta / (2 * pi))
+    return acos(-_reached(theta, "BB2", 2) / (2 * pi))
 
 
 def broadband(n: int, theta: float = pi / 4) -> CompositeSequence:
@@ -95,12 +107,17 @@ def broadband(n: int, theta: float = pi / 4) -> CompositeSequence:
     raise ValidationError(f"no broadband catalog entry of order {n}")
 
 
+_PB_HALF_CHAIN = "PB(2,1) and PB(1,2)"
+
+
 def passband_chi1(theta: float) -> float:
+    theta = _reached(theta, _PB_HALF_CHAIN, 2)
     return acos(-sqrt(0.5 + theta**2 / (8 * pi**2)))
 
 def passband_chi2(theta: float) -> float:
     # The sign of this root is fixed by the derivative conditions; the
     # residual tests exercise both branches and only this one cancels.
+    theta = _reached(theta, _PB_HALF_CHAIN, 2)
     return acos(sqrt(2 * theta**2 / (4 * pi**2 + theta**2)))
 
 
@@ -108,11 +125,11 @@ def passband(n1: int, n2: int, theta: float = pi / 4) -> CompositeSequence:
     """Passband sequence: broadband order n1 at eps=0, order n2 at eps=-1."""
     label = f"PB({n1},{n2})"
     if (n1, n2) == (1, 1):
-        phi = acos(-theta / (2 * pi))
+        phi = acos(-_reached(theta, label, 2) / (2 * pi))
         gates = (PhasedGate(theta, 0.0), PhasedGate(pi, phi), PhasedGate(pi, -phi))
         return CompositeSequence(gates, 0.0, theta, FAMILY_PASSBAND, label)
     if (n1, n2) == (2, 2):
-        phi = acos(-theta / (4 * pi))
+        phi = acos(-_reached(theta, label, 4) / (4 * pi))
         gates = (PhasedGate(theta, 0.0),) + tuple(
             PhasedGate(pi, p) for p in (phi, -phi, -phi, phi)
         )

@@ -109,22 +109,25 @@ def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
 
 def phase_partials_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     """Derivative blocks of the gate product and of its exact partials
-    with respect to the phases of gates 1..G-1, at one phase vector.
+    with respect to the phases of gates 1..G-1.
 
-    ``phis`` is (G,); the result is (G, l_max+1, 2, 2).  Entry 0 is
-    ``product_derivative_stack(thetas, phis, ...)[0]`` and entry k its
-    derivative with respect to phis[k]: gate k's block C_k + e_k S_k is
-    replaced by its phase derivative -i e_k S_k, all entries in one
-    batched kernel pass.
+    ``phis`` may be (G,) or (B, G); the result is (B, G, l_max+1, 2, 2)
+    with B = 1 for a flat input.  Entry [b, 0] is
+    ``product_derivative_stack(thetas, phis[b], ...)[0]`` and entry
+    [b, k] its derivative with respect to phis[b, k]: gate k's block
+    C_k + e_k S_k is replaced by its phase derivative -i e_k S_k, all
+    entries of all B phase vectors in one batched kernel pass.
     """
-    phis = np.asarray(phis, dtype=float)
-    g = len(phis)
-    e = np.tile(np.exp(-1j * phis), (g, 1))
-    keep = 1.0 - np.eye(g)
-    keep[0, 0] = 1.0
-    partial = np.arange(1, g)
-    e[partial, partial] *= -1j
-    return _blocks(*_kernel(thetas, e, l_max, at_epsilon, keep))
+    phis = np.atleast_2d(np.asarray(phis, dtype=float))
+    batch, g = phis.shape
+    e = np.repeat(np.exp(-1j * phis)[:, None, :], g, axis=1)
+    keep = np.ones(e.shape)
+    # entries (k, k), k >= 1, of each phase vector's (G, G) block
+    partials = (slice(None), slice(g + 1, None, g + 1))
+    e.reshape(batch, g * g)[partials] *= -1j
+    keep.reshape(batch, g * g)[partials] = 0.0
+    ab = _kernel(thetas, e.reshape(-1, g), l_max, at_epsilon, keep.reshape(-1, g))
+    return _blocks(*ab).reshape(batch, g, l_max + 1, 2, 2)
 
 
 def _framed(blocks, terminal: float):

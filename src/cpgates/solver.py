@@ -22,13 +22,24 @@ in one batched call.  A run ends when D reaches the tolerance, when no
 candidate lowers it, when the iteration budget is spent, or when D has
 fallen by less than 0.1 % over the last 5 iterations (a stall: such runs
 sit at a false minimum, typically on a stage too short for the order).
+
+A stage's restarts run in rounds.  Restart 0, which carries any given
+initial phases and usually converges by itself, runs alone; later rounds
+hold up to ROUND_SIZE restarts (16), and one Newton loop advances all of
+a round's live restarts together: one kernel pass for their Jacobians
+and one batched call per rung of the step ladder, each start keeping its
+own stop rules.  A start's arithmetic does not depend on the others in
+its batch, and the stage's result is the lowest-index restart that
+converged (later restarts of its round are dropped unlogged), so results
+and logs do not depend on the round size: they are those of running the
+restarts one after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import pi
+from math import isfinite, pi
 from typing import Optional
 
 import numpy as np
@@ -49,6 +60,10 @@ HALF = pi / 2
 #: (relative) over the last STALL_WINDOW iterations
 STALL_WINDOW = 5
 STALL_DROP = 1e-3
+
+#: restarts after restart 0 run in rounds of up to ROUND_SIZE, advanced
+#: in lockstep; results and logs do not depend on it
+ROUND_SIZE = 16
 
 SHAPE_HALF_CHAIN_TERMINAL = "half-pi chain + free terminal"
 SHAPE_HALF_CHAIN = "half-pi chain"
@@ -78,6 +93,11 @@ class SolverProblem:
     def __post_init__(self):
         if min(self.orders) < 0:
             raise ValidationError(f"orders must be non-negative, got {self.orders}")
+        if not all(map(isfinite, (self.target_theta, *self.thetas, self.phi0))):
+            raise ValidationError(
+                f"target angle, gate angles and phi0 must be finite, got "
+                f"target_theta={self.target_theta}, thetas={self.thetas}, phi0={self.phi0}"
+            )
 
     @cached_property
     def residual_constants(self):
@@ -152,6 +172,9 @@ class SolverConfig:
             raise ValidationError(f"residual_tolerance must be finite and positive, got {tol}")
         if self.max_newton_iters < 1 or self.max_restarts < 1:
             raise ValidationError("iteration and restart budgets must be at least 1")
+        phases = self.initial_phases
+        if phases is not None and not all(map(isfinite, phases)):
+            raise ValidationError(f"initial_phases must be finite, got {phases}")
 
 
 @dataclass(frozen=True)
@@ -169,20 +192,21 @@ def _weighted_rows(problem: SolverProblem, phis, terminal, partials: bool = Fals
     """First rows (a, b) of every targeted order, framed and weighted.
 
     Returns (B, orders, 2) complex: orders 0..n1 at eps = 0, then 1..n2
-    at eps = -1.  With ``partials`` the phases are one vector and the rows
-    come from :func:`phase_partials_stack` (row 0 the value, row k its
-    derivative with respect to gate k's phase).  Each order's block is
-    fixed by its first row, and its 4x4 Frobenius norm is
-    2 sqrt(|a|^2 + |b|^2).
+    at eps = -1.  With ``partials`` the rows come from
+    :func:`phase_partials_stack` and are (B, G, orders, 2): row [b, 0] the
+    value, row [b, k] its derivative with respect to gate k's phase.  Each
+    order's block is fixed by its first row, and its 4x4 Frobenius norm
+    is 2 sqrt(|a|^2 + |b|^2).
     """
     stack = phase_partials_stack if partials else product_derivative_stack
     n1, n2 = problem.orders
     # the frame rotation acts on the first row as the scalar e^{-i t}
-    rows = stack(problem.thetas, phis, n1)[:, :, 0]
-    rows = np.exp(-1j * np.asarray(terminal))[..., None, None] * rows
+    rows = stack(problem.thetas, phis, n1)[..., 0, :]
+    frame = np.exp(-1j * np.asarray(terminal))
+    rows = frame.reshape(frame.shape + (1,) * (rows.ndim - frame.ndim)) * rows
     if n2 > 0:
         narrow = stack(problem.thetas, phis, n2, at_epsilon=-1.0)
-        rows = np.concatenate([rows, narrow[:, 1:, 0]], axis=1)
+        rows = np.concatenate([rows, narrow[..., 1:, 0, :]], axis=-2)
     return rows * problem.residual_constants[0]
 
 
@@ -209,23 +233,27 @@ def _residuals(problem: SolverProblem, x_batch: np.ndarray):
     return _compare_target(problem, _weighted_rows(problem, phis, terminal))
 
 
-def _jacobian(problem: SolverProblem, x: np.ndarray):
-    """Residual vector R (p,) at one point and its exact Jacobian (p, n).
+def _jacobian(problem: SolverProblem, x_batch: np.ndarray):
+    """Residual vectors R (B, p) at a batch of points (B, n) and their
+    exact Jacobians, a list of B arrays (p, n).
 
     The target is constant, so the partials of the weighted rows are the
     Jacobian columns; the terminal rotation's partial is -i times the
-    framed broadband rows (the narrowband rows do not see it).
+    framed broadband rows (the narrowband rows do not see it).  Each
+    Jacobian is the transpose of its point's own contiguous partial rows,
+    so it has the same memory layout whatever the batch.
     """
-    phis, terminal = problem.split(x)
+    phis, terminal = problem.split(np.atleast_2d(x_batch))
     rows = _weighted_rows(problem, phis, terminal, partials=True)
     if problem.free_terminal:
         broadband = problem.orders[0] + 1
-        dt = np.zeros_like(rows[:1])
-        dt[:, :broadband] = -1j * rows[:1, :broadband]
-        rows = np.concatenate([rows, dt])
-    jac = rows[1:].view(float).reshape(len(rows) - 1, -1).T
-    r, _ = _compare_target(problem, rows[:1])
-    return r[0], jac
+        dt = np.zeros_like(rows[:, :1])
+        dt[:, :, :broadband] = -1j * rows[:, :1, :broadband]
+        rows = np.concatenate([rows, dt], axis=1)
+    m = rows.shape[1] - 1
+    jacs = [point[1:].view(float).reshape(m, -1).T for point in rows]
+    r, _ = _compare_target(problem, rows[:, 0])
+    return r, jacs
 
 
 def objective_D(problem: SolverProblem, phases) -> float:
@@ -244,11 +272,21 @@ def objective_D(problem: SolverProblem, phases) -> float:
     return float(d[0])
 
 
-def _first_improving(problem, candidates, d):
-    """Index and D of the first candidate row that lowers D, or None."""
+def _first_improving(problem, blocks, d):
+    """Per start, the first row of its candidate block that lowers its D,
+    as (x, D), or None; all blocks are evaluated in one batched call."""
+    found = [None] * len(blocks)
+    candidates = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if len(candidates) == 0:
+        return found
     _, dn = _residuals(problem, candidates)
-    hit = np.flatnonzero(dn < d)
-    return (int(hit[0]), float(dn[hit[0]])) if hit.size else None
+    stop = 0
+    for j, block in enumerate(blocks):
+        start, stop = stop, stop + len(block)
+        hit = np.flatnonzero(dn[start:stop] < d[j])
+        if hit.size:
+            found[j] = block[hit[0]], float(dn[start + hit[0]])
+    return found
 
 
 def _levenberg_steps(jtj, jtr, lams):
@@ -263,40 +301,82 @@ def _levenberg_steps(jtj, jtr, lams):
         return np.empty((0, len(jtr)))
 
 
-def _newton_from(problem, x, d, config):
-    """Damped Newton least-squares iteration from a given start.
+def _levenberg_block(x, r0, jac):
+    """Candidates x + dx for the 25 Levenberg weights, which grow
+    tenfold from 1e-6 mean(diag J^T J)."""
+    jtj = jac.T @ jac
+    lam = 1e-6 * max(np.trace(jtj) / len(x), 1e-30)
+    lams = np.multiply.accumulate(np.r_[lam, np.full(24, 10.0)])
+    return x + _levenberg_steps(jtj, jac.T @ r0, lams)
 
-    Returns (x, D, iterations, reason), the reason one of "converged",
-    "stalled", "no_step" (no candidate lowers D) and "budget".  The
-    Levenberg weights grow tenfold from 1e-6 mean(diag J^T J).
+
+def _newton_from(problem, x, d, config):
+    """Damped Newton least-squares iterations from a batch of starts,
+    advanced in lockstep.
+
+    ``x`` is (R, n) and ``d`` (R,) their objectives.  Returns (x, D,
+    iterations, reasons), one entry per start, each reason one of
+    "converged", "stalled", "no_step" (no candidate lowers D) and
+    "budget".  Every iteration takes the Jacobians of all live starts in
+    one kernel pass, then evaluates each rung of the step ladder for all
+    starts that still need it in one batched call: full steps, halvings,
+    Levenberg steps.  A start's arithmetic does not depend on the others
+    in its batch, so each start ends exactly as it would alone.
     """
-    n = problem.free_phase_count
+    x = np.array(x, dtype=float)
+    d = np.array(d, dtype=float)
+    tol = config.residual_tolerance
     halvings = np.multiply.accumulate(np.full(19, 0.5))[:, None]
-    trail = [d]
+    iters = [config.max_newton_iters] * len(x)
+    reasons = ["budget"] * len(x)
+    trail = [d.copy()]
+    live = list(range(len(x)))
+
+    def end(i, it, reason):
+        iters[i], reasons[i] = it, reason
+
     for it in range(config.max_newton_iters):
-        if d <= config.residual_tolerance:
-            return x, d, it, "converged"
-        if it >= STALL_WINDOW and d > (1.0 - STALL_DROP) * trail[it - STALL_WINDOW]:
-            return x, d, it, "stalled"
-        r0, jac = _jacobian(problem, x)
-        dx, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        candidates = (x + dx)[None, :]
-        found = _first_improving(problem, candidates, d)
-        if found is None:
-            candidates = x + halvings * dx
-            found = _first_improving(problem, candidates, d)
-        if found is None:
-            jtj = jac.T @ jac
-            lam = 1e-6 * max(np.trace(jtj) / n, 1e-30)
-            lams = np.multiply.accumulate(np.r_[lam, np.full(24, 10.0)])
-            candidates = x + _levenberg_steps(jtj, jac.T @ r0, lams)
-            found = _first_improving(problem, candidates, d)
-        if found is None:
-            return x, d, it + 1, "no_step"
-        x, d = candidates[found[0]], found[1]
-        trail.append(d)
-    reason = "converged" if d <= config.residual_tolerance else "budget"
-    return x, d, config.max_newton_iters, reason
+        running = []
+        for i in live:
+            if d[i] <= tol:
+                end(i, it, "converged")
+            elif it >= STALL_WINDOW and d[i] > (1.0 - STALL_DROP) * trail[it - STALL_WINDOW][i]:
+                end(i, it, "stalled")
+            else:
+                running.append(i)
+        live = running
+        if not live:
+            break
+        x_live, d_live = (x, d) if len(live) == len(x) else (x[live], d[live])
+        r0, jacs = _jacobian(problem, x_live)
+        steps = [np.linalg.lstsq(jac, -r, rcond=None)[0] for r, jac in zip(r0, jacs)]
+        rungs = (
+            lambda j: (x_live[j] + steps[j])[None, :],
+            lambda j: x_live[j] + halvings * steps[j],
+            lambda j: _levenberg_block(x_live[j], r0[j], jacs[j]),
+        )
+        found = [None] * len(live)
+        for rung in rungs:
+            failing = [j for j, f in enumerate(found) if f is None]
+            if not failing:
+                break
+            blocks = [rung(j) for j in failing]
+            d_failing = [d_live[j] for j in failing]
+            for j, f in zip(failing, _first_improving(problem, blocks, d_failing)):
+                found[j] = f
+        running = []
+        for i, f in zip(live, found):
+            if f is None:
+                end(i, it + 1, "no_step")
+            else:
+                x[i], d[i] = f
+                running.append(i)
+        live = running
+        trail.append(d.copy())
+    for i in live:
+        if d[i] <= tol:
+            reasons[i] = "converged"
+    return x, d, iters, reasons
 
 
 def solve(
@@ -305,40 +385,55 @@ def solve(
     """Monte-Carlo restarted Newton search for phases nullifying the
     residual conditions.
 
-    Restart 0 uses ``config.initial_phases`` when given (and of matching
-    length); every other restart draws the free phases uniformly from
-    [0, 2*pi) with a generator seeded by ``config.rng_seed``, so results
-    are bit-for-bit reproducible.  Non-convergence is reported in the
-    result, not raised.  ``log`` receives one line per restart and a
-    closing ``stage-end`` line counting how the restarts ended.
+    Restart 0 uses ``config.initial_phases`` when given (a length other
+    than the problem's free phase count is a ValidationError); every other
+    restart draws the free phases uniformly from [0, 2*pi) with a
+    generator seeded by ``config.rng_seed``, so results are bit-for-bit
+    reproducible.  Restart 0 runs alone; later restarts run in rounds of
+    up to ROUND_SIZE, advanced together by :func:`_newton_from`.  The
+    result is the lowest-index converged restart: the later restarts of
+    its round are dropped, so the result and the log are those of running
+    the restarts one by one.  Non-convergence is reported in the result,
+    not raised.  ``log`` receives one line per restart and a closing
+    ``stage-end`` line counting how the restarts ended.
     """
-    rng = np.random.default_rng(config.rng_seed)
     n = problem.free_phase_count
+    if config.initial_phases is not None and len(config.initial_phases) != n:
+        raise ValidationError(
+            f"initial_phases has {len(config.initial_phases)} entries, "
+            f"the problem has {n} free phases"
+        )
+    rng = np.random.default_rng(config.rng_seed)
     best_d = np.inf
     ends = dict.fromkeys(("converged", "stalled", "no_step", "budget"), 0)
     result = None
-    for k in range(config.max_restarts):
-        if k == 0 and config.initial_phases is not None and len(config.initial_phases) == n:
-            x = np.asarray(config.initial_phases, dtype=float)
+    first = 0
+    while result is None and first < config.max_restarts:
+        size = 1 if first == 0 else min(ROUND_SIZE, config.max_restarts - first)
+        if first == 0 and config.initial_phases is not None:
+            starts = [np.asarray(config.initial_phases, dtype=float)]
         else:
-            x = rng.uniform(0.0, 2.0 * pi, n)
-        _, d0 = _residuals(problem, x[None, :])
-        x, d, iters, reason = _newton_from(problem, x, float(d0[0]), config)
-        ends[reason] += 1
-        if log is not None:
-            log.write(f"restart={k} iters={iters} D={d:.6e}\n")
-        best_d = min(best_d, d)
-        if d <= config.residual_tolerance:
-            x = np.mod(x, 2.0 * pi)
-            result = SolverResult(
-                sequence=problem.build_sequence(x),
-                residual_D=float(objective_D(problem, x)),
-                restarts_used=k + 1,
-                iterations_used=iters,
-                converged=True,
-                problem=problem,
-            )
-            break
+            starts = [rng.uniform(0.0, 2.0 * pi, n) for _ in range(size)]
+        _, d0 = _residuals(problem, np.array(starts))
+        xs, ds, iters, reasons = _newton_from(problem, starts, d0, config)
+        for j in range(size):
+            d = float(ds[j])
+            ends[reasons[j]] += 1
+            if log is not None:
+                log.write(f"restart={first + j} iters={iters[j]} D={d:.6e}\n")
+            best_d = min(best_d, d)
+            if d <= config.residual_tolerance:
+                x = np.mod(xs[j], 2.0 * pi)
+                result = SolverResult(
+                    sequence=problem.build_sequence(x),
+                    residual_D=float(objective_D(problem, x)),
+                    restarts_used=first + j + 1,
+                    iterations_used=iters[j],
+                    converged=True,
+                    problem=problem,
+                )
+                break
+        first += size
     if log is not None:
         counts = " ".join(f"{reason}={count}" for reason, count in ends.items())
         log.write(f"stage-end restarts={sum(ends.values())} {counts}\n")

@@ -2,16 +2,16 @@
 
 Each oracle computes its quantity the slow, literal way: 4x4 products
 gate by gate, single-gate derivatives from the shifted-angle closed form
-and the explicit multinomial sum over them, the 4x4 Leibniz recursion and
-the solver residuals built from it, the closed-form low narrowband
+and the explicit multinomial sum over them, the 4x4 Leibniz recursion
+and the solver residuals built from it, the closed-form low narrowband
 conditions, the solver Jacobian by central differences, the Newton step
-ladder one candidate at a time, the band search as a scalar march one
-grid point at a time, the ion-trap pulse, closed form and integrated,
-as dense operators over the full spin-phonon space, and composite
-ion-trap gates as a loop over gates and pulses, each pulse computed on
-its own.  The ion-trap readers that only tests use (the Hamiltonian at
-one time, the phonon-identity defect and a Fock population) live here
-too.
+ladder one candidate at a time and the solver's restarts one after
+another, the band search as a scalar march one grid point at a time, the
+ion-trap pulse, closed form and integrated, as dense operators over the
+full spin-phonon space, and composite ion-trap gates as a loop over
+gates and pulses, each pulse computed on its own.  The ion-trap readers
+that only tests use (the Hamiltonian at one time, the phonon-identity
+defect and a Fock population) live here too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from cpgates.iontrap import (
     duration_for_angle, evolve_numerical, extract_qubit_gate, safe_source_level,
 )
 from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
-from cpgates.solver import STALL_DROP, STALL_WINDOW, _jacobian, _residuals
+from cpgates.solver import (
+    STALL_DROP, STALL_WINDOW, SolverResult, _jacobian, _residuals, objective_D,
+)
 
 
 def gate_product_propagator(
@@ -204,7 +206,8 @@ def newton_sequential(problem, x, d, config):
             return x, d, it, "converged"
         if it >= STALL_WINDOW and d > (1.0 - STALL_DROP) * trail[it - STALL_WINDOW]:
             return x, d, it, "stalled"
-        r0, jac = _jacobian(problem, x)
+        r0, jacs = _jacobian(problem, x[None, :])
+        r0, jac = r0[0], jacs[0]
         accepted = False
         dx, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
         step = 1.0
@@ -235,6 +238,50 @@ def newton_sequential(problem, x, d, config):
         trail.append(d)
     reason = "converged" if d <= config.residual_tolerance else "budget"
     return x, d, config.max_newton_iters, reason
+
+
+def solve_sequential(problem, config, log=None):
+    """The solver's Monte-Carlo restarts run one after another, each by
+    :func:`newton_sequential`; returns the SolverResult and writes the log
+    lines of :func:`cpgates.solver.solve`."""
+    rng = np.random.default_rng(config.rng_seed)
+    n = problem.free_phase_count
+    best_d = np.inf
+    ends = dict.fromkeys(("converged", "stalled", "no_step", "budget"), 0)
+    result = None
+    for k in range(config.max_restarts):
+        if k == 0 and config.initial_phases is not None:
+            x = np.asarray(config.initial_phases, dtype=float)
+        else:
+            x = rng.uniform(0.0, 2.0 * pi, n)
+        _, d0 = _residuals(problem, x[None, :])
+        x, d, iters, reason = newton_sequential(problem, x, float(d0[0]), config)
+        ends[reason] += 1
+        if log is not None:
+            log.write(f"restart={k} iters={iters} D={d:.6e}\n")
+        best_d = min(best_d, d)
+        if d <= config.residual_tolerance:
+            x = np.mod(x, 2.0 * pi)
+            result = SolverResult(
+                sequence=problem.build_sequence(x),
+                residual_D=objective_D(problem, x),
+                restarts_used=k + 1,
+                iterations_used=iters,
+                converged=True,
+                problem=problem,
+            )
+            break
+    if log is not None:
+        counts = " ".join(f"{reason}={count}" for reason, count in ends.items())
+        log.write(f"stage-end restarts={sum(ends.values())} {counts}\n")
+    return result or SolverResult(
+        sequence=None,
+        residual_D=float(best_d),
+        restarts_used=config.max_restarts,
+        iterations_used=config.max_newton_iters,
+        converged=False,
+        problem=problem,
+    )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cpgates
-from cpgates.analysis import band_report, tolerance_band
+from cpgates.analysis import band_report, sequence_fidelity, tolerance_band
 from cpgates import cli
 from cpgates.cli import build_parser, main
 from cpgates.seqio import read_sequence
@@ -251,6 +251,47 @@ def test_solve_rejects_negative_orders(tmp_path, capsys, orders):
     assert main(["solve", *orders, "--out", str(out)]) == 1
     assert "must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", [
+    ["--family", "bb", "--order", "1"],
+    ["--family", "pb", "--order", "1", "--order2", "1"],
+])
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_solve_rejects_non_finite_angle(tmp_path, capfd, family, theta):
+    out = tmp_path / "seq.csv"
+    assert main(["solve", *family, "--theta-over-pi", theta, "--out", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert "must be finite" in err
+    assert "DLASCL" not in err  # LAPACK never sees the angle
+    assert not out.exists()
+
+
+#: closed-form catalog entries, their labels and the |theta|/pi their
+#: phases reach
+CLOSED_FORM_REACH = [
+    ("bb1", "BB1", 1), ("bb2", "BB2", 2), ("pb11", "PB(1,1)", 2),
+    ("pb21", "PB(2,1)", 2), ("pb12", "PB(1,2)", 2), ("pb22", "PB(2,2)", 4),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("entry, label, reach", CLOSED_FORM_REACH)
+def test_catalog_closed_form_reach(tmp_path, capsys, entry, label, reach, sign):
+    edge, beyond = tmp_path / "edge.csv", tmp_path / "beyond.csv"
+    argv = ["catalog", "--entry", entry, "--theta-over-pi"]
+    assert main(argv + [repr(sign * reach), "--out", str(edge)]) == 0
+    assert sequence_fidelity(read_sequence(edge)) >= 1 - 1e-12
+    assert main(argv + [repr(sign * reach * (1 + 1e-9)), "--out", str(beyond)]) == 1
+    err = capsys.readouterr().err
+    bound = "pi" if reach == 1 else f"{reach}pi"
+    assert label in err and f"|theta| <= {bound}" in err
+    assert not beyond.exists()
+
+
+def test_verify_rejects_angle_beyond_closed_form_reach(capsys):
+    assert main(["verify", "--theta-over-pi", "1.5"]) == 1
+    assert "BB1 has closed-form phases only for |theta| <= pi" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():

@@ -24,7 +24,9 @@ from cpgates.solver import (
     solve,
     solve_with_escalation,
 )
-from oracles import central_difference_jacobian, newton_sequential, residuals_4x4
+from oracles import (
+    central_difference_jacobian, newton_sequential, residuals_4x4, solve_sequential,
+)
 
 TH = pi / 4
 
@@ -212,8 +214,9 @@ def test_escalation_bb6_total_angle():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_escalation_bb6_from_random_starts(seed):
-    # measured 5-10.5 s per seed (2 vCPU, one BLAS thread); dead stages end
-    # by the stall rule within a few iterations per restart
+    # measured 3.1-3.5 s per seed (2 vCPU, one BLAS thread); dead stages end
+    # by the stall rule within a few iterations per restart, and each round
+    # of restarts advances in lockstep
     t0 = time.perf_counter()
     result = solve_with_escalation(FAMILY_BROADBAND, 6, TH, SolverConfig(rng_seed=seed))
     elapsed = time.perf_counter() - t0
@@ -295,11 +298,28 @@ def test_jacobian_equals_central_differences(problem, data):
     assume(n > 0)
     x = np.array(data.draw(st.lists(st.floats(0.0, 2 * pi), min_size=n, max_size=n)))
     assume(_sign_margin(problem, x) > 1e-3)
-    r0, jac = solver._jacobian(problem, x)
+    r0, jacs = solver._jacobian(problem, x[None, :])
     r, _ = _residuals(problem, x[None, :])
-    np.testing.assert_allclose(r0, r[0], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(jac, central_difference_jacobian(problem, x, h=1e-6),
+    np.testing.assert_allclose(r0[0], r[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(jacs[0], central_difference_jacobian(problem, x, h=1e-6),
                                rtol=0, atol=1e-8)
+
+
+@settings(max_examples=40)
+@given(problem=problems(), batch=st.integers(2, 20), data=st.data())
+def test_jacobian_batch_equals_single_point_calls(problem, batch, data):
+    # each point's residuals and Jacobian, bit for bit and in the same
+    # memory layout, whatever shares its batch
+    n = problem.free_phase_count
+    assume(n > 0)
+    flat = data.draw(st.lists(st.floats(0.0, 2 * pi), min_size=batch * n, max_size=batch * n))
+    x = np.array(flat).reshape(batch, n)
+    r0, jacs = solver._jacobian(problem, x)
+    for k in range(batch):
+        r0_one, (jac_one,) = solver._jacobian(problem, x[k : k + 1])
+        assert np.array_equal(r0[k], r0_one[0])
+        assert np.array_equal(jacs[k], jac_one)
+        assert jacs[k].strides == jac_one.strides
 
 
 #: (problem, solver seed) starts; together they reach every rung of the
@@ -325,17 +345,55 @@ def test_batched_ladder_equals_sequential_oracle(monkeypatch):
     config = SolverConfig(max_newton_iters=60)
     for problem, seed in LADDER_PANEL:
         rng = np.random.default_rng(seed)
-        for _ in range(3):
-            x0 = rng.uniform(0.0, 2 * pi, problem.free_phase_count)
-            d0 = float(_residuals(problem, x0[None, :])[1][0])
-            x, d, iters, reason = solver._newton_from(problem, x0, d0, config)
-            x_ref, d_ref, iters_ref, reason_ref = newton_sequential(problem, x0, d0, config)
-            assert iters == iters_ref
-            assert reason == reason_ref
-            assert d == d_ref
-            assert np.array_equal(x, x_ref)
-    # halvings come in one call of 19 rows, Levenberg rungs in one of 25
-    assert 19 in batches and 25 in batches
+        x0 = rng.uniform(0.0, 2 * pi, (3, problem.free_phase_count))
+        d0 = _residuals(problem, x0)[1]
+        # the three starts advance together, each as it would alone
+        xs, ds, iters, reasons = solver._newton_from(problem, x0, d0, config)
+        for k in range(3):
+            x_ref, d_ref, iters_ref, reason_ref = newton_sequential(
+                problem, x0[k], float(d0[k]), config)
+            assert iters[k] == iters_ref
+            assert reasons[k] == reason_ref
+            assert ds[k] == d_ref
+            assert np.array_equal(xs[k], x_ref)
+    # each rung is one call for all starts that need it: full steps in
+    # calls of at most three rows, halvings in multiples of 19 rows and
+    # Levenberg rungs in multiples of 25
+    assert all(b <= 3 or b % 19 == 0 or b % 25 == 0 for b in batches)
+    assert any(b % 19 == 0 for b in batches) and any(b % 25 == 0 for b in batches)
+
+
+#: (problem, config, restarts used) stages run by the lockstep solver and
+#: by the sequential restart loop: a dead stage, a stage converging in
+#: its second round, a seeded restart 0 that fails, budget ends, a stage
+#: converging on restart 0, and restart budgets that are not multiples
+#: of the round size
+SOLVE_PANEL = [
+    (broadband_problem(2, TH, 2, free_terminal=True),
+     SolverConfig(rng_seed=3, max_restarts=20), 20),
+    (broadband_problem(4, TH, 7, short=True), SolverConfig(rng_seed=0, max_restarts=40), 19),
+    (broadband_problem(3, TH, 6),
+     SolverConfig(rng_seed=1, max_restarts=37, initial_phases=(0.0,) * 6), 6),
+    (broadband_problem(3, TH, 6),
+     SolverConfig(rng_seed=2, max_restarts=18, max_newton_iters=8), 7),
+    (passband_problem(2, 2, TH, 4), SolverConfig(rng_seed=5, max_restarts=19), 1),
+]
+
+
+@pytest.mark.parametrize("round_size", [solver.ROUND_SIZE, 5])
+@pytest.mark.parametrize("problem, config, restarts", SOLVE_PANEL,
+                         ids=["dead", "second-round", "seeded", "budget", "first"])
+def test_solve_equals_sequential_restarts(monkeypatch, problem, config, restarts, round_size):
+    monkeypatch.setattr(solver, "ROUND_SIZE", round_size)
+    log, log_ref = io.StringIO(), io.StringIO()
+    result = solve(problem, config, log=log)
+    ref = solve_sequential(problem, config, log=log_ref)
+    assert result.restarts_used == ref.restarts_used == restarts
+    assert result.converged == ref.converged
+    assert result.iterations_used == ref.iterations_used
+    assert result.residual_D == ref.residual_D
+    assert result.sequence == ref.sequence
+    assert log.getvalue() == log_ref.getvalue()
 
 
 def test_levenberg_steps_match_one_solve_per_rung():
@@ -388,3 +446,26 @@ def test_escalation_uncapped_stage_budget():
 def test_problem_rejects_negative_orders(orders):
     with pytest.raises(ValidationError):
         SolverProblem(family=FAMILY_PASSBAND, orders=orders, target_theta=TH, thetas=(TH, pi))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["target_theta", "thetas", "phi0"])
+def test_problem_rejects_non_finite_angles(field, bad):
+    kwargs = dict(family=FAMILY_BROADBAND, orders=(1, 0), target_theta=TH,
+                  thetas=(TH, pi / 2, pi / 2), phi0=0.0)
+    kwargs[field] = (TH, bad, pi / 2) if field == "thetas" else bad
+    with pytest.raises(ValidationError):
+        SolverProblem(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite_initial_phases(bad):
+    with pytest.raises(ValidationError):
+        SolverConfig(initial_phases=(bad, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("phases", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+def test_solve_rejects_initial_phases_of_wrong_length(phases):
+    problem = broadband_problem(1, TH, 2, free_terminal=True)
+    with pytest.raises(ValidationError):
+        solve(problem, SolverConfig(initial_phases=phases))
