@@ -30,27 +30,39 @@ flips alpha, cancelling the displacement exactly and doubling theta_c,
 which induces the phased two-qubit gate used by the composite sequences.
 
 H(t) commutes with sigma(zp_1) (x) 1 and 1 (x) sigma(zp_2).  In their
-joint eigenbasis (:func:`_spin_branches`), with eigenvalues b = (s1, s2)
-and projectors P_b, each pulse splits into four driven oscillators of
-n_max+1 levels, and every operator is assembled from its branch blocks
-by :func:`_from_branches`:
+joint eigenbasis, with eigenvalues b = (s1, s2) and projectors
+P_b = P1_{s1} (x) P2_{s2} (:func:`_from_branches`), each pulse splits
+into four driven oscillators of n_max+1 levels:
 
     H_b(t) = g (beta_b e^{i Delta t} a^dag + h.c.),
     beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2},
     U(T)   = sum_b P_b (x) U_b(T).
 
-Three facts of H_b, none of them taken from the Magnus closed form, fix
-how much work a gate needs:
+Five facts of H_b, none of them taken from the Magnus closed form, fix
+how much work a composite gate needs:
 
 (a) beta_{-b} = -beta_b, and a pi shift of both zm maps beta_b to
     -beta_b, so the second pulse of a gate has the blocks U_{-b} of the
     first: the two-pulse gate is G_b = U_{-b} U_b, from one pulse.
 (b) The phonon parity Pi = diag((-1)^n) gives Pi a Pi = -a exactly in
-    the truncated space, so U_{-b} = Pi U_b Pi: only the branches (+,+)
-    and (+,-) are computed, the other two are sign flips.
-(c) A gate's spin phase enters only zp, which sets the branch basis, not
-    the blocks; so the gates of one composite sequence that share an
+    the truncated space, so U_{-b} = Pi U_b Pi: only the pulse pair P of
+    the branches (+,+) and (+,-) is computed, the gate pair is
+    (Pi P Pi) P, and the other two branches are parity images.
+(c) A gate's spin phase enters only zp_2, which sets the branch basis,
+    not the blocks; so the gates of one composite sequence that share an
     angle (up to sign) share their blocks G_b.
+(d) Every pulse of a composite has the same g, Delta and beta_b, and
+    starts its clock at t = 0, so each one is a prefix of one trajectory
+    of H_b(t): the pulse pairs at all distinct durations come from one
+    integration, in chained segments over the sorted durations.
+(e) Ion 1's spin phase zp_1 is the same for every gate, so in ion 1's
+    eigenbasis every gate, and with it the composite, is block-diagonal,
+    sum_{s1} P1_{s1} (x) C_{s1}.  Since sigma_z P2_+ sigma_z = P2_-,
+    (b) gives C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi): the composite
+    is one product of 2(n_max+1)-square blocks
+    C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}, assembled on the
+    full space once (:func:`_assemble`).  A single pulse or gate is the
+    one-factor case.
 
 The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
 alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b.  The numerical
@@ -58,10 +70,10 @@ integrator steps U_(+,+) and U_(+,-) from H_b in the truncated Fock
 space; none of the Magnus results (phi0, theta_c, alpha) enters it, and
 the closed form never integrates, so each route stays an independent
 check on the other.  The branch basis, the assembly and the symmetries
-(a) and (b) they share are pinned by the tests against dense kron
+(a), (b) and (e) they share are pinned by the tests against dense kron
 operators on the full spin-phonon space: the Hamiltonian, the integrated
-pulse, and the two-pulse gate as the product of two separately
-integrated pulses.
+pulse, the two-pulse gate as the product of two separately integrated
+pulses, and the composite as a loop over separately computed pulses.
 """
 
 from __future__ import annotations
@@ -177,18 +189,20 @@ def leakage(u: np.ndarray, cfg: TrapConfig, source_levels: int | None = None) ->
     return float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
 
 
-def _branch_leakage(blocks: np.ndarray, cfg: TrapConfig) -> float:
-    """:func:`leakage` of sum_b P_b (x) blocks[b] from the blocks alone.
+def _branch_leakage(pair: np.ndarray, cfg: TrapConfig) -> float:
+    """:func:`leakage` of the operator with branch blocks ``pair`` for
+    (+,+) and (+,-) and their parity images, from the pair alone.
 
     Every entry of the branch basis has modulus 1/2, so a spin input sees
-    each branch with weight 1/4: the value depends neither on the basis
-    nor on the order of the blocks."""
-    top = np.abs(blocks[:, -2:, : cfg.initial_fock + 1]) ** 2
+    each branch with weight 1/4, and a parity image has the moduli of its
+    block: the value depends neither on the basis nor on the order of the
+    pair."""
+    top = np.abs(pair[:, -2:, : cfg.initial_fock + 1]) ** 2
     return float(np.max(np.mean(np.sum(top, axis=1), axis=0)))
 
 
-def _check_leakage(blocks: np.ndarray, cfg: TrapConfig) -> None:
-    leak = _branch_leakage(blocks, cfg)
+def _check_leakage(pair: np.ndarray, cfg: TrapConfig) -> None:
+    leak = _branch_leakage(pair, cfg)
     if leak > LEAKAGE_LIMIT:
         raise TruncationError(
             f"population {leak:.2e} reached the top two Fock levels; "
@@ -204,43 +218,41 @@ def check_tolerances(rtol: float, atol: float = 1e-12) -> None:
         raise ValidationError(f"rtol must be at least {RTOL_FLOOR:.3g}")
 
 
-def _spin_branches(cfg: TrapConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Joint eigenbasis of sigma(zp_1) (x) 1 and 1 (x) sigma(zp_2), as the
-    columns of a 4x4 unitary ordered (s1, s2) = (+,+), (+,-), (-,+), (-,-),
-    and the branch amplitudes beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2}."""
-    signs = np.array([1.0, -1.0])
-    w1, w2 = (
-        np.array([np.ones(2), signs * np.exp(1j * zp)]) / np.sqrt(2.0)
-        for zp in cfg.zeta_plus
-    )
-    s1, s2 = np.repeat(signs, 2), np.tile(signs, 2)
-    beta = s1 * np.exp(-1j * cfg.zeta_minus[0]) + s2 * np.exp(-1j * cfg.zeta_minus[1])
-    return np.kron(w1, w2), beta
+def _branch_amplitudes(cfg: TrapConfig) -> np.ndarray:
+    """beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2} for the branches (s1, s2)
+    ordered (+,+), (+,-), (-,+), (-,-)."""
+    s1, s2 = np.repeat([1.0, -1.0], 2), np.tile([1.0, -1.0], 2)
+    return s1 * np.exp(-1j * cfg.zeta_minus[0]) + s2 * np.exp(-1j * cfg.zeta_minus[1])
 
 
-def _from_branches(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """sum_b P_b (x) blocks[b], P_b = w_b w_b^dag, on the spin (x) phonon
-    space, for the branch basis w of :func:`_spin_branches`."""
-    dim = 4 * blocks.shape[-1]
-    return np.einsum("qb,rb,bmn->qmrn", w, w.conj(), blocks).reshape(dim, dim)
+def _from_branches(zp: float, blocks: np.ndarray) -> np.ndarray:
+    """sum_s P_s (x) blocks[s] for the eigenprojectors P_+- = (1 +- sigma(zp))/2
+    of one ion's spin axis, each block acting on everything after that ion:
+    1 (x) M + sigma(zp) (x) D with M and D the half sum and half difference."""
+    mean, diff = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
+    phase = np.exp(1j * zp)
+    return np.block([[mean, np.conj(phase) * diff], [phase * diff, mean]])
 
 
-def _with_parity_images(pair: np.ndarray) -> np.ndarray:
-    """The four branch blocks in :func:`_spin_branches` order from those of
-    (+,+) and (+,-): U_{-b} = Pi U_b Pi with Pi = diag((-1)^n)."""
-    parity = (-1.0) ** np.arange(pair.shape[-1])
-    return np.concatenate([pair, np.outer(parity, parity) * pair[::-1]])
+def _assemble(cfg: TrapConfig, plus: np.ndarray) -> np.ndarray:
+    """sum_{s1} P1_{s1} (x) C_{s1} on the full space from ion 1's block
+    C_+ = ``plus`` on qubit 2 (x) phonon: C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi).
+    An operator with branch pair P has C_+ = _from_branches(zp_2, P)."""
+    flip = np.outer([1.0, -1.0], (-1.0) ** np.arange(cfg.n_max + 1)).ravel()
+    return _from_branches(cfg.zeta_plus[0], np.array([plus, np.outer(flip, flip) * plus]))
 
 
-def _integrated_pair(cfg: TrapConfig, rtol: float, atol: float) -> np.ndarray:
-    """U_b(T) of the branches (+,+) and (+,-), integrated from H_b in one
-    stacked solve_ivp call that keeps only the end state."""
+def _integrated_pairs(cfgs: list[TrapConfig], rtol: float, atol: float) -> list[np.ndarray]:
+    """U_b(T) of the branches (+,+) and (+,-) for configs that differ only
+    in their increasing durations T, integrated from H_b along one
+    trajectory: stacked solve_ivp segments 0 -> T_1 -> T_2 -> ..., each
+    starting from the end state of the last and keeping only its own."""
     check_tolerances(rtol, atol)
+    cfg = cfgs[0]
     levels = cfg.n_max + 1
     a = destroy(levels)
     adag = a.conj().T
-    beta = _spin_branches(cfg)[1][:2]
-    u0 = np.broadcast_to(np.eye(levels, dtype=complex), (2, levels, levels)).reshape(-1)
+    beta = _branch_amplitudes(cfg)[:2]
 
     def rhs(t, y):
         # -i H_b = c_b a^dag - c_b^* a, with c_b = -i g beta_b e^{i Delta t}
@@ -248,13 +260,17 @@ def _integrated_pair(cfg: TrapConfig, rtol: float, atol: float) -> np.ndarray:
         k = c * adag - np.conj(c) * a
         return (k @ y.reshape(2, levels, levels)).reshape(-1)
 
-    sol = _scipy("solve_ivp")(
-        rhs, (0.0, cfg.duration), u0, method="DOP853", rtol=rtol, atol=atol,
-        t_eval=[cfg.duration],
-    )
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.y[:, -1].reshape(2, levels, levels)
+    y = np.broadcast_to(np.eye(levels, dtype=complex), (2, levels, levels)).reshape(-1)
+    start, pairs = 0.0, []
+    for end in (c.duration for c in cfgs):
+        sol = _scipy("solve_ivp")(
+            rhs, (start, end), y, method="DOP853", rtol=rtol, atol=atol, t_eval=[end],
+        )
+        if not sol.success:
+            raise RuntimeError(f"integrator failed: {sol.message}")
+        y, start = sol.y[:, -1], end
+        pairs.append(y.reshape(2, levels, levels))
+    return pairs
 
 
 def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
@@ -270,14 +286,18 @@ def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
     ])
 
 
-def _gate_blocks(cfg: TrapConfig, rtol: float, atol: float, analytic: bool) -> np.ndarray:
-    """Branch blocks G_b = U_{-b} U_b of the two-pulse gate: the second
-    pulse's blocks are the first pulse's in reverse branch order, and both
-    pulses share one leakage guard."""
-    pair = _closed_form_pair(cfg) if analytic else _integrated_pair(cfg, rtol, atol)
-    blocks = _with_parity_images(pair)
-    _check_leakage(blocks, cfg)
-    return blocks[::-1] @ blocks
+def _gate_pairs(
+    cfgs: list[TrapConfig], rtol: float, atol: float, analytic: bool
+) -> list[np.ndarray]:
+    """Branch blocks G_b = U_{-b} U_b of (+,+) and (+,-) of the two-pulse
+    gates for configs that differ only in their increasing durations:
+    each gate pair is (Pi P Pi) P for its pulse pair P, and every pulse
+    pair passes the leakage guard."""
+    pairs = [_closed_form_pair(c) for c in cfgs] if analytic else _integrated_pairs(cfgs, rtol, atol)
+    parity = (-1.0) ** np.arange(cfgs[0].n_max + 1)
+    for cfg, pair in zip(cfgs, pairs):
+        _check_leakage(pair, cfg)
+    return [(np.outer(parity, parity) * pair) @ pair for pair in pairs]
 
 
 def evolve_numerical(
@@ -293,10 +313,10 @@ def evolve_numerical(
     below scipy's rtol floor, and TruncationError when population leaks
     into the top two Fock levels.
     """
-    blocks = _with_parity_images(_integrated_pair(cfg, rtol, atol))
+    [pair] = _integrated_pairs([cfg], rtol, atol)
     if check:
-        _check_leakage(blocks, cfg)
-    return _from_branches(_spin_branches(cfg)[0], blocks)
+        _check_leakage(pair, cfg)
+    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
 
 
 def rotation_angle(cfg: TrapConfig) -> float:
@@ -315,17 +335,17 @@ def displacement_amplitudes(cfg: TrapConfig) -> np.ndarray:
     """Coherent displacement per simultaneous spin eigenbranch (s1, s2),
     ordered (+1,+1), (+1,-1), (-1,+1), (-1,-1)."""
     c = -(cfg.g / cfg.delta) * (np.exp(1j * cfg.phase_angle()) - 1.0)
-    return c * _spin_branches(cfg)[1]
+    return c * _branch_amplitudes(cfg)
 
 
 def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     """Closed-form single-pulse propagator (displacement times spin-spin
     exponential times scalar phase), built per spin branch in the
     truncated space: e^{i (phi0 + theta_c s1 s2)} D(alpha_b)."""
-    blocks = _with_parity_images(_closed_form_pair(cfg))
+    pair = _closed_form_pair(cfg)
     if check:
-        _check_leakage(blocks, cfg)
-    return _from_branches(_spin_branches(cfg)[0], blocks)
+        _check_leakage(pair, cfg)
+    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
 
 
 def two_pulse_gate(
@@ -337,7 +357,8 @@ def two_pulse_gate(
     state regardless of the (common) detuning, and the spin-spin angle
     doubles to :func:`rotation_angle`.  One pulse is computed; the second
     one's branch blocks are its blocks in reverse order."""
-    return _from_branches(_spin_branches(cfg)[0], _gate_blocks(cfg, rtol, atol, analytic))
+    [gate] = _gate_pairs([cfg], rtol, atol, analytic)
+    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], gate))
 
 
 def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
@@ -392,7 +413,8 @@ def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig, fock_level: int | None = 
 
 
 def duration_for_angle(g: float, delta: float, theta: float) -> float:
-    """Pulse duration making the two-pulse rotation angle equal theta."""
+    """Positive pulse duration giving the two-pulse rotation angle
+    sign(delta) * theta: the angle is odd in the detuning."""
     if not (np.isfinite(theta) and theta > 0):
         raise ValidationError("target angle must be finite and positive")
     if g <= 0:
@@ -406,7 +428,7 @@ def duration_for_angle(g: float, delta: float, theta: float) -> float:
     if f(lo) > 0:
         lo = 1e-12
     x = _scipy("brentq")(f, lo, hi, xtol=1e-14, rtol=1e-15)
-    return x / delta
+    return x / abs(delta)
 
 
 def composite_physical_gate(
@@ -422,33 +444,31 @@ def composite_physical_gate(
     duration is chosen per gate so the two-pulse angle matches the gate
     angle, and the Rabi frequency error eps_g enters every pulse.
 
-    Negative gate angles are realised by a pi shift of the spin phase.
-    The spin phases set only the branch basis, so gates of equal duration
-    share one set of branch blocks, computed once per call.  The terminal
-    frame rotation, a software phase, is applied as an ideal qubit
-    operation.  The induced relative rotation-angle error is
-    (1+eps_g)^2 - 1.
+    A gate whose angle has the opposite sign to the detuning is realised
+    by a pi shift of the spin phase, and a zero-angle gate, the identity,
+    by no pulse.  Gates of equal duration share one gate pair, every
+    distinct pulse is a prefix of one integrated trajectory, and the
+    gates are multiplied as ion 1's s1 = + blocks, assembled on the full
+    space once.  The terminal frame rotation, a software phase, is
+    applied as an ideal qubit operation.  The induced relative
+    rotation-angle error is (1+eps_g)^2 - 1.
     """
-    u = np.eye(cfg_base.dim, dtype=complex)
-    gate_blocks: dict[float, np.ndarray] = {}
-    for gate in seq.gates:
-        theta = gate.theta
-        phi = gate.phi
-        if theta < 0:
-            theta, phi = -theta, phi + pi
-        duration = duration_for_angle(cfg_base.g, cfg_base.delta, theta)
-        cfg = replace(
-            cfg_base,
-            g=cfg_base.g * (1.0 + eps_g),
-            duration=duration,
-            zeta_plus=(cfg_base.zeta_plus[0], cfg_base.zeta_plus[0] + phi),
-        )
-        if duration not in gate_blocks:
-            gate_blocks[duration] = _gate_blocks(cfg, rtol, atol, analytic)
-        u = _from_branches(_spin_branches(cfg)[0], gate_blocks[duration]) @ u
+    gates = [gate for gate in seq.gates if gate.theta != 0.0]
+    angles = {abs(gate.theta) for gate in gates}
+    durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
+    times = sorted(set(durations.values()))
+    cfgs = [replace(cfg_base, g=cfg_base.g * (1.0 + eps_g), duration=t) for t in times]
+    pairs = dict(zip(times, _gate_pairs(cfgs, rtol, atol, analytic) if cfgs else []))
+    levels = cfg_base.n_max + 1
+    chain = np.eye(2 * levels, dtype=complex)
+    for gate in gates:
+        phi = gate.phi + pi if gate.theta * cfg_base.delta < 0 else gate.phi
+        pair = pairs[durations[abs(gate.theta)]]
+        chain = _from_branches(cfg_base.zeta_plus[0] + phi, pair) @ chain
     if seq.terminal_phase != 0.0:
-        u = np.kron(phase_gate(seq.terminal_phase, 2), np.eye(cfg_base.n_max + 1)) @ u
-    return u
+        # the frame rotation is diagonal on qubit 2 and commutes with sigma_z (x) Pi
+        chain = np.repeat(np.diag(phase_gate(seq.terminal_phase, 2))[:2], levels)[:, None] * chain
+    return _assemble(cfg_base, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ class SolverProblem:
                 f"target angle, gate angles and phi0 must be finite, got "
                 f"target_theta={self.target_theta}, thetas={self.thetas}, phi0={self.phi0}"
             )
+        if not self.thetas or self.free_phase_count == 0:
+            raise ValidationError(
+                f"a problem needs at least one gate and one free phase, got "
+                f"thetas={self.thetas}, free_terminal={self.free_terminal}"
+            )
 
     @cached_property
     def residual_constants(self):

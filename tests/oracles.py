@@ -29,8 +29,8 @@ from cpgates.gates import (
     CompositeSequence, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
 )
 from cpgates.iontrap import (
-    TrapConfig, _fock_level, _from_branches, _spin_branches, analytic_propagator, destroy,
-    duration_for_angle, evolve_numerical, extract_qubit_gate, safe_source_level,
+    TrapConfig, _assemble, _branch_amplitudes, _fock_level, _from_branches, analytic_propagator,
+    destroy, duration_for_angle, evolve_numerical, extract_qubit_gate, safe_source_level,
 )
 from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import (
@@ -395,9 +395,9 @@ def hamiltonian_at(cfg: TrapConfig, t: float) -> np.ndarray:
     if not 0 <= t <= cfg.duration:
         raise ValidationError("t must lie within the pulse duration")
     a = destroy(cfg.n_max + 1)
-    w, beta = _spin_branches(cfg)
-    c = (np.exp(1j * cfg.delta * t) * beta)[:, None, None]
-    return cfg.g * _from_branches(w, c * a.conj().T + np.conj(c) * a)
+    c = (np.exp(1j * cfg.delta * t) * _branch_amplitudes(cfg)[:2])[:, None, None]
+    pair = c * a.conj().T + np.conj(c) * a
+    return cfg.g * _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
 
 
 def phonon_identity_defect(
@@ -434,18 +434,22 @@ def composite_per_pulse(
     """Composite physical gate as a loop over gates and, within each gate,
     over its two pulses, every pulse computed on its own on the full space
     (the second with its motional phases shifted by pi) and nothing
-    shared between gates."""
+    shared between gates.  A zero-angle gate is skipped, and a gate whose
+    angle has the opposite sign to the detuning takes a pi spin-phase
+    shift."""
     pulse = analytic_propagator if analytic else (
         lambda cfg: evolve_numerical(cfg, rtol, atol))
     u = np.eye(cfg_base.dim, dtype=complex)
     for gate in seq.gates:
         theta, phi = gate.theta, gate.phi
-        if theta < 0:
-            theta, phi = -theta, phi + pi
+        if theta == 0.0:
+            continue
+        if theta * cfg_base.delta < 0:
+            phi += pi
         cfg = replace(
             cfg_base,
             g=cfg_base.g * (1.0 + eps_g),
-            duration=duration_for_angle(cfg_base.g, cfg_base.delta, theta),
+            duration=duration_for_angle(cfg_base.g, cfg_base.delta, abs(theta)),
             zeta_plus=(cfg_base.zeta_plus[0], cfg_base.zeta_plus[0] + phi),
         )
         u = pulse(cfg.shifted_motional_phases()) @ pulse(cfg) @ u

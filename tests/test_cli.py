@@ -360,3 +360,21 @@ def test_iontrap_truncation_guard_exit_code(tmp_path, capsys, seq, analytic):
     assert main(argv) == 2
     assert "truncation guard:" in capsys.readouterr().err
     assert not (tmp_path / "gate.csv").exists()
+
+
+def test_iontrap_seq_with_negative_detuning(tmp_path, capsys):
+    # delta = -1 flips the sign of every two-pulse angle; the composite
+    # shifts the spin phases to match and reaches BB1's fidelity at delta = +1
+    seq_path = tmp_path / "bb1.csv"
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    fidelities = []
+    for delta in ("1.0", "-1.0"):
+        config, out = tmp_path / "trap.txt", tmp_path / "gate.csv"
+        config.write_text(f"g = 0.1767766952966369\ndelta = {delta}\nt = 6.283185307179586\n"
+                          "nmax = 25\n")
+        argv = ["iontrap", "--config", str(config), "--seq", str(seq_path), "--eps-g", "0.03",
+                "--out", str(out), "--analytic"]
+        assert main(argv) == 0
+        fidelities.append(float(out.read_text().split("fidelity=")[1]))
+    assert fidelities[0] >= 1 - 1e-5
+    assert abs(fidelities[0] - fidelities[1]) < 1e-11

@@ -6,7 +6,9 @@ from math import pi, sqrt
 
 from cpgates import catalog, iontrap
 from cpgates.errors import TruncationError, ValidationError
-from cpgates.gates import CompositeSequence, PhasedGate, ideal_cphase
+from cpgates.gates import (
+    CompositeSequence, PhasedGate, ideal_cphase, phase_gate, sequence_propagator,
+)
 from cpgates.iontrap import (
     TrapConfig,
     analytic_propagator,
@@ -320,10 +322,13 @@ def test_detuning_error_leaves_pure_angle_error():
 
 
 def test_duration_for_angle_round_trip():
-    for theta in (pi / 4, pi / 2, pi):
-        t = duration_for_angle(0.15, 1.0, theta)
-        cfg = TrapConfig(g=0.15, delta=1.0, duration=t, n_max=22)
-        assert abs(rotation_angle(cfg) - theta) < 1e-10
+    # the duration is positive for either sign of delta, and the two-pulse
+    # angle is sign(delta) * theta
+    for delta in (1.0, -1.0):
+        for theta in (pi / 4, pi / 2, pi):
+            t = duration_for_angle(0.15, delta, theta)
+            cfg = TrapConfig(g=0.15, delta=delta, duration=t, n_max=22)
+            assert abs(rotation_angle(cfg) - delta * theta) < 1e-10
 
 
 def test_composite_single_gate_plumbing():
@@ -426,30 +431,65 @@ def test_branch_propagator_commutes_with_each_spin_axis():
 
 
 def test_one_integration_per_pulse_keeping_only_the_end_state(monkeypatch):
-    solutions = []
+    calls = []  # (t_span, y0, solution) per solve_ivp call
     solve_ivp = iontrap.solve_ivp
 
-    def recording_solve_ivp(*args, **kwargs):
-        solutions.append(solve_ivp(*args, **kwargs))
-        return solutions[-1]
+    def recording_solve_ivp(fun, t_span, y0, **kwargs):
+        calls.append((t_span, np.array(y0), solve_ivp(fun, t_span, y0, **kwargs)))
+        return calls[-1][2]
+
+    def assert_one_trajectory(durations):
+        # one segment per distinct duration, each starting from the end
+        # time and state of the last and keeping only its own end state
+        assert [span for span, _, _ in calls] == list(zip([0.0] + durations[:-1], durations))
+        for (_, _, before), (span, y0, _) in zip(calls, calls[1:]):
+            assert span[0] == before.t[-1]
+            assert np.array_equal(y0, before.y[:, -1])
+        assert all(sol.y.shape == (2 * (base.n_max + 1) ** 2, 1) for _, _, sol in calls)
+        assert abs(sum(span[1] - span[0] for span, _, _ in calls) - durations[-1]) < 1e-12
+
+    def distinct_durations(seq):
+        angles = {abs(g.theta) for g in seq.gates}
+        return sorted(duration_for_angle(base.g, base.delta, t) for t in angles)
 
     monkeypatch.setattr(iontrap, "solve_ivp", recording_solve_ivp)
     cfg = TrapConfig(g=0.1, delta=1.0, duration=2.0, n_max=20)
     two_pulse_gate(cfg)
     # one integration of the branches (+,+) and (+,-) serves both pulses
-    assert len(solutions) == 1
-    assert solutions[0].y.shape == (2 * (cfg.n_max + 1) ** 2, 1)
-    assert solutions[0].t.tolist() == [cfg.duration]
-    # one integration per distinct gate angle: BB1 has pi/4 and pi/2
+    assert len(calls) == 1
+    assert calls[0][2].y.shape == (2 * (cfg.n_max + 1) ** 2, 1)
+    assert calls[0][2].t.tolist() == [cfg.duration]
+    # one segment per distinct gate angle: BB1 has pi/4 and pi/2, and its
+    # pi/2 pulse continues the pi/4 one
     base = quarter_cfg()
-    solutions.clear()
-    composite_physical_gate(catalog.broadband(1), base)
-    assert len(solutions) == 2
+    for seq, segments in ((catalog.broadband(1), 2), (catalog.broadband(2, pi / 3), 3)):
+        calls.clear()
+        composite_physical_gate(seq, base)
+        assert len(calls) == segments
+        assert_one_trajectory(distinct_durations(seq))
     # a negative angle is a spin-phase shift of the positive one
-    solutions.clear()
+    calls.clear()
     composite_physical_gate(
         CompositeSequence((PhasedGate(pi / 4, 0.3), PhasedGate(-pi / 4, 1.2))), base)
-    assert len(solutions) == 1
+    assert len(calls) == 1
+
+
+# At g/Delta = 1/sqrt(32) the pi/4 and pi/2 pulses close their phase-space
+# loops (Delta T = 2 pi, 4 pi) and return Fock level 13 clear of the top
+# levels; the pi/8, 3 pi/8 and 5 pi/8 pulses end displaced and reach them.
+GUARD_CFG = TrapConfig(g=G_QUARTER, delta=1.0, duration=2 * pi, n_max=25, initial_fock=13)
+CLEAN_GATES = (PhasedGate(pi / 4, 0.3), PhasedGate(pi / 2, 1.1))
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize("leaking", [pi / 8, 3 * pi / 8, 5 * pi / 8])
+def test_guard_checks_every_distinct_pulse_of_a_composite(analytic, leaking):
+    # the leaking pulse is the shortest, a middle or the longest segment
+    composite_physical_gate(CompositeSequence(CLEAN_GATES), GUARD_CFG, analytic=analytic)
+    for gates in ((PhasedGate(leaking, 0.7),) + CLEAN_GATES,
+                  CLEAN_GATES + (PhasedGate(-leaking, 0.7),)):
+        with pytest.raises(TruncationError):
+            composite_physical_gate(CompositeSequence(gates), GUARD_CFG, analytic=analytic)
 
 
 @settings(max_examples=20)
@@ -493,15 +533,67 @@ def test_composite_gate_equals_per_pulse_loop(analytic, tol, gates, terminal, ze
     assert np.max(np.abs(u - expected)) < tol
 
 
+@pytest.mark.parametrize("analytic", [True, False])
+@settings(max_examples=10)
+@given(
+    gates=st.lists(st.tuples(gate_angles, phases), min_size=1, max_size=4),
+    terminal=st.floats(-pi, pi),
+    zeta_minus=st.tuples(phases, phases),
+    zeta1p=phases,
+    eps_g=st.floats(-0.05, 0.05),
+)
+def test_composite_commutes_with_ion_one_spin_axis(analytic, gates, terminal, zeta_minus,
+                                                   zeta1p, eps_g):
+    # every gate shares ion 1's axis, so the composite is block-diagonal in its basis
+    seq = CompositeSequence(tuple(PhasedGate(t, p) for t, p in gates), terminal)
+    base = quarter_cfg(zeta_plus=(zeta1p, 0.0), zeta_minus=zeta_minus)
+    u = composite_physical_gate(seq, base, eps_g, analytic=analytic)
+    s = np.kron(np.kron(sigma_axis(zeta1p), np.eye(2)), np.eye(base.n_max + 1))
+    assert np.max(np.abs(u @ s - s @ u)) < 1e-12
+
+
+def test_zero_angle_gate_is_skipped():
+    base = quarter_cfg(zeta_plus=(0.4, 0.0))
+    seq = catalog.broadband(1)
+    padded = CompositeSequence(
+        (PhasedGate(0.0, 1.3),) + seq.gates[:2] + (PhasedGate(-0.0, 0.2),) + seq.gates[2:],
+        seq.terminal_phase + 0.3)
+    seq = CompositeSequence(seq.gates, seq.terminal_phase + 0.3)
+    for analytic, tol in ((True, 1e-12), (False, 1e-9)):
+        u = composite_physical_gate(seq, base, 0.02, analytic=analytic)
+        assert np.array_equal(composite_physical_gate(padded, base, 0.02, analytic=analytic), u)
+        expected = composite_per_pulse(padded, base, 0.02, analytic=analytic)
+        assert np.max(np.abs(u - expected)) < tol
+    # nothing but zero angles leaves the terminal frame rotation alone
+    idle = CompositeSequence((PhasedGate(0.0, 1.3),), 0.3)
+    frame = np.kron(phase_gate(0.3, 2), np.eye(base.n_max + 1))
+    assert np.max(np.abs(composite_physical_gate(idle, base) - frame)) < 1e-15
+
+
+@pytest.mark.parametrize("analytic,tol", [(True, 1e-12), (False, 1e-10)])
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_composite_matches_gate_model_for_either_detuning_sign(analytic, tol, delta):
+    # positive and negative angles each need the pi shift for one sign of delta
+    eps_g = 0.03
+    seq = CompositeSequence(
+        (PhasedGate(pi / 4, 0.3), PhasedGate(-pi / 2, 1.2), PhasedGate(pi / 2, 2.0)), 0.4)
+    cfg = TrapConfig(g=G_QUARTER, delta=delta, duration=2 * pi, n_max=25)
+    q = extract_qubit_gate(composite_physical_gate(seq, cfg, eps_g, analytic=analytic), cfg)
+    model = sequence_propagator(seq, (1 + eps_g) ** 2 - 1)
+    overlap = np.trace(model.conj().T @ q) / 4
+    assert np.max(np.abs(q - overlap / abs(overlap) * model)) < tol
+
+
 def test_branch_leakage_equals_leakage_of_the_assembled_operator():
     rng = np.random.default_rng(8)
     for fock in (0, 3, 20):
         cfg = TrapConfig(g=0.1, delta=1.0, duration=1.0, zeta_plus=tuple(rng.uniform(0, 2 * pi, 2)),
                          n_max=20, initial_fock=fock)
-        blocks = rng.normal(size=(4, 21, 21)) + 1j * rng.normal(size=(4, 21, 21))
-        w, _ = iontrap._spin_branches(cfg)
-        expected = leakage(iontrap._from_branches(w, blocks), cfg)
-        for order in (blocks, blocks[::-1]):
+        # a pair of branch blocks, assembled with its parity images
+        pair = rng.normal(size=(2, 21, 21)) + 1j * rng.normal(size=(2, 21, 21))
+        plus = iontrap._from_branches(cfg.zeta_plus[1], pair)
+        expected = leakage(iontrap._assemble(cfg, plus), cfg)
+        for order in (pair, pair[::-1]):
             assert abs(iontrap._branch_leakage(order, cfg) - expected) <= 1e-14 * expected
 
 

@@ -265,7 +265,8 @@ def problems(draw):
         target_theta=draw(st.floats(-pi, pi)),
         thetas=thetas,
         phi0=draw(st.floats(0.0, 2 * pi)),
-        free_terminal=draw(st.booleans()),
+        # one gate without a free terminal leaves nothing to solve
+        free_terminal=draw(st.booleans()) or gates == 1,
     )
 
 
@@ -456,6 +457,21 @@ def test_problem_rejects_non_finite_angles(field, bad):
     kwargs[field] = (TH, bad, pi / 2) if field == "thetas" else bad
     with pytest.raises(ValidationError):
         SolverProblem(**kwargs)
+
+
+@pytest.mark.parametrize("thetas,free_terminal", [((), False), ((), True), ((TH,), False)])
+def test_problem_without_free_phases_raises(thetas, free_terminal):
+    # nothing to solve: no gate, or one gate with its phase fixed and no terminal
+    with pytest.raises(ValidationError, match="free phase"):
+        SolverProblem(family=FAMILY_BROADBAND, orders=(1, 0), target_theta=TH,
+                      thetas=thetas, free_terminal=free_terminal)
+
+
+def test_one_gate_with_a_free_terminal_is_a_problem():
+    problem = SolverProblem(family=FAMILY_BROADBAND, orders=(0, 0), target_theta=TH,
+                            thetas=(TH,), free_terminal=True)
+    assert problem.free_phase_count == 1
+    assert solve(problem, SolverConfig(rng_seed=3, max_restarts=2)).converged
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
