@@ -136,8 +136,23 @@ class ToleranceBand:
         return tuple(side for side, edge in edges if edge >= self.eps_limit)
 
 
-#: Coarse-grid points evaluated per batched call of the band search.
+#: Largest coarse-grid chunk evaluated per batched call of the band march.
 _MARCH_CHUNK = 4096
+#: Bisection-tree levels evaluated per batched call of the band search.
+_TREE_LEVELS = 4
+
+
+def _bisection_tree(brackets: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals of the first ``levels`` levels of the bisection tree below
+    each row (lo, hi) of ``brackets``, in level order: node i splits at
+    0.5 * (lo + hi) into node 2i+1 = (lo, mid) and node 2i+2 = (mid, hi)."""
+    lo, hi = brackets[:, :1], brackets[:, 1:]
+    for k in range(levels - 1):
+        a, b = lo[:, 2**k - 1:], hi[:, 2**k - 1:]
+        mid = 0.5 * (a + b)
+        lo = np.hstack([lo, np.stack([a, mid], -1).reshape(len(a), -1)])
+        hi = np.hstack([hi, np.stack([mid, b], -1).reshape(len(a), -1)])
+    return lo, hi
 
 
 def tolerance_band(
@@ -149,8 +164,10 @@ def tolerance_band(
 ) -> ToleranceBand:
     """Interval of eps around 0 keeping infidelity below ``threshold``.
 
-    Marches outward from zero in ``coarse_step`` increments to bracket the
-    first crossing on each side, then bisects to ``locate_tol``.  Raises
+    Marches outward from zero in ``coarse_step`` increments (chunks doubling
+    from 64 points) until each side's first crossing is bracketed, then
+    bisects to ``locate_tol``, a few tree levels of both sides per call; the
+    edges equal a one-point march and bisection bit for bit.  Raises
     ValidationError when the sequence already fails at eps = 0, or when a
     parameter is out of range.
     """
@@ -163,35 +180,41 @@ def tolerance_band(
         raise ValidationError("coarse_step is too small to advance to eps_limit")
     ref = _reference_block(ideal_cphase(seq.target_theta))
 
-    def infid(eps):
-        return 1.0 - _fidelities(seq, eps, ref=ref)
+    def over(eps):
+        return 1.0 - _fidelities(seq, eps, ref=ref) > threshold
 
-    if infid(0.0)[0] > threshold:
+    if over(0.0)[0]:
         raise ValidationError("sequence exceeds the threshold already at eps = 0")
     # march both sides over coarse_step, 2*coarse_step, ... accumulated one
     # step at a time (the values of ``e += coarse_step``), a chunk per call
-    brackets, prev = {}, 0.0
+    brackets, prev, size = {}, 0.0, 64
     while prev + coarse_step <= eps_limit and len(brackets) < 2:
-        grid = np.cumsum(np.r_[prev, np.full(_MARCH_CHUNK, coarse_step)])
+        grid = np.cumsum(np.r_[prev, np.full(min(size, _MARCH_CHUNK), coarse_step)])
         grid = grid[grid <= eps_limit]
         sides = [d for d in (1.0, -1.0) if d not in brackets]
-        over = infid(np.concatenate([d * grid[1:] for d in sides])) > threshold
-        for d, row in zip(sides, over.reshape(len(sides), -1)):
+        hits = over(np.concatenate([d * grid[1:] for d in sides]))
+        for d, row in zip(sides, hits.reshape(len(sides), -1)):
             if row.any():
                 k = int(np.argmax(row))
                 brackets[d] = (grid[k], grid[k + 1])
-        prev = grid[-1]
-
-    def edge(d):
-        if d not in brackets:
-            return d * eps_limit
-        lo, hi = brackets[d]
-        while hi - lo > locate_tol:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if infid(d * mid)[0] > threshold else (mid, hi)
-        return d * 0.5 * (lo + hi)
-
-    return ToleranceBand(edge(-1.0), edge(1.0), threshold, eps_limit)
+        prev, size = grid[-1], 2 * size
+    edges = {d: d * eps_limit for d in (1.0, -1.0) if d not in brackets}
+    # bisect: one call per _TREE_LEVELS levels evaluates every midpoint the
+    # walk can reach (hi - lo > locate_tol); the walk stops at the level below
+    while any(hi - lo > locate_tol for lo, hi in brackets.values()):
+        sides = list(brackets)
+        lo, hi = _bisection_tree(np.array([brackets[d] for d in sides]), _TREE_LEVELS + 1)
+        mid = 0.5 * (lo + hi)
+        todo = (hi - lo > locate_tol) & (np.arange(lo.shape[1]) < 2**_TREE_LEVELS - 1)
+        hit = np.zeros_like(todo)
+        hit[todo] = over((np.array(sides)[:, None] * mid)[todo])
+        for s, d in enumerate(sides):
+            i = 0
+            while todo[s, i]:
+                i = 2 * i + (1 if hit[s, i] else 2)
+            brackets[d] = (lo[s, i], hi[s, i])
+    edges.update((d, d * 0.5 * (lo + hi)) for d, (lo, hi) in brackets.items())
+    return ToleranceBand(edges[-1.0], edges[1.0], threshold, eps_limit)
 
 
 INFIDELITY_FLOOR = 1e-14

@@ -1,11 +1,12 @@
 """Property tests for the 2x2 block kernel behind the 4x4 propagators,
 scans and band searches."""
 
+from dataclasses import replace
 from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpgates import analysis, catalog
@@ -57,30 +58,94 @@ def test_scan_with_general_reference_matches_pointwise_fidelity(seq, ref, xi):
         assert abs(f - fidelity(ref, sequence_product_propagator(seq, e, xi))) < 1e-14
 
 
+def overrotated(seq, factor):
+    """``seq`` with every gate angle scaled by ``factor``: its infidelity
+    curve is that of ``seq`` moved off eps = 0, so its band is lopsided."""
+    return replace(seq, gates=tuple(PhasedGate(g.theta * factor, g.phi) for g in seq.gates))
+
+
 BAND_SEQUENCES = [
     lambda th: catalog.single(th),
     lambda th: catalog.broadband(1, th),
     lambda th: catalog.broadband(2, th),
     lambda th: catalog.passband(1, 1, th),
+    # tabulated at pi/4 only
+    lambda th: catalog.broadband(6, pi / 4),
+    lambda th: catalog.passband(3, 3, pi / 4),
+    lambda th: overrotated(catalog.broadband(2, th), 1.05),
 ]
+#: Coarse steps up to 5e-2 and locate tolerances down to 1e-7 (log-uniform):
+#: up to 19 bisection levels, several batches of tree levels.
+band_steps = st.floats(5e-3, 5e-2)
+band_tols = st.floats(-7.0, -2.0).map(lambda x: 10.0**x)
 
 
-@settings(max_examples=40)
+def batched_band(seq, threshold, limit, step, tol, chunk, levels):
+    """tolerance_band with the march chunk and tree depth patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_MARCH_CHUNK", chunk)
+        mp.setattr(analysis, "_TREE_LEVELS", levels)
+        return tolerance_band(seq, threshold, limit, step, tol)
+
+
+@settings(max_examples=80)
 @given(
     st.sampled_from(BAND_SEQUENCES),
     st.floats(0.1 * pi, 0.45 * pi),
     st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 0.9]),
     st.floats(0.05, 1.5),
-    st.floats(5e-3, 5e-2),
-    st.floats(1e-4, 1e-2),
+    band_steps,
+    band_tols,
     st.integers(1, 64),
+    st.integers(1, 5),
 )
-def test_batched_band_equals_scalar_march(make, theta, threshold, limit, step, tol, chunk):
+# dyadic step and tolerance: the bisection widths reach locate_tol exactly
+@example(BAND_SEQUENCES[1], pi / 4, 1e-4, 1.5, 2.0**-6, 2.0**-10, 64, 5)
+def test_batched_band_equals_scalar_march(make, theta, threshold, limit, step, tol, chunk, levels):
     seq = make(theta)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_MARCH_CHUNK", chunk)
-        band = tolerance_band(seq, threshold, limit, step, tol)
+    band = batched_band(seq, threshold, limit, step, tol, chunk, levels)
     assert (band.eps_low, band.eps_high) == scalar_march_band(seq, threshold, limit, step, tol)
+
+
+@settings(max_examples=30)
+@given(
+    st.floats(0.1 * pi, 0.45 * pi),
+    st.floats(1.05, 1.1),
+    st.floats(0.0, 1.0),
+    band_steps,
+    band_tols,
+    st.integers(1, 64),
+    st.integers(1, 5),
+)
+def test_batched_band_with_one_side_at_eps_limit(theta, factor, frac, step, tol, chunk, levels):
+    # eps_limit between the edges: the high side is bracketed, the low
+    # side marches to the limit while the high side is bisected alone
+    seq = overrotated(catalog.broadband(2, theta), factor)
+    low, high = scalar_march_band(seq, 1e-4, 1.5, step, tol)
+    assume(-low - high > 2.5 * step)
+    limit = high + 1.01 * step + frac * (-low - high - 2.5 * step)
+    band = batched_band(seq, 1e-4, limit, step, tol, chunk, levels)
+    assert band.sides_at_limit() == ("low",)
+    assert (band.eps_low, band.eps_high) == scalar_march_band(seq, 1e-4, limit, step, tol)
+
+
+def test_band_search_work(monkeypatch):
+    # the march stops at the first bracket, and the four bisection levels
+    # of both sides ride in one call: BB1 crosses 1e-4 at |eps| = 0.109,
+    # BB6 at 0.459 (marching the whole eps_limit and bisecting one point
+    # per call takes 10 calls and 3009 points for either)
+    calls = []
+    fidelities = analysis._fidelities
+
+    def spy(seq, epsilons, *args, **kwargs):
+        calls.append(np.size(epsilons))
+        return fidelities(seq, epsilons, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_fidelities", spy)
+    for n, most_calls, most_points in ((1, 4, 450), (6, 6, 2000)):
+        calls.clear()
+        tolerance_band(catalog.broadband(n, pi / 4))
+        assert len(calls) <= most_calls and sum(calls) <= most_points, (n, calls)
 
 
 @given(non_finite, st.booleans())

@@ -119,6 +119,28 @@ def test_verify_catalog_passes(capsys):
     assert out.count("OK") == 12
 
 
+#: ``band=[...]`` fields of ``verify --bands`` at pi/4, Table 1 then Table 2,
+#: and the ``band --out`` bytes of ``catalog --entry bb2``: golden outputs
+#: of the one-point march and bisection the batched search must reproduce.
+GOLDEN_VERIFY_BANDS = [
+    "band=[-0.1090,+0.1090]", "band=[-0.2203,+0.2203]", "band=[-0.3015,+0.3015]",
+    "band=[-0.3660,+0.3660]", "band=[-0.4170,+0.4170]", "band=[-0.4592,+0.4592]",
+    "band=[-0.0763,+0.0763]", "band=[-0.1532,+0.1532]", "band=[-0.0642,+0.0642]",
+    "band=[-0.1412,+0.1412]", "band=[-0.0557,+0.0557]", "band=[-0.1807,+0.1807]",
+]
+GOLDEN_BB2_BAND = b"band_low=-0.22034375000000017 band_high=0.22034375000000017 threshold=0.0001\n"
+
+
+def test_band_outputs_match_golden(tmp_path, capsys):
+    assert main(["verify", "--bands"]) == 0
+    out = capsys.readouterr().out
+    assert [f for f in out.split() if f.startswith("band=")] == GOLDEN_VERIFY_BANDS
+    seq_path, band_path = tmp_path / "bb2.csv", tmp_path / "band.txt"
+    assert main(["catalog", "--entry", "bb2", "--out", str(seq_path)]) == 0
+    assert main(["band", "--seq", str(seq_path), "--out", str(band_path)]) == 0
+    assert band_path.read_bytes() == GOLDEN_BB2_BAND
+
+
 def test_iontrap_subcommand(tmp_path, capsys):
     config = tmp_path / "trap.txt"
     config.write_text(
