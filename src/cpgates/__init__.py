@@ -9,7 +9,6 @@ from .gates import (
     convert_phase_conventions,
     ideal_cphase,
     interleaved_from_phases,
-    merge_adjacent,
     phase_gate,
     phased_cphase,
     sequence_propagator,

@@ -171,16 +171,6 @@ BROADBAND_TOTAL_ANGLES = {1: 1.25, 2: 2.25, 3: 3.25, 4: 3.75, 5: 4.75, 6: 5.75}
 BROADBAND_TOLERANCE_BANDS = {1: 0.11, 2: 0.22, 3: 0.30, 4: 0.37, 5: 0.42, 6: 0.46}
 
 
-def table1_entries(theta: float = pi / 4):
-    """All broadband catalog entries at the given target angle."""
-    return [broadband(n, theta) for n in BROADBAND_ORDERS]
-
-
-def table2_entries(theta: float = pi / 4):
-    """All passband catalog entries at the given target angle."""
-    return [passband(n1, n2, theta) for n1, n2 in PASSBAND_ORDERS]
-
-
 def has_analytic_phases(seq: CompositeSequence) -> bool:
     """True when the entry's phases come from a closed formula (full double
     precision) rather than from the published 3-decimal table."""

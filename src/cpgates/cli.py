@@ -30,6 +30,7 @@ from .analysis import (
     scan_csv_lines,
     sequence_fidelity,
     tolerance_band,
+    trace_overlap,
 )
 from .derivatives import broadband_residuals, narrowband_residuals
 from .errors import TruncationError, ValidationError
@@ -254,8 +255,7 @@ def cmd_iontrap(args) -> int:
     leak = leakage(u, cfg)
     if leak < _LEAKAGE_FLOOR:
         leak = 0.0
-    overlap = np.trace(reference.conj().T @ qubit_gate) / 4.0
-    fidelity_value = abs(overlap)
+    fidelity_value = abs(trace_overlap(reference, qubit_gate))
     _emit(
         _matrix_csv(qubit_gate)
         + "leakage=%.6e fidelity=%.12f\n" % (leak, fidelity_value),

@@ -17,8 +17,15 @@ triangular Toeplitz matrix per gate applied to a whole batch of phase
 vectors, and derivative l is l! times coefficient l.  Phase phi_k enters
 gate k only through e^{-i phi_k}, so the same kernel also gives the exact
 partial derivatives with respect to the phases (the solver's Jacobian).
-The tests check the kernel against the 4x4 Leibniz recursion, the
-multinomial sum and finite differences.
+
+The residual conditions have one implementation, :func:`residual_rows`,
+which the solver and :func:`broadband_residuals` /
+:func:`narrowband_residuals` share: it fixes the frame rotation, the
+order layout and the sign of the target, and keeps every order as the
+first row of its block.  4x4 matrices appear only at the public
+boundary (:func:`derivative_sequence`, ``ResidualVector.entries``).
+The tests check the kernel and the residuals against the 4x4 Leibniz
+recursion, the multinomial sum and finite differences.
 """
 
 from __future__ import annotations
@@ -30,8 +37,7 @@ from math import factorial, pi
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CompositeSequence, _embed_blocks, ideal_cphase
-from .linalg import frobenius_norm
+from .gates import CompositeSequence, _embed_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +136,6 @@ def phase_partials_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     return _blocks(*ab).reshape(batch, g, l_max + 1, 2, 2)
 
 
-def _framed(blocks, terminal: float):
-    """Blocks left-multiplied by the frame rotation diag(e^{-it}, e^{it})."""
-    return np.exp(-1j * terminal * np.array([1.0, -1.0]))[:, None] * blocks
-
-
 # ---------------------------------------------------------------------------
 # public single-sequence API
 # ---------------------------------------------------------------------------
@@ -147,58 +148,92 @@ def derivative_sequence(
     if l < 0 or int(l) != l:
         raise ValidationError(f"derivative order must be a non-negative integer, got {l}")
     v = product_derivative_stack(seq.thetas(), seq.phis(), l, at_epsilon)[0, l]
-    return _embed_blocks(_framed(v, seq.terminal_phase))
+    return _embed_blocks(_blocks(*(np.exp(-1j * seq.terminal_phase) * v[0])))
 
 
 # ---------------------------------------------------------------------------
 # residual conditions
 # ---------------------------------------------------------------------------
 
+def residual_rows(thetas, phis, terminal, target_theta: float, orders, partials: bool = False):
+    """Residual conditions of a batch of phase vectors ``phis`` (B, G)
+    and terminal phases ``terminal`` (B,), as the first rows (a, b) of
+    their 2x2 blocks.
+
+    For ``orders = (n1, n2)`` the result is (B, n1 + n2 + 1, 2): orders
+    0..n1 of the framed gate product at eps = 0, then orders 1..n2 of the
+    bare product at eps = -1 (neighbour qubits do not see the frame
+    rotation; order 0 there is exactly the identity).  Order 0 is taken
+    less the first row of +-U(target), whichever is closer, + on a tie:
+    a sequence may realize the target only up to a global phase of pi,
+    which is the same gate.  A block [[a, b], [-conj(b), conj(a)]] is
+    fixed by its first row, and its 4x4 Frobenius norm is
+    2 sqrt(|a|^2 + |b|^2).
+
+    With ``partials`` the result is (B, G + 1, n1 + n2 + 1, 2): [b, 0]
+    the residual rows, [b, k] their exact partials with respect to
+    phis[b, k] (k = 1..G-1, from :func:`phase_partials_stack`) and
+    [b, G] with respect to the terminal phase: -i times the framed
+    eps = 0 rows, 0 for the eps = -1 rows.
+    """
+    n1, n2 = orders
+    stack = phase_partials_stack if partials else product_derivative_stack
+    # the frame rotation diag(e^{-it}, e^{it}) acts on the first row as e^{-it}
+    rows = stack(thetas, phis, n1)[..., 0, :]
+    frame = np.exp(-1j * np.asarray(terminal))
+    rows = frame.reshape(frame.shape + (1,) * (rows.ndim - frame.ndim)) * rows
+    if n2 > 0:
+        narrow = stack(thetas, phis, n2, at_epsilon=-1.0)
+        rows = np.concatenate([rows, narrow[..., 1:, 0, :]], axis=-2)
+    if partials:
+        dt = np.zeros_like(rows[:, :1])
+        dt[:, :, : n1 + 1] = -1j * rows[:, :1, : n1 + 1]
+        rows = np.concatenate([rows, dt], axis=1)
+    value = rows[:, 0] if partials else rows
+    target = np.array([np.cos(target_theta), 1j * np.sin(target_theta)])
+    zero = value[:, :1] - np.array([target, -target])
+    sq = np.sum(zero.view(float) ** 2, axis=2)
+    value[:, 0] = zero[np.arange(len(value)), (sq[:, 1] < sq[:, 0]).astype(int)]
+    return rows
+
+
 @dataclass(frozen=True)
 class ResidualVector:
-    """Matrix residuals per derivative order, with raw and scaled norms.
+    """Residual conditions per derivative order, with raw and scaled norms.
 
-    ``entries[l]`` is the order-l residual matrix.  ``norms`` are plain
-    Frobenius norms.  ``scaled_norms`` divide order l by scale**l where
-    scale = max(1, total rotation angle); the l-th derivative of the
-    propagator grows like (total angle)^l, so the scaled norms are the
-    ones comparable across orders and against convergence thresholds.
+    ``rows[l]`` is the first row (a, b) of the order-l residual block
+    (see :func:`residual_rows`) and ``entries[l]`` the 4x4 residual matrix
+    it embeds to.  ``norms`` are the 4x4 Frobenius norms 2 |rows[l]|.
+    ``scaled_norms`` divide order l by scale**l where scale = max(1,
+    total rotation angle); the l-th derivative of the propagator grows
+    like (total angle)^l, so the scaled norms are the ones comparable
+    across orders and against convergence thresholds.
     """
 
-    entries: tuple
+    rows: np.ndarray
     scale: float
 
     @property
+    def entries(self) -> tuple:
+        return tuple(_embed_blocks(_blocks(self.rows[:, 0], self.rows[:, 1])))
+
+    @property
     def norms(self) -> tuple[float, ...]:
-        return tuple(frobenius_norm(e) for e in self.entries)
+        return tuple(2.0 * float(np.linalg.norm(row)) for row in self.rows)
 
     @property
     def scaled_norms(self) -> tuple[float, ...]:
-        return tuple(
-            frobenius_norm(e) / self.scale**l for l, e in enumerate(self.entries)
-        )
+        return tuple(norm / self.scale**l for l, norm in enumerate(self.norms))
 
     def max_scaled(self) -> float:
         return max(self.scaled_norms)
 
 
-def residual_scale(seq: CompositeSequence) -> float:
-    return max(1.0, seq.total_angle())
-
-
-def aligned_target(seq: CompositeSequence, zero_order: np.ndarray) -> np.ndarray:
-    """Return +-U(target) with the sign that best matches the zero-error
-    propagator.
-
-    Several catalog sequences reproduce the target only up to a global
-    phase of pi (e.g. a merged gate contributes a factor -1); both signs
-    are physically the same gate, so the comparison target must follow
-    the branch the phases actually realize.
-    """
-    target = ideal_cphase(seq.target_theta)
-    if frobenius_norm(zero_order - target) <= frobenius_norm(zero_order + target):
-        return target
-    return -target
+def _residual_vector(seq: CompositeSequence, n1: int, n2: int) -> ResidualVector:
+    if min(n1, n2) < 0:
+        raise ValidationError("order must be non-negative")
+    rows = residual_rows(seq.thetas(), seq.phis(), seq.terminal_phase, seq.target_theta, (n1, n2))
+    return ResidualVector(rows[0], max(1.0, seq.total_angle()))
 
 
 def broadband_residuals(seq: CompositeSequence, n: int) -> ResidualVector:
@@ -208,12 +243,7 @@ def broadband_residuals(seq: CompositeSequence, n: int) -> ResidualVector:
     sign-aligned target; orders l >= 1 are the raw propagator derivatives
     at eps = 0 (the constant target drops out of them).
     """
-    if n < 0:
-        raise ValidationError("order must be non-negative")
-    p = product_derivative_stack(seq.thetas(), seq.phis(), n)[0]
-    entries = list(_embed_blocks(_framed(p, seq.terminal_phase)))
-    entries[0] = entries[0] - aligned_target(seq, entries[0])
-    return ResidualVector(tuple(entries), residual_scale(seq))
+    return _residual_vector(seq, n, 0)
 
 
 def narrowband_residuals(seq: CompositeSequence, n2: int) -> ResidualVector:
@@ -224,12 +254,9 @@ def narrowband_residuals(seq: CompositeSequence, n2: int) -> ResidualVector:
     because neighbour qubits are not exposed to it.  Order 0 is the
     difference from the identity and vanishes identically.
     """
-    if n2 < 0:
-        raise ValidationError("order must be non-negative")
-    p = product_derivative_stack(seq.thetas(), seq.phis(), n2, at_epsilon=-1.0)[0]
-    entries = list(_embed_blocks(p))
-    entries[0] = entries[0] - np.eye(4, dtype=complex)
-    return ResidualVector(tuple(entries), residual_scale(seq))
+    rv = _residual_vector(seq, 0, n2)
+    rv.rows[0] = 0.0  # in place of the broadband order 0
+    return rv
 
 
 def passband_residuals(

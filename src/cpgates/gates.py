@@ -221,18 +221,3 @@ def interleaved_from_phases(phis, terminal: float, tol: float = 1e-9) -> list[fl
             "rotations (expected %.6g)" % (terminal, sum(varphis))
         )
     return varphis
-
-
-def merge_adjacent(seq: CompositeSequence, tol: float = 1e-12) -> CompositeSequence:
-    """Fuse neighbouring gates whose phases are equal (angles add).
-
-    The propagator is unchanged: gates about the same axis commute and
-    their angles are additive.
-    """
-    merged: list[PhasedGate] = []
-    for g in seq.gates:
-        if merged and abs(merged[-1].phi - g.phi) <= tol:
-            merged[-1] = PhasedGate(merged[-1].theta + g.theta, g.phi)
-        else:
-            merged.append(g)
-    return replace(seq, gates=tuple(merged))

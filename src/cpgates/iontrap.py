@@ -372,38 +372,6 @@ def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
     return np.exp(1j * theta) * np.kron(spin, np.eye(cfg.n_max + 1))
 
 
-def safe_source_level(cfg: TrapConfig) -> int:
-    """Highest initial Fock level whose displaced dynamics stay clear of
-    the truncation edge.
-
-    A displaced Fock state |p> spreads over roughly 2*|alpha|*sqrt(p)
-    levels; inside the truncated ladder the commutator [a, a^dag] differs
-    from one at the top level, so only sources that never reach it follow
-    the untruncated dynamics.
-    """
-    amax = cfg.displacement_bound()
-    p = cfg.n_max
-    while p > 0 and p + 4.0 * amax * np.sqrt(p + 1.0) + 8.0 > cfg.n_max:
-        p -= 1
-    return p
-
-
-def propagator_distance(
-    a: np.ndarray, b: np.ndarray, cfg: TrapConfig, source_levels: int | None = None
-) -> float:
-    """Frobenius distance restricted to source columns with phonon level
-    at most ``source_levels`` (default :func:`safe_source_level`).
-
-    Full-matrix comparisons are meaningless near the truncation edge,
-    where a time-ordered integration and a closed-form exponential of the
-    same truncated operators legitimately differ.
-    """
-    levels = cfg.n_max + 1
-    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
-    da = (a - b).reshape(4, levels, 4, levels)[:, :, :, : src + 1]
-    return float(np.linalg.norm(da))
-
-
 def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig, fock_level: int | None = None) -> np.ndarray:
     """4x4 qubit block of a propagator that acts as identity on the
     phonon factor, read off at the given Fock level."""

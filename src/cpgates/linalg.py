@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small two-qubit operators and
-moderate-dimension spin/phonon operators, plus algebra of phased Pauli
-axes sigma(phi) = sigma_x cos(phi) + sigma_y sin(phi).
+moderate-dimension spin/phonon operators, and the phased Pauli axes
+sigma(phi) = sigma_x cos(phi) + sigma_y sin(phi).
 
 All matrices are plain ``numpy`` arrays of dtype complex128.  Values are
 never mutated in place by the functions here, so everything is safe to
@@ -21,12 +21,6 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
-
-#: Tag returned by :func:`pauli_string_product` for even-length strings,
-#: whose product is exp(i * argument * sigma_z).
-Z_EXPONENTIAL = "z_exponential"
-#: Tag for odd-length strings, whose product is sigma(argument).
-SIGMA = "sigma"
 
 
 def sigma_axis(phi: float) -> np.ndarray:
@@ -73,35 +67,3 @@ def mat_exp_hermitian_generator(h: np.ndarray, scale: float) -> np.ndarray:
         return np.cos(scale) * eye + 1j * np.sin(scale) * h
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * scale * w)) @ v.conj().T
-
-
-def pauli_string_product(phis) -> tuple[str, float]:
-    """Collapse a product sigma(phi_1) sigma(phi_2) ... sigma(phi_M)
-    (first list element leftmost) to its closed form.
-
-    Even length 2l: the product is exp(i * arg * sigma_z) with
-    arg = sum_k (-1)^k phi_k (k counted from 1); returns
-    (Z_EXPONENTIAL, arg).  Odd length: the product is sigma(arg) with
-    arg = -sum_k (-1)^k phi_k; returns (SIGMA, arg).
-
-    Raises
-    ------
-    ValidationError
-        If the list is empty.
-    """
-    phis = list(phis)
-    if not phis:
-        raise ValidationError("pauli_string_product needs at least one factor")
-    alternating = sum((-1) ** k * p for k, p in enumerate(phis, start=1))
-    if len(phis) % 2 == 0:
-        return Z_EXPONENTIAL, float(alternating)
-    return SIGMA, float(-alternating)
-
-
-def pauli_string_matrix(kind: str, argument: float) -> np.ndarray:
-    """2x2 matrix for a :func:`pauli_string_product` result."""
-    if kind == Z_EXPONENTIAL:
-        return mat_exp_hermitian_generator(SIGMA_Z, argument)
-    if kind == SIGMA:
-        return sigma_axis(argument)
-    raise ValidationError(f"unknown pauli string kind {kind!r}")

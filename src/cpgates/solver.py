@@ -2,19 +2,20 @@
 conditions, with seeded Monte-Carlo restarts and gate-count escalation.
 
 The unknowns are the free gate phases (plus, for the shortest broadband
-shape, the terminal frame rotation).  Each targeted order is a 2x2
-Cayley-Klein block [[a, b], [-conj(b), conj(a)]] (see
-:mod:`cpgates.derivatives`); the residual vector stacks the real and
-imaginary parts of 2 (a, b), whose norm is that of the 4x4 matrix, with
-order l scaled by 1/A**l (A the total rotation angle), which keeps all
-orders at comparable magnitude and makes the default tolerance
-attainable at every catalog order.  The objective D reported in results and logs is the sum of the
-scaled residual norms, including the (sign-aligned) order-0 term, so
-D = 0 exactly when every targeted order cancels.
+shape, the terminal frame rotation).  The residual conditions come from
+:func:`cpgates.derivatives.residual_rows`, as do those that ``verify``
+checks: each targeted order is the first row (a, b) of a 2x2
+Cayley-Klein block, order 0 taken less the closer of +-U(target).  The
+residual vector stacks the real and imaginary parts of 2 (a, b), whose
+norm is that of the 4x4 matrix, with order l scaled by 1/A**l (A the
+total rotation angle), which keeps all orders at comparable magnitude
+and makes the default tolerance attainable at every catalog order.  The
+objective D reported in results and logs is the sum of the scaled
+residual norms, order 0 included, so D = 0 exactly when every targeted
+order cancels.
 
 Each Newton step takes the exact Jacobian with respect to the phases
-from one batched kernel pass (:func:`cpgates.derivatives.phase_partials_stack`;
-the terminal rotation's partial is -i times the framed broadband rows),
+from one batched kernel pass of the same function (its phase partials),
 then accepts the first candidate step that lowers D: the full
 least-squares step, evaluated alone, then its 19 halvings in one batched
 call, then 25 Levenberg-regularised steps, solved together and evaluated
@@ -52,7 +53,7 @@ from .gates import (
     PhasedGate,
     canonical_angle,
 )
-from .derivatives import phase_partials_stack, product_derivative_stack
+from .derivatives import residual_rows
 
 HALF = pi / 2
 
@@ -105,13 +106,12 @@ class SolverProblem:
             )
 
     @cached_property
-    def residual_constants(self):
-        """Row weights 2 / A**l (orders 0..n1 at eps = 0, then 1..n2 at
-        eps = -1; A the total angle) and target rows +-2 (cos, i sin)."""
+    def residual_weights(self):
+        """Row weights 2 / A**l of the residual rows (orders 0..n1, then
+        1..n2; A the total angle), shaped to multiply them."""
         n1, n2 = self.orders
         orders = np.concatenate([np.arange(n1 + 1), np.arange(1, n2 + 1)])
-        row = np.array([np.cos(self.target_theta), 1j * np.sin(self.target_theta)])
-        return (2.0 / max(1.0, self.total_angle()) ** orders)[:, None], 2.0 * np.array([row, -row])
+        return (2.0 / max(1.0, self.total_angle()) ** orders)[:, None]
 
     @property
     def free_phase_count(self) -> int:
@@ -193,49 +193,29 @@ class SolverResult:
     attempted_gate_counts: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _weighted_rows(problem: SolverProblem, phis, terminal, partials: bool = False):
-    """First rows (a, b) of every targeted order, framed and weighted.
-
-    Returns (B, orders, 2) complex: orders 0..n1 at eps = 0, then 1..n2
-    at eps = -1.  With ``partials`` the rows come from
-    :func:`phase_partials_stack` and are (B, G, orders, 2): row [b, 0] the
-    value, row [b, k] its derivative with respect to gate k's phase.  Each
-    order's block is fixed by its first row, and its 4x4 Frobenius norm
-    is 2 sqrt(|a|^2 + |b|^2).
-    """
-    stack = phase_partials_stack if partials else product_derivative_stack
-    n1, n2 = problem.orders
-    # the frame rotation acts on the first row as the scalar e^{-i t}
-    rows = stack(problem.thetas, phis, n1)[..., 0, :]
-    frame = np.exp(-1j * np.asarray(terminal))
-    rows = frame.reshape(frame.shape + (1,) * (rows.ndim - frame.ndim)) * rows
-    if n2 > 0:
-        narrow = stack(problem.thetas, phis, n2, at_epsilon=-1.0)
-        rows = np.concatenate([rows, narrow[..., 1:, 0, :]], axis=-2)
-    return rows * problem.residual_constants[0]
-
-
-def _compare_target(problem: SolverProblem, rows):
-    """Real residual components (B, p), the real and imaginary parts of
-    the weighted rows interleaved, and the objective D (B,); order 0 is
-    compared with the target of the sign it is closer to."""
-    targets = problem.residual_constants[1]
-    zero = rows[:, :1] - targets
-    sq = np.sum(zero.view(float) ** 2, axis=2)
-    rows[:, 0] = zero[np.arange(len(rows)), (sq[:, 1] < sq[:, 0]).astype(int)]
-    r = rows.view(float).reshape(len(rows), -1)
-    d = np.sqrt(np.sum(r.reshape(len(rows), -1, 4) ** 2, axis=2)).sum(axis=1)
-    return r, d
+def _weighted_rows(problem: SolverProblem, x_batch, partials: bool = False):
+    """Residual rows of :func:`cpgates.derivatives.residual_rows` at a
+    batch of points (B, n), order l weighted by 2 / A**l; with
+    ``partials`` also their partials with respect to the free phases,
+    (B, n + 1, orders, 2) with the rows first."""
+    phis, terminal = problem.split(np.atleast_2d(np.asarray(x_batch, dtype=float)))
+    rows = residual_rows(
+        problem.thetas, phis, terminal, problem.target_theta, problem.orders, partials)
+    if partials and not problem.free_terminal:
+        rows = rows[:, :-1]
+    return rows * problem.residual_weights
 
 
 def _residuals(problem: SolverProblem, x_batch: np.ndarray):
     """Stacked real residual components and objective D for a batch.
 
-    Returns (R, D): R is (B, p) float, D is (B,).
+    Returns (R, D): R is (B, p) float, the real and imaginary parts of
+    the weighted rows interleaved, and D (B,) the sum of their norms.
     """
-    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    phis, terminal = problem.split(x_batch)
-    return _compare_target(problem, _weighted_rows(problem, phis, terminal))
+    rows = _weighted_rows(problem, x_batch)
+    r = rows.view(float).reshape(len(rows), -1)
+    d = np.sqrt(np.sum(r.reshape(len(rows), -1, 4) ** 2, axis=2)).sum(axis=1)
+    return r, d
 
 
 def _jacobian(problem: SolverProblem, x_batch: np.ndarray):
@@ -243,22 +223,14 @@ def _jacobian(problem: SolverProblem, x_batch: np.ndarray):
     exact Jacobians, a list of B arrays (p, n).
 
     The target is constant, so the partials of the weighted rows are the
-    Jacobian columns; the terminal rotation's partial is -i times the
-    framed broadband rows (the narrowband rows do not see it).  Each
-    Jacobian is the transpose of its point's own contiguous partial rows,
-    so it has the same memory layout whatever the batch.
+    Jacobian columns.  Each Jacobian is the transpose of its point's own
+    contiguous partial rows, so it has the same memory layout whatever
+    the batch.
     """
-    phis, terminal = problem.split(np.atleast_2d(x_batch))
-    rows = _weighted_rows(problem, phis, terminal, partials=True)
-    if problem.free_terminal:
-        broadband = problem.orders[0] + 1
-        dt = np.zeros_like(rows[:, :1])
-        dt[:, :, :broadband] = -1j * rows[:, :1, :broadband]
-        rows = np.concatenate([rows, dt], axis=1)
+    rows = _weighted_rows(problem, x_batch, partials=True)
     m = rows.shape[1] - 1
     jacs = [point[1:].view(float).reshape(m, -1).T for point in rows]
-    r, _ = _compare_target(problem, rows[:, 0])
-    return r, jacs
+    return rows[:, 0].view(float).reshape(len(rows), -1), jacs
 
 
 def objective_D(problem: SolverProblem, phases) -> float:

@@ -9,9 +9,12 @@ ladder one candidate at a time and the solver's restarts one after
 another, the band search as a scalar march one grid point at a time, the
 ion-trap pulse, closed form and integrated, as dense operators over the
 full spin-phonon space, and composite ion-trap gates as a loop over
-gates and pulses, each pulse computed on its own.  The ion-trap readers
-that only tests use (the Hamiltonian at one time, the phonon-identity
-defect and a Fock population) live here too.
+gates and pulses, each pulse computed on its own.  Helpers that only
+tests use live here too: the closed form of a product of phased Pauli
+axes, the fusion of neighbouring gates of equal phase, and the ion-trap
+readers (the Hamiltonian at one time, a propagator distance and the
+phonon-identity defect over source levels clear of the truncation edge,
+and a Fock population).
 """
 
 from __future__ import annotations
@@ -26,16 +29,70 @@ from scipy.integrate import solve_ivp
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import (
-    CompositeSequence, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
+    CompositeSequence, PhasedGate, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
 )
 from cpgates.iontrap import (
     TrapConfig, _assemble, _branch_amplitudes, _fock_level, _from_branches, analytic_propagator,
-    destroy, duration_for_angle, evolve_numerical, extract_qubit_gate, safe_source_level,
+    destroy, duration_for_angle, evolve_numerical, extract_qubit_gate,
 )
-from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
+from cpgates.linalg import IDENTITY_2, SIGMA_Z, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import (
     STALL_DROP, STALL_WINDOW, SolverResult, _jacobian, _residuals, objective_D,
 )
+
+
+#: Tag returned by :func:`pauli_string_product` for even-length strings,
+#: whose product is exp(i * argument * sigma_z).
+Z_EXPONENTIAL = "z_exponential"
+#: Tag for odd-length strings, whose product is sigma(argument).
+SIGMA = "sigma"
+
+
+def pauli_string_product(phis) -> tuple[str, float]:
+    """Collapse a product sigma(phi_1) sigma(phi_2) ... sigma(phi_M)
+    (first list element leftmost) to its closed form.
+
+    Even length 2l: the product is exp(i * arg * sigma_z) with
+    arg = sum_k (-1)^k phi_k (k counted from 1); returns
+    (Z_EXPONENTIAL, arg).  Odd length: the product is sigma(arg) with
+    arg = -sum_k (-1)^k phi_k; returns (SIGMA, arg).
+
+    Raises
+    ------
+    ValidationError
+        If the list is empty.
+    """
+    phis = list(phis)
+    if not phis:
+        raise ValidationError("pauli_string_product needs at least one factor")
+    alternating = sum((-1) ** k * p for k, p in enumerate(phis, start=1))
+    if len(phis) % 2 == 0:
+        return Z_EXPONENTIAL, float(alternating)
+    return SIGMA, float(-alternating)
+
+
+def pauli_string_matrix(kind: str, argument: float) -> np.ndarray:
+    """2x2 matrix for a :func:`pauli_string_product` result."""
+    if kind == Z_EXPONENTIAL:
+        return mat_exp_hermitian_generator(SIGMA_Z, argument)
+    if kind == SIGMA:
+        return sigma_axis(argument)
+    raise ValidationError(f"unknown pauli string kind {kind!r}")
+
+
+def merge_adjacent(seq: CompositeSequence, tol: float = 1e-12) -> CompositeSequence:
+    """Fuse neighbouring gates whose phases are equal (angles add).
+
+    The propagator is unchanged: gates about the same axis commute and
+    their angles are additive.
+    """
+    merged: list[PhasedGate] = []
+    for g in seq.gates:
+        if merged and abs(merged[-1].phi - g.phi) <= tol:
+            merged[-1] = PhasedGate(merged[-1].theta + g.theta, g.phi)
+        else:
+            merged.append(g)
+    return replace(seq, gates=tuple(merged))
 
 
 def gate_product_propagator(
@@ -155,33 +212,37 @@ def leibniz_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     return p
 
 
-def residuals_4x4(problem, x_batch):
-    """Solver residuals (R, D) from the 4x4 Leibniz stack: every matrix
-    entry of every targeted order, order l scaled by 1/A**l."""
+def residual_matrices_4x4(problem, x_batch):
+    """(B, orders, 4, 4) residual matrices from the 4x4 Leibniz stack:
+    orders 0..n1 of the framed product at eps = 0, order 0 less the closer
+    of +-U(target) (+ on a tie), then orders 1..n2 at eps = -1."""
     x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    b = x_batch.shape[0]
     phis, terminal = problem.split(x_batch)
     n1, n2 = problem.orders
-    scale = max(1.0, problem.total_angle())
     target = ideal_cphase(problem.target_theta)
     e = np.exp(-1j * terminal)[:, None]
     frame = np.concatenate([e, e.conj(), e, e.conj()], axis=1)
     p = frame[:, None, :, None] * leibniz_derivative_stack(problem.thetas, phis, n1)
-    c0 = p[:, 0]
-    dplus = np.linalg.norm((c0 - target).reshape(b, -1), axis=1)
-    dminus = np.linalg.norm((c0 + target).reshape(b, -1), axis=1)
-    sign = np.where(dplus <= dminus, 1.0, -1.0)
-    blocks = [(c0 - sign[:, None, None] * target).reshape(b, -1)]
-    d = np.minimum(dplus, dminus)
-    orders = [(p, l) for l in range(1, n1 + 1)]
+    c0 = p[:, :1]
+    dplus = np.linalg.norm(c0 - target, axis=(2, 3))
+    dminus = np.linalg.norm(c0 + target, axis=(2, 3))
+    sign = np.where(dplus <= dminus, 1.0, -1.0)[..., None, None]
+    mats = [c0 - sign * target, p[:, 1:]]
     if n2 > 0:
-        pn = leibniz_derivative_stack(problem.thetas, phis, n2, at_epsilon=-1.0)
-        orders += [(pn, l) for l in range(1, n2 + 1)]
-    for stack, l in orders:
-        rl = stack[:, l].reshape(b, -1) / scale**l
-        blocks.append(rl)
-        d = d + np.linalg.norm(rl, axis=1)
-    rc = np.concatenate(blocks, axis=1)
+        mats.append(leibniz_derivative_stack(problem.thetas, phis, n2, at_epsilon=-1.0)[:, 1:])
+    return np.concatenate(mats, axis=1)
+
+
+def residuals_4x4(problem, x_batch):
+    """Solver residuals (R, D) from :func:`residual_matrices_4x4`: every
+    matrix entry of every targeted order, order l scaled by 1/A**l, and D
+    the sum of the scaled orders' Frobenius norms."""
+    m = residual_matrices_4x4(problem, x_batch)
+    n1, n2 = problem.orders
+    orders = np.concatenate([np.arange(n1 + 1), np.arange(1, n2 + 1)])
+    scaled = m / max(1.0, problem.total_angle()) ** orders[:, None, None]
+    d = np.linalg.norm(scaled, axis=(2, 3)).sum(axis=1)
+    rc = scaled.reshape(len(m), -1)
     return np.concatenate([rc.real, rc.imag], axis=1), d
 
 
@@ -398,6 +459,38 @@ def hamiltonian_at(cfg: TrapConfig, t: float) -> np.ndarray:
     c = (np.exp(1j * cfg.delta * t) * _branch_amplitudes(cfg)[:2])[:, None, None]
     pair = c * a.conj().T + np.conj(c) * a
     return cfg.g * _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
+
+
+def safe_source_level(cfg: TrapConfig) -> int:
+    """Highest initial Fock level whose displaced dynamics stay clear of
+    the truncation edge.
+
+    A displaced Fock state |p> spreads over roughly 2*|alpha|*sqrt(p)
+    levels; inside the truncated ladder the commutator [a, a^dag] differs
+    from one at the top level, so only sources that never reach it follow
+    the untruncated dynamics.
+    """
+    amax = cfg.displacement_bound()
+    p = cfg.n_max
+    while p > 0 and p + 4.0 * amax * np.sqrt(p + 1.0) + 8.0 > cfg.n_max:
+        p -= 1
+    return p
+
+
+def propagator_distance(
+    a: np.ndarray, b: np.ndarray, cfg: TrapConfig, source_levels: int | None = None
+) -> float:
+    """Frobenius distance restricted to source columns with phonon level
+    at most ``source_levels`` (default :func:`safe_source_level`).
+
+    Full-matrix comparisons are meaningless near the truncation edge,
+    where a time-ordered integration and a closed-form exponential of the
+    same truncated operators legitimately differ.
+    """
+    levels = cfg.n_max + 1
+    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
+    da = (a - b).reshape(4, levels, 4, levels)[:, :, :, : src + 1]
+    return float(np.linalg.norm(da))
 
 
 def phonon_identity_defect(

@@ -30,12 +30,14 @@ from cpgates.iontrap import (
     composite_physical_gate,
     evolve_numerical,
     extract_qubit_gate,
-    propagator_distance,
     two_pulse_gate,
 )
-from cpgates.linalg import frobenius_norm, is_unitary, pauli_string_matrix, pauli_string_product, sigma_axis
+from cpgates.linalg import frobenius_norm, is_unitary, sigma_axis
 from cpgates.solver import SolverConfig, broadband_problem, polish, solve
-from oracles import fock_population, reduced_narrowband_conditions
+from oracles import (
+    fock_population, pauli_string_matrix, pauli_string_product, propagator_distance,
+    reduced_narrowband_conditions,
+)
 
 TH = pi / 4
 PASS = "ACCEPTANCE %d PASS: %s"

@@ -162,7 +162,8 @@ def test_band_widths_widen_with_order():
 
 def test_fidelity_curves_even_in_epsilon():
     # not assumed: measured on every catalog entry
-    entries = catalog.table1_entries() + catalog.table2_entries()
+    entries = [catalog.broadband(n) for n in catalog.BROADBAND_ORDERS]
+    entries += [catalog.passband(n1, n2) for n1, n2 in catalog.PASSBAND_ORDERS]
     grid = np.linspace(0.01, 0.3, 15)
     for seq in entries:
         asym = max(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cpgates import iontrap, solver
+from cpgates import derivatives, iontrap, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -46,4 +46,4 @@ def test_recorder_traces_derivative_stack_and_integrator(spans):
     assert metrics["iontrap.rhs_evals"] > 0
     # uninstalling restores the program's own functions
     assert not hasattr(iontrap.solve_ivp, "__wrapped__")
-    assert not hasattr(solver.product_derivative_stack, "__wrapped__")
+    assert not hasattr(derivatives.product_derivative_stack, "__wrapped__")

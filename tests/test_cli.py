@@ -119,14 +119,23 @@ def test_verify_catalog_passes(capsys):
     assert out.count("OK") == 12
 
 
-#: ``band=[...]`` fields of ``verify --bands`` at pi/4, Table 1 then Table 2,
-#: and the ``band --out`` bytes of ``catalog --entry bb2``: golden outputs
-#: of the one-point march and bisection the batched search must reproduce.
+#: stdout lines of ``verify --bands`` at pi/4, Table 1 then Table 2, and
+#: the ``band --out`` bytes of ``catalog --entry bb2``: golden outputs of
+#: the one-point march and bisection the batched search must reproduce,
+#: and of the residual and fidelity checks beside them.
 GOLDEN_VERIFY_BANDS = [
-    "band=[-0.1090,+0.1090]", "band=[-0.2203,+0.2203]", "band=[-0.3015,+0.3015]",
-    "band=[-0.3660,+0.3660]", "band=[-0.4170,+0.4170]", "band=[-0.4592,+0.4592]",
-    "band=[-0.0763,+0.0763]", "band=[-0.1532,+0.1532]", "band=[-0.0642,+0.0642]",
-    "band=[-0.1412,+0.1412]", "band=[-0.0557,+0.0557]", "band=[-0.1807,+0.1807]",
+    "broadband n=1: gates=3 total_angle=1.25pi max_scaled_residual=2.356e-16 fidelity=1.000000000000 band=[-0.1090,+0.1090]  OK",
+    "broadband n=2: gates=4 total_angle=2.25pi max_scaled_residual=3.143e-16 fidelity=1.000000000000 band=[-0.2203,+0.2203]  OK",
+    "broadband n=3: gates=7 total_angle=3.25pi max_scaled_residual=1.530e-04 fidelity=1.000000000000 band=[-0.3015,+0.3015]  OK",
+    "broadband n=4: gates=8 total_angle=3.75pi max_scaled_residual=1.803e-04 fidelity=1.000000000000 band=[-0.3660,+0.3660]  OK",
+    "broadband n=5: gates=10 total_angle=4.75pi max_scaled_residual=3.908e-04 fidelity=1.000000000000 band=[-0.4170,+0.4170]  OK",
+    "broadband n=6: gates=12 total_angle=5.75pi max_scaled_residual=5.389e-04 fidelity=1.000000000000 band=[-0.4592,+0.4592]  OK",
+    "passband n1=1 n2=1: gates=3 total_angle=2.25pi max_scaled_residual=2.692e-16 fidelity=1.000000000000 band=[-0.0763,+0.0763]  OK",
+    "passband n1=2 n2=1: gates=7 total_angle=3.25pi max_scaled_residual=8.309e-16 fidelity=1.000000000000 band=[-0.1532,+0.1532]  OK",
+    "passband n1=1 n2=2: gates=7 total_angle=3.25pi max_scaled_residual=5.188e-16 fidelity=1.000000000000 band=[-0.0642,+0.0642]  OK",
+    "passband n1=2 n2=2: gates=5 total_angle=4.25pi max_scaled_residual=1.808e-16 fidelity=1.000000000000 band=[-0.1412,+0.1412]  OK",
+    "passband n1=1 n2=3: gates=9 total_angle=4.25pi max_scaled_residual=5.117e-04 fidelity=1.000000000000 band=[-0.0557,+0.0557]  OK",
+    "passband n1=3 n2=3: gates=6 total_angle=5.75pi max_scaled_residual=8.169e-04 fidelity=1.000000000000 band=[-0.1807,+0.1807]  OK",
 ]
 GOLDEN_BB2_BAND = b"band_low=-0.22034375000000017 band_high=0.22034375000000017 threshold=0.0001\n"
 
@@ -134,7 +143,7 @@ GOLDEN_BB2_BAND = b"band_low=-0.22034375000000017 band_high=0.22034375000000017 
 def test_band_outputs_match_golden(tmp_path, capsys):
     assert main(["verify", "--bands"]) == 0
     out = capsys.readouterr().out
-    assert [f for f in out.split() if f.startswith("band=")] == GOLDEN_VERIFY_BANDS
+    assert out.splitlines() == GOLDEN_VERIFY_BANDS
     seq_path, band_path = tmp_path / "bb2.csv", tmp_path / "band.txt"
     assert main(["catalog", "--entry", "bb2", "--out", str(seq_path)]) == 0
     assert main(["band", "--seq", str(seq_path), "--out", str(band_path)]) == 0

@@ -10,12 +10,12 @@ from cpgates.gates import (
     convert_phase_conventions,
     ideal_cphase,
     interleaved_from_phases,
-    merge_adjacent,
     phase_gate,
     phased_cphase,
     sequence_propagator,
 )
 from cpgates.linalg import SIGMA_X, frobenius_norm, is_unitary, sigma_axis
+from oracles import merge_adjacent
 
 
 def test_zero_angle_is_identity():

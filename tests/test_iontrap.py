@@ -21,7 +21,6 @@ from cpgates.iontrap import (
     ideal_two_pulse_gate,
     leakage,
     parse_config,
-    propagator_distance,
     rotation_angle,
     single_pulse_spin_angle,
     two_pulse_gate,
@@ -34,6 +33,7 @@ from oracles import (
     fock_population,
     hamiltonian_at,
     phonon_identity_defect,
+    propagator_distance,
     spin_phonon,
 )
 
@@ -154,8 +154,6 @@ def test_small_coupling_matches_first_order_dyson():
 # --- closed form -------------------------------------------------------------
 
 def test_analytic_matches_numerical():
-    from cpgates.iontrap import propagator_distance
-
     cfgs = [
         quarter_cfg(),
         TrapConfig(g=0.1, delta=1.0, duration=1.5 * pi, zeta_plus=(0.0, 0.7), n_max=22),
@@ -253,8 +251,6 @@ def test_two_pulse_gate_restores_phonons_and_matches_ideal():
     cfg = TrapConfig(g=0.12, delta=1.0, duration=5.0, zeta_plus=(0.0, 0.6), n_max=22)
     u = two_pulse_gate(cfg)
     assert phonon_identity_defect(u, cfg) < 1e-6
-    from cpgates.iontrap import propagator_distance
-
     assert propagator_distance(u, ideal_two_pulse_gate(cfg), cfg) < 1e-6
     for level in (0, 3):
         for q in range(4):

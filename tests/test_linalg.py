@@ -4,17 +4,14 @@ from math import pi
 
 from cpgates.errors import ValidationError
 from cpgates.linalg import (
-    SIGMA,
     SIGMA_X,
     SIGMA_Y,
-    Z_EXPONENTIAL,
     frobenius_norm,
     is_unitary,
     mat_exp_hermitian_generator,
-    pauli_string_matrix,
-    pauli_string_product,
     sigma_axis,
 )
+from oracles import SIGMA, Z_EXPONENTIAL, pauli_string_matrix, pauli_string_product
 
 SXSX = np.kron(SIGMA_X, SIGMA_X)
 

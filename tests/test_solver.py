@@ -25,7 +25,8 @@ from cpgates.solver import (
     solve_with_escalation,
 )
 from oracles import (
-    central_difference_jacobian, newton_sequential, residuals_4x4, solve_sequential,
+    central_difference_jacobian, newton_sequential, residual_matrices_4x4, residuals_4x4,
+    solve_sequential,
 )
 
 TH = pi / 4
@@ -281,6 +282,24 @@ def test_residuals_equal_4x4_oracle(problem, batch, data):
     np.testing.assert_allclose(d, d_oracle, rtol=1e-12)
     np.testing.assert_allclose(
         np.linalg.norm(r, axis=1), np.linalg.norm(r_oracle, axis=1), rtol=1e-12)
+    # the public path, one sequence at a time: per-order scaled norms,
+    # their sum D, and the sign-aligned 4x4 matrices; scaled, no order
+    # exceeds 3, and atol covers its rounding noise
+    n1, n2 = problem.orders
+    orders = np.concatenate([np.arange(n1 + 1), np.arange(1, n2 + 1)])
+    powers = max(1.0, problem.total_angle()) ** orders[:, None, None]
+    for point, d_point, mats in zip(x, d, residual_matrices_4x4(problem, x)):
+        seq = problem.build_sequence(point)
+        bb, nb = broadband_residuals(seq, n1), narrowband_residuals(seq, n2)
+        assert nb.norms[0] == 0.0
+        scaled = bb.scaled_norms + nb.scaled_norms[1:]
+        np.testing.assert_allclose(
+            scaled, np.linalg.norm(mats / powers, axis=(1, 2)), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(sum(scaled), d_point, rtol=1e-12, atol=1e-14)
+        entries = np.array(bb.entries + nb.entries[1:]) / powers
+        # where both target signs are (nearly) equally close, either is right
+        first = 0 if _sign_margin(problem, point) > 1e-9 else 1
+        np.testing.assert_allclose(entries[first:], (mats / powers)[first:], rtol=0, atol=1e-12)
 
 
 def _sign_margin(problem, x):
