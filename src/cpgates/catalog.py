@@ -5,12 +5,14 @@ n around epsilon = 0.  Passband entries PB(n1, n2) additionally suppress
 the rotation to order n2 around epsilon = -1, which is what weakly coupled
 neighbour qubits experience.
 
-Entries for n <= 2 (and the passband families with closed-form phases) are
-parametric in the target angle; the higher-order entries are fixed-point
-solutions for a pi/4 target and store their phases exactly as published,
-as decimal multiples of pi.  The decimals carry three digits, so those
-entries reproduce the target only to about 1e-3 rad in phase; the solver
-module recovers full double precision from these starting points.
+Entry names, labels, tables and provenance are defined here only.  The
+``_CLOSED_FORMS`` table (BB1, BB2, PB(1,1), PB(2,2)) is parametric in the
+target angle through one phase; PB(2,1) and PB(1,2) use two.  The
+``_TABULATED`` entries are fixed-point solutions for a pi/4 target with
+phases exactly as published, as decimal multiples of pi.  The decimals
+carry three digits, so those entries reproduce the target only to about
+1e-3 rad in phase; the solver module recovers full double precision from
+these starting points.
 """
 
 from __future__ import annotations
@@ -28,25 +30,49 @@ from .gates import (
 
 HALF = pi / 2
 
-# Fixed-point broadband phase tables for target pi/4, in units of pi.
-# Key: order n -> (phi0/pi, [phi_k/pi for the pi/2 gates], terminal/pi).
-# For n >= 4 the first gate is U(pi/4, pi), i.e. the short form in which
-# the leading pi/2 gate has been merged into the target gate.  The n = 4
-# row closes with a frame rotation of 1.995*pi (numerically a full turn);
-# listing it as a gate would contradict the published total angle of
-# 3.75*pi, and the residual oracle in the tests confirms this reading.
-_BB_TABLE = {
-    3: (0.0, [1.725, 0.244, 1.127, 0.351, 1.785, 1.042], 0.0),
-    4: (1.0, [0.170, 0.170, 1.374, 0.677, 1.598, 1.818, 0.528], 1.995),
-    5: (1.0, [0.065, 2.257, 1.826, 1.020, 0.487, 1.452, 1.671, 0.132, 0.812], 0.0),
-    6: (1.0, [2.193, 1.933, 0.737, 1.932, 1.286, 0.641, 1.531, 1.983, 1.240, 2.077, 0.579], 0.0),
+BROADBAND_ORDERS = (1, 2, 3, 4, 5, 6)
+PASSBAND_ORDERS = ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 3))
+
+#: CLI entry name -> (family, n1, n2)
+NAMES = {
+    **{f"bb{n}": (FAMILY_BROADBAND, n, 0) for n in BROADBAND_ORDERS},
+    **{f"pb{n1}{n2}": (FAMILY_PASSBAND, n1, n2) for n1, n2 in PASSBAND_ORDERS},
+    "single": (FAMILY_SINGLE, 0, 0),
 }
 
-# Passband fixed-point tables for target pi/4, in units of pi.
-_PB_13 = [0.076, 1.604, 1.851, 0.595, 1.443, 0.751, 0.691, 1.111]
-_PB_33 = [0.091, 0.644, 1.866, 0.941, 1.596]
+# Label -> (k, chain of (gate angle, multiple of phi), terminal multiple
+# of phi), with phi = acos(-theta / (k*pi)) for |theta| <= k*pi.  The
+# target gate U(theta, 0) leads every chain.
+_CLOSED_FORMS = {
+    "BB1": (1, ((HALF, 1), (HALF, 3)), -2),
+    "BB2": (2, ((HALF, 1), (pi, 3), (HALF, 1)), 0),
+    "PB(1,1)": (2, ((pi, 1), (pi, -1)), 0),
+    "PB(2,2)": (4, ((pi, 1), (pi, -1), (pi, -1), (pi, 1)), 0),
+}
 
-PI_4_ONLY = "catalog entry %s is tabulated for target theta = pi/4 only"
+# The two-angle passband forms differ only by the sign of chi1.
+_CHI1_SIGNS = {"PB(2,1)": -1, "PB(1,2)": 1}
+
+# Label -> (lead angle or None for the target, lead phase, chain angle,
+# chain phases, terminal), phases in units of pi.  From BB4 on the lead
+# gate is U(pi/4, pi): the leading pi/2 gate is merged into the target.
+# The BB4 terminal of 1.995*pi is a frame rotation (numerically a full
+# turn); as a gate it would contradict the published total angle of
+# 3.75*pi, and the residual oracle in the tests confirms this reading.
+_TABULATED = {
+    "BB3": (None, 0.0, HALF, (1.725, 0.244, 1.127, 0.351, 1.785, 1.042), 0.0),
+    "BB4": (None, 1.0, HALF, (0.170, 0.170, 1.374, 0.677, 1.598, 1.818, 0.528), 1.995),
+    "BB5": (None, 1.0, HALF, (0.065, 2.257, 1.826, 1.020, 0.487, 1.452, 1.671, 0.132, 0.812), 0.0),
+    "BB6": (None, 1.0, HALF, (2.193, 1.933, 0.737, 1.932, 1.286, 0.641, 1.531, 1.983, 1.240,
+                              2.077, 0.579), 0.0),
+    "PB(1,3)": (None, 0.0, HALF, (0.076, 1.604, 1.851, 0.595, 1.443, 0.751, 0.691, 1.111), 0.0),
+    "PB(3,3)": (3 * pi / 4, 1.0, pi, (0.091, 0.644, 1.866, 0.941, 1.596), 0.0),
+}
+
+
+def entry_label(family: str, n1: int, n2: int = 0) -> str:
+    """``BB<n1>``, ``PB(<n1>,<n2>)`` or, for other families, the family."""
+    return {FAMILY_BROADBAND: f"BB{n1}", FAMILY_PASSBAND: f"PB({n1},{n2})"}.get(family, family)
 
 
 def single(theta: float = pi / 4) -> CompositeSequence:
@@ -71,40 +97,31 @@ def _reached(theta: float, entry: str, turns: int) -> float:
     return theta
 
 
-def bb1_phase(theta: float) -> float:
-    """Closed-form phase of the first-order broadband sequence."""
-    return acos(-_reached(theta, "BB1", 1) / pi)
+def _closed_form(family: str, label: str, theta: float) -> CompositeSequence:
+    k, chain, terminal = _CLOSED_FORMS[label]
+    phi = acos(-_reached(theta, label, k) / (k * pi))
+    gates = (PhasedGate(theta, 0.0),) + tuple(PhasedGate(a, m * phi) for a, m in chain)
+    return CompositeSequence(gates, terminal * phi, theta, family, label)
 
-def bb2_phase(theta: float) -> float:
-    """Closed-form phase of the second-order broadband sequence."""
-    return acos(-_reached(theta, "BB2", 2) / (2 * pi))
+
+def _tabulated(family: str, label: str, theta: float) -> CompositeSequence:
+    if label not in _TABULATED:
+        raise ValidationError(f"no {family} catalog entry {label}")
+    if abs(theta - pi / 4) > 1e-12:
+        raise ValidationError(f"catalog entry {label} is tabulated for target theta = pi/4 only")
+    lead, phi0, angle, phases, terminal = _TABULATED[label]
+    gates = (PhasedGate(theta if lead is None else lead, phi0 * pi),) + tuple(
+        PhasedGate(angle, p * pi) for p in phases
+    )
+    return CompositeSequence(gates, terminal * pi, theta, family, label)
 
 
 def broadband(n: int, theta: float = pi / 4) -> CompositeSequence:
     """Broadband sequence cancelling the relative error to order n (1..6)."""
-    label = f"BB{n}"
-    if n == 1:
-        phi = bb1_phase(theta)
-        gates = (PhasedGate(theta, 0.0), PhasedGate(HALF, phi), PhasedGate(HALF, 3 * phi))
-        return CompositeSequence(gates, -2 * phi, theta, FAMILY_BROADBAND, label)
-    if n == 2:
-        phi = bb2_phase(theta)
-        gates = (
-            PhasedGate(theta, 0.0),
-            PhasedGate(HALF, phi),
-            PhasedGate(pi, 3 * phi),
-            PhasedGate(HALF, phi),
-        )
-        return CompositeSequence(gates, 0.0, theta, FAMILY_BROADBAND, label)
-    if n in _BB_TABLE:
-        if abs(theta - pi / 4) > 1e-12:
-            raise ValidationError(PI_4_ONLY % label)
-        phi0, rest, term = _BB_TABLE[n]
-        gates = (PhasedGate(theta, phi0 * pi),) + tuple(
-            PhasedGate(HALF, p * pi) for p in rest
-        )
-        return CompositeSequence(gates, term * pi, theta, FAMILY_BROADBAND, label)
-    raise ValidationError(f"no broadband catalog entry of order {n}")
+    label = entry_label(FAMILY_BROADBAND, n)
+    if label in _CLOSED_FORMS:
+        return _closed_form(FAMILY_BROADBAND, label, theta)
+    return _tabulated(FAMILY_BROADBAND, label, theta)
 
 
 _PB_HALF_CHAIN = "PB(2,1) and PB(1,2)"
@@ -123,44 +140,46 @@ def passband_chi2(theta: float) -> float:
 
 def passband(n1: int, n2: int, theta: float = pi / 4) -> CompositeSequence:
     """Passband sequence: broadband order n1 at eps=0, order n2 at eps=-1."""
-    label = f"PB({n1},{n2})"
-    if (n1, n2) == (1, 1):
-        phi = acos(-_reached(theta, label, 2) / (2 * pi))
-        gates = (PhasedGate(theta, 0.0), PhasedGate(pi, phi), PhasedGate(pi, -phi))
-        return CompositeSequence(gates, 0.0, theta, FAMILY_PASSBAND, label)
-    if (n1, n2) == (2, 2):
-        phi = acos(-_reached(theta, label, 4) / (4 * pi))
-        gates = (PhasedGate(theta, 0.0),) + tuple(
-            PhasedGate(pi, p) for p in (phi, -phi, -phi, phi)
-        )
-        return CompositeSequence(gates, 0.0, theta, FAMILY_PASSBAND, label)
-    if (n1, n2) in ((2, 1), (1, 2)):
-        c1 = passband_chi1(theta)
+    label = entry_label(FAMILY_PASSBAND, n1, n2)
+    if label in _CHI1_SIGNS:
+        c1 = _CHI1_SIGNS[label] * passband_chi1(theta)
         c2 = passband_chi2(theta)
-        if (n1, n2) == (2, 1):
-            c1 = -c1  # the two families differ by this sign flip
         phis = (c1, c1 + c2, -c1 + c2, -c1 - c2, c1 - c2, pi + c1)
         gates = (PhasedGate(theta, 0.0),) + tuple(PhasedGate(HALF, p) for p in phis)
         return CompositeSequence(gates, 0.0, theta, FAMILY_PASSBAND, label)
-    if (n1, n2) == (1, 3):
-        if abs(theta - pi / 4) > 1e-12:
-            raise ValidationError(PI_4_ONLY % label)
-        gates = (PhasedGate(theta, 0.0),) + tuple(
-            PhasedGate(HALF, p * pi) for p in _PB_13
-        )
-        return CompositeSequence(gates, 0.0, theta, FAMILY_PASSBAND, label)
-    if (n1, n2) == (3, 3):
-        if abs(theta - pi / 4) > 1e-12:
-            raise ValidationError(PI_4_ONLY % label)
-        gates = (PhasedGate(3 * pi / 4, pi),) + tuple(
-            PhasedGate(pi, p * pi) for p in _PB_33
-        )
-        return CompositeSequence(gates, 0.0, theta, FAMILY_PASSBAND, label)
-    raise ValidationError(f"no passband catalog entry of orders ({n1}, {n2})")
+    if label in _CLOSED_FORMS:
+        return _closed_form(FAMILY_PASSBAND, label, theta)
+    return _tabulated(FAMILY_PASSBAND, label, theta)
 
 
-BROADBAND_ORDERS = (1, 2, 3, 4, 5, 6)
-PASSBAND_ORDERS = ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 3))
+def by_name(name: str, theta: float = pi / 4) -> CompositeSequence:
+    """The entry called ``name`` (a key of ``NAMES``, in any case)."""
+    try:
+        family, n1, n2 = NAMES[name.lower()]
+    except KeyError:
+        raise ValidationError(
+            f"unknown catalog entry {name!r}; choose from {sorted(NAMES)}"
+        ) from None
+    if family == FAMILY_BROADBAND:
+        return broadband(n1, theta)
+    if family == FAMILY_PASSBAND:
+        return passband(n1, n2, theta)
+    return single(theta)
+
+
+def table_rows(tables: str, theta: float = pi / 4) -> list:
+    """``(source, n1, n2, sequence)`` rows of Table 1 (``tables`` "1"),
+    Table 2 ("2") or both ("all") at target ``theta``."""
+    rows = []
+    if tables in ("1", "all"):
+        rows += [(f"broadband n={n}", n, 0, broadband(n, theta)) for n in BROADBAND_ORDERS]
+    if tables in ("2", "all"):
+        rows += [
+            (f"passband n1={n1} n2={n2}", n1, n2, passband(n1, n2, theta))
+            for n1, n2 in PASSBAND_ORDERS
+        ]
+    return rows
+
 
 #: Published total angles of the broadband entries at theta = pi/4,
 #: in units of pi.
@@ -174,10 +193,4 @@ BROADBAND_TOLERANCE_BANDS = {1: 0.11, 2: 0.22, 3: 0.30, 4: 0.37, 5: 0.42, 6: 0.4
 def has_analytic_phases(seq: CompositeSequence) -> bool:
     """True when the entry's phases come from a closed formula (full double
     precision) rather than from the published 3-decimal table."""
-    if seq.family == FAMILY_SINGLE:
-        return True
-    if seq.family == FAMILY_BROADBAND:
-        return seq.label in ("BB1", "BB2")
-    if seq.family == FAMILY_PASSBAND:
-        return seq.label in ("PB(1,1)", "PB(2,2)", "PB(2,1)", "PB(1,2)")
-    return False
+    return seq.family == FAMILY_SINGLE or seq.label in _CLOSED_FORMS or seq.label in _CHI1_SIGNS

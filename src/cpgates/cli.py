@@ -48,12 +48,6 @@ from .iontrap import (
 from .seqio import read_sequence, sequence_to_csv
 from .solver import SolverConfig, polish, solve_with_escalation
 
-_CATALOG_ENTRIES = {
-    **{f"bb{n}": ("bb", n, 0) for n in cat.BROADBAND_ORDERS},
-    **{f"pb{n1}{n2}": ("pb", n1, n2) for n1, n2 in cat.PASSBAND_ORDERS},
-    "single": ("single", 0, 0),
-}
-
 _ANALYTIC_RESIDUAL_TOL = 1e-10
 _DECIMAL_RESIDUAL_TOL = 5e-2
 _CATALOG_FIDELITY_TOL = 1e-4
@@ -84,20 +78,6 @@ def _load_sequence(args):
 
         seq = replace(seq, target_theta=args.theta_over_pi * pi)
     return seq
-
-
-def _catalog_entry(name: str, theta: float):
-    try:
-        kind, n1, n2 = _CATALOG_ENTRIES[name.lower()]
-    except KeyError:
-        raise ValidationError(
-            f"unknown catalog entry {name!r}; choose from {sorted(_CATALOG_ENTRIES)}"
-        ) from None
-    if kind == "single":
-        return cat.single(theta)
-    if kind == "bb":
-        return cat.broadband(n1, theta)
-    return cat.passband(n1, n2, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +122,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    theta = args.theta_over_pi * pi
-    entries = []
-    if args.catalog in ("table1", "all"):
-        entries += [(f"broadband n={n}", n, 0, cat.broadband(n, theta)) for n in cat.BROADBAND_ORDERS]
-    if args.catalog in ("table2", "all"):
-        entries += [
-            (f"passband n1={n1} n2={n2}", n1, n2, cat.passband(n1, n2, theta))
-            for n1, n2 in cat.PASSBAND_ORDERS
-        ]
+    rows = cat.table_rows(args.catalog.removeprefix("table"), args.theta_over_pi * pi)
     failures = 0
-    for name, n1, n2, seq in entries:
+    for name, n1, n2, seq in rows:
         analytic = cat.has_analytic_phases(seq)
         tol = _ANALYTIC_RESIDUAL_TOL if analytic else _DECIMAL_RESIDUAL_TOL
         rv = broadband_residuals(seq, n1)
@@ -172,7 +144,7 @@ def cmd_verify(args) -> int:
         if args.orders and seq.family == FAMILY_BROADBAND and n1 <= 4:
             # above order 4 the fit window would sit below the double-
             # precision infidelity floor, so the slope is not measurable
-            refined = polish(seq, n1, SolverConfig(rng_seed=args.seed))
+            refined = polish(seq, n1)
             if refined.converged and refined.sequence is not None:
                 windows = {1: (1e-3, 1e-2), 2: (5e-3, 3e-2), 3: (2e-2, 7e-2)}
                 window = windows.get(n1, (4e-2, 1e-1))
@@ -273,19 +245,10 @@ def cmd_iontrap(args) -> int:
 def cmd_catalog(args) -> int:
     theta = args.theta_over_pi * pi
     if args.entry:
-        seq = _catalog_entry(args.entry, theta)
-        _emit(sequence_to_csv(seq), args.out)
+        _emit(sequence_to_csv(cat.by_name(args.entry, theta)), args.out)
         return 0
     rows = ["index,theta_over_pi,phi_over_pi,source"]
-    entries = []
-    if args.table in ("1", "all"):
-        entries += [(f"broadband n={n}", cat.broadband(n, theta)) for n in cat.BROADBAND_ORDERS]
-    if args.table in ("2", "all"):
-        entries += [
-            (f"passband n1={n1} n2={n2}", cat.passband(n1, n2, theta))
-            for n1, n2 in cat.PASSBAND_ORDERS
-        ]
-    for source, seq in entries:
+    for source, _, _, seq in cat.table_rows(args.table, theta):
         for i, g in enumerate(seq.gates):
             rows.append("%d,%.17g,%.17g,%s" % (i, g.theta / pi, g.phi / pi, source))
         if seq.terminal_phase != 0.0:
@@ -346,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", action="store_true", help="also locate tolerance bands")
     p.add_argument("--orders", action="store_true",
                    help="also fit infidelity orders after polishing (slow)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("scan", "fidelity versus relative error")
@@ -394,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("catalog", "dump the published sequence tables")
     p.add_argument("--table", choices=("1", "2", "all"), default="all")
-    p.add_argument("--entry", help="write one entry as a sequence CSV (e.g. bb2, pb11)")
+    p.add_argument("--entry", help="write one entry as a sequence CSV: " + ", ".join(cat.NAMES))
     p.add_argument("--theta-over-pi", type=float, default=0.25)
     p.add_argument("--out")
     p.set_defaults(func=cmd_catalog)

@@ -53,9 +53,8 @@ from .gates import (
     PhasedGate,
     canonical_angle,
 )
+from .catalog import HALF, entry_label
 from .derivatives import residual_rows
-
-HALF = pi / 2
 
 #: a Newton run stalls when D has fallen by less than STALL_DROP
 #: (relative) over the last STALL_WINDOW iterations
@@ -125,12 +124,7 @@ class SolverProblem:
         return float(sum(abs(t) for t in self.thetas))
 
     def label(self) -> str:
-        n1, n2 = self.orders
-        if self.family == FAMILY_BROADBAND:
-            return f"BB{n1}"
-        if self.family == FAMILY_PASSBAND:
-            return f"PB({n1},{n2})"
-        return self.family
+        return entry_label(self.family, *self.orders)
 
     def split(self, x: np.ndarray):
         """Split an unknown vector into (gate phases, terminal phase)."""

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cpgates import derivatives, iontrap, solver
+from cpgates.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -47,3 +48,19 @@ def test_recorder_traces_derivative_stack_and_integrator(spans):
     # uninstalling restores the program's own functions
     assert not hasattr(iontrap.solve_ivp, "__wrapped__")
     assert not hasattr(derivatives.product_derivative_stack, "__wrapped__")
+
+
+def test_recorder_traces_catalog_builders(spans, capsys):
+    # the CLI reaches the entries through the catalog's module globals, so
+    # each lookup (one build) and each Table 1 or Table 2 row is a span
+    recorder = spans.SpanRecorder()
+    recorder.install()
+    try:
+        assert main(["catalog", "--entry", "bb3"]) == 0
+        assert main(["catalog", "--entry", "pb33"]) == 0
+        assert main(["verify"]) == 0
+    finally:
+        recorder.uninstall()
+    names = [span[0] for span in recorder.spans]
+    assert names.count("catalog.broadband") == 7
+    assert names.count("catalog.passband") == 7

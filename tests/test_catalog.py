@@ -7,6 +7,7 @@ from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import sequence_propagator
 from cpgates.seqio import sequence_from_csv, sequence_to_csv
+from cpgates.solver import broadband_problem, passband_problem
 
 
 @pytest.mark.parametrize("n", catalog.BROADBAND_ORDERS)
@@ -87,3 +88,25 @@ def test_csv_rejects_bad_header_and_labels():
     good = sequence_to_csv(catalog.single())
     with pytest.raises(ValidationError):
         sequence_from_csv(good + "mystery,1,2\n")
+
+
+ANALYTIC = {"bb1": True, "bb2": True, "bb3": False, "bb4": False, "bb5": False,
+            "bb6": False, "pb11": True, "pb21": True, "pb12": True, "pb22": True,
+            "pb13": False, "pb33": False, "single": True}
+
+
+def test_provenance_labels_and_names():
+    assert sorted(catalog.NAMES) == sorted(ANALYTIC)
+    for name, analytic in ANALYTIC.items():
+        assert catalog.has_analytic_phases(catalog.by_name(name)) is analytic, name
+    # a CSV carries no label, so a read-back closed form is not analytic
+    back = sequence_from_csv(sequence_to_csv(catalog.broadband(2)))
+    assert back.family == "broadband" and not catalog.has_analytic_phases(back)
+    assert broadband_problem(3, pi / 4, 6).label() == catalog.broadband(3).label == "BB3"
+    assert passband_problem(1, 3, pi / 4, 8).label() == catalog.passband(1, 3).label == "PB(1,3)"
+    with pytest.raises(ValidationError) as err:
+        catalog.by_name("bb9")
+    assert str(err.value) == (
+        "unknown catalog entry 'bb9'; choose from ['bb1', 'bb2', 'bb3', 'bb4', 'bb5', "
+        "'bb6', 'pb11', 'pb12', 'pb13', 'pb21', 'pb22', 'pb33', 'single']"
+    )

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -111,6 +112,28 @@ def test_catalog_dump_has_source_column(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "index,theta_over_pi,phi_over_pi,source"
     assert any("broadband n=3" in ln for ln in out)
+
+
+#: ``catalog --table all`` stdout and ``catalog --entry`` bytes of every
+#: entry at pi/4 and of the closed forms at 0.3*pi, keyed by the argv
+#: joined by spaces; captured before the entries moved into one table per
+#: phase form.
+GOLDEN_CATALOG = json.loads((Path(__file__).parent / "golden" / "catalog.json").read_text())
+
+
+def test_catalog_outputs_match_golden(tmp_path, capsys):
+    for key, expected in GOLDEN_CATALOG.items():
+        argv = key.split()
+        if "--entry" in argv:
+            out = tmp_path / "entry.csv"
+            assert main(argv + ["--out", str(out)]) == 0, key
+            assert out.read_bytes() == expected.encode(), key
+        else:
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+    names = [k.split()[2] for k in GOLDEN_CATALOG if k.startswith("catalog --entry")]
+    assert len(set(names)) == 13
 
 
 def test_verify_catalog_passes(capsys):

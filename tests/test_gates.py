@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from math import pi
 
-from cpgates.catalog import bb1_phase, broadband
+from cpgates.catalog import broadband
 from cpgates.errors import ValidationError
 from cpgates.gates import (
     CompositeSequence,
@@ -178,7 +178,7 @@ def test_merged_bb2_shape():
 
 def test_bb1_zero_order_phase_condition():
     # alternating sum of phases plus terminal cancels: 0 - phi + 3 phi - 2 phi = 0
-    phi = bb1_phase(pi / 4)
+    phi = broadband(1, pi / 4).gates[1].phi
     seq = broadband(1, pi / 4)
     phases = [g.phi for g in seq.gates]
     n = len(phases) - 1

@@ -4,6 +4,10 @@ Every public module-level function or class of ``src/cpgates`` is
 referenced from other ``src`` code, exported by ``cpgates/__init__.py``
 or traced by the benchmark (a ``TARGETS`` attribute of
 ``bench/spans.py``).  Test-only helpers live in ``tests/oracles.py``.
+A reference is a bare name that no enclosing function binds as a
+parameter or assignment target, or an attribute of a cpgates module
+alias (``cat.x``): ``args.entry`` or an ``entry`` parameter does not use
+a function ``entry``.
 """
 
 import ast
@@ -21,12 +25,51 @@ def _traced():
     return {(name.rsplit(".", 1)[-1], attr) for name, attr, _, _ in module.TARGETS}
 
 
-def _references(node):
-    """Names and attribute names read anywhere inside ``node``."""
+def _module_aliases(tree):
+    """Names under which a module binds the cpgates modules it imports."""
+    modules = {path.stem for path in SRC.glob("*.py")}
     return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "cpgates"))
+        for alias in node.names if alias.name in modules
     }
+
+
+def _local_names(func):
+    """Parameters and assignment targets of ``func``, its nested scopes aside."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    names = {a.arg for a in params if a is not None}
+    todo = [func.body] if isinstance(func, ast.Lambda) else list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, aliases, bound=frozenset()):
+    """Names read inside ``node`` that can refer to a module-level
+    definition: a bare name that no enclosing function binds, or an
+    attribute of a cpgates module alias (``cat.x``)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | _local_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        found = {node.id}
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+        found = {node.attr}
+    else:
+        found = set()
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, aliases, bound)
+    return found
 
 
 def test_every_public_definition_is_used_by_the_program():
@@ -38,7 +81,10 @@ def test_every_public_definition_is_used_by_the_program():
     }
     traced = _traced()
     # each top-level statement of src with the names it reads
-    statements = [(top, _references(top)) for tree in trees.values() for top in tree.body]
+    statements = [
+        (top, _references(top, _module_aliases(tree)))
+        for tree in trees.values() for top in tree.body
+    ]
     unused = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
