@@ -36,7 +36,6 @@ from .derivatives import broadband_residuals, narrowband_residuals
 from .errors import TruncationError, ValidationError
 from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND, ideal_cphase
 from .iontrap import (
-    check_tolerances,
     composite_physical_gate,
     extract_qubit_gate,
     ideal_two_pulse_gate,
@@ -207,21 +206,19 @@ def _matrix_csv(m: np.ndarray) -> str:
 
 
 def cmd_iontrap(args) -> int:
-    check_tolerances(args.rtol)
     with open(args.config) as fh:
         cfg, eps_g = parse_config(fh.read())
     if args.eps_g is not None:
         eps_g = args.eps_g
-    rtol = args.rtol
     if args.seq:
         seq = read_sequence(args.seq)
-        u = composite_physical_gate(seq, cfg, eps_g, rtol=rtol, analytic=args.analytic)
+        u = composite_physical_gate(seq, cfg, eps_g, analytic=args.analytic)
         reference = ideal_cphase(seq.target_theta)
     else:
         from dataclasses import replace
 
         pulse = replace(cfg, g=cfg.g * (1.0 + eps_g))
-        u = two_pulse_gate(pulse, rtol=rtol, analytic=args.analytic)
+        u = two_pulse_gate(pulse, analytic=args.analytic)
         reference = extract_qubit_gate(ideal_two_pulse_gate(cfg), cfg)
     qubit_gate = extract_qubit_gate(u, cfg)
     leak = leakage(u, cfg)
@@ -348,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="flat key=value pulse description")
     p.add_argument("--seq", help="composite sequence CSV to realise physically")
     p.add_argument("--eps-g", type=float, help="relative Rabi-frequency error")
-    p.add_argument("--rtol", type=float, default=1e-10, help="integrator tolerance")
     p.add_argument("--analytic", action="store_true",
-                   help="use the closed-form propagator instead of integrating")
+                   help="use the closed-form propagator instead of the numerical one")
     p.add_argument("--out", help="qubit gate CSV output (default stdout)")
     p.set_defaults(func=cmd_iontrap)
 

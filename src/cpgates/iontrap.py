@@ -24,7 +24,7 @@ series terminates after two terms):
 
 The displacement prefactor g/Delta (not g T/Delta) and the scalar phase
 phi0 follow from the first and second Magnus integrals; the numerical
-integrator below is the independent arbiter for both, and the tests pin
+propagator below is the independent arbiter for both, and the tests pin
 the comparison.  A second pulse of equal g and T with zm shifted by pi
 flips alpha, cancelling the displacement exactly and doubling theta_c,
 which induces the phased two-qubit gate used by the composite sequences.
@@ -38,7 +38,7 @@ into four driven oscillators of n_max+1 levels:
     beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2},
     U(T)   = sum_b P_b (x) U_b(T).
 
-Five facts of H_b, none of them taken from the Magnus closed form, fix
+Six facts of H_b, none of them taken from the Magnus closed form, fix
 how much work a composite gate needs:
 
 (a) beta_{-b} = -beta_b, and a pi shift of both zm maps beta_b to
@@ -52,9 +52,9 @@ how much work a composite gate needs:
     not the blocks; so the gates of one composite sequence that share an
     angle (up to sign) share their blocks G_b.
 (d) Every pulse of a composite has the same g, Delta and beta_b, and
-    starts its clock at t = 0, so each one is a prefix of one trajectory
-    of H_b(t): the pulse pairs at all distinct durations come from one
-    integration, in chained segments over the sorted durations.
+    starts its clock at t = 0, so the pulses differ only in their
+    durations: by (f), the pulse pairs at all distinct durations come
+    from one eigendecomposition, one product per duration.
 (e) Ion 1's spin phase zp_1 is the same for every gate, so in ion 1's
     eigenbasis every gate, and with it the composite, is block-diagonal,
     sum_{s1} P1_{s1} (x) C_{s1}.  Since sigma_z P2_+ sigma_z = P2_-,
@@ -63,17 +63,26 @@ how much work a composite gate needs:
     C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}, assembled on the
     full space once (:func:`_assemble`).  A single pulse or gate is the
     one-factor case.
+(f) With N = diag(0..n_max), e^{i Delta t N} a^dag e^{-i Delta t N} =
+    e^{i Delta t} a^dag holds exactly in the truncated space, so
+    H_b(t) = e^{i Delta t N} K_b e^{-i Delta t N} with the constant
+    Hermitian tridiagonal K_b = g (beta_b a^dag + beta_b^* a).  In the
+    frame rotating with Delta N the Hamiltonian is K_b + Delta N, with
+    eigenpairs lambda_b, V_b, and
+        U_b(T) = e^{i Delta T N} V_b e^{-i T lambda_b} V_b^dag,
+    exact to rounding and without time steps (:func:`_propagated_pairs`).
 
 The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
-alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b.  The numerical
-integrator steps U_(+,+) and U_(+,-) from H_b in the truncated Fock
-space; none of the Magnus results (phi0, theta_c, alpha) enters it, and
-the closed form never integrates, so each route stays an independent
-check on the other.  The branch basis, the assembly and the symmetries
-(a), (b) and (e) they share are pinned by the tests against dense kron
-operators on the full spin-phonon space: the Hamiltonian, the integrated
-pulse, the two-pulse gate as the product of two separately integrated
-pulses, and the composite as a loop over separately computed pulses.
+alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b.  The numerical route
+propagates U_(+,+) and U_(+,-) from H_b in the truncated Fock space by
+(f); none of the Magnus results (phi0, theta_c, alpha) enters it, and
+the closed form never propagates H_b, so each route stays an
+independent check on the other.  The branch basis, the assembly and the
+symmetries (a), (b), (e) and (f) they share are pinned by the tests
+against dense kron operators on the full spin-phonon space: the
+Hamiltonian, the pulse integrated by a stepping ODE solver, the
+two-pulse gate as the product of two separately integrated pulses, and
+the composite as a loop over separately computed pulses.
 """
 
 from __future__ import annotations
@@ -91,8 +100,10 @@ from .linalg import mat_exp_hermitian_generator, sigma_axis
 
 def __getattr__(name: str):
     """Import scipy's ``solve_ivp`` and ``brentq`` on first use (PEP 562),
-    since scipy.integrate is most of the package's import time, and keep
-    them as module globals, which callers and tests may rebind."""
+    since scipy is most of the package's import time, and keep them as
+    module globals, which callers and tests may rebind.  No pulse uses
+    ``solve_ivp``; it stays resolvable because the benchmark's span
+    recorder (``bench/spans.py``) wraps it."""
     module = {"solve_ivp": "scipy.integrate", "brentq": "scipy.optimize"}.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -105,8 +116,6 @@ def _scipy(name: str):
 
 
 LEAKAGE_LIMIT = 1e-8
-#: smallest rtol scipy's integrators accept without clamping it
-RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -210,14 +219,6 @@ def _check_leakage(pair: np.ndarray, cfg: TrapConfig) -> None:
         )
 
 
-def check_tolerances(rtol: float, atol: float = 1e-12) -> None:
-    """Reject integrator tolerances that scipy would loop on or clamp."""
-    if not (np.isfinite(rtol) and np.isfinite(atol) and rtol > 0 and atol > 0):
-        raise ValidationError(f"rtol={rtol} and atol={atol} must be finite and positive")
-    if rtol < RTOL_FLOOR:
-        raise ValidationError(f"rtol must be at least {RTOL_FLOOR:.3g}")
-
-
 def _branch_amplitudes(cfg: TrapConfig) -> np.ndarray:
     """beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2} for the branches (s1, s2)
     ordered (+,+), (+,-), (-,+), (-,-)."""
@@ -242,35 +243,21 @@ def _assemble(cfg: TrapConfig, plus: np.ndarray) -> np.ndarray:
     return _from_branches(cfg.zeta_plus[0], np.array([plus, np.outer(flip, flip) * plus]))
 
 
-def _integrated_pairs(cfgs: list[TrapConfig], rtol: float, atol: float) -> list[np.ndarray]:
+def _propagated_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
     """U_b(T) of the branches (+,+) and (+,-) for configs that differ only
-    in their increasing durations T, integrated from H_b along one
-    trajectory: stacked solve_ivp segments 0 -> T_1 -> T_2 -> ..., each
-    starting from the end state of the last and keeping only its own."""
-    check_tolerances(rtol, atol)
+    in their durations T, exact in the truncated Fock space: in the frame
+    rotating with Delta N, H_b is the constant K_b + Delta N, so one
+    batched eigendecomposition serves every duration (fact (f))."""
     cfg = cfgs[0]
-    levels = cfg.n_max + 1
-    a = destroy(levels)
-    adag = a.conj().T
-    beta = _branch_amplitudes(cfg)[:2]
-
-    def rhs(t, y):
-        # -i H_b = c_b a^dag - c_b^* a, with c_b = -i g beta_b e^{i Delta t}
-        c = (-1j * cfg.g * np.exp(1j * cfg.delta * t) * beta)[:, None, None]
-        k = c * adag - np.conj(c) * a
-        return (k @ y.reshape(2, levels, levels)).reshape(-1)
-
-    y = np.broadcast_to(np.eye(levels, dtype=complex), (2, levels, levels)).reshape(-1)
-    start, pairs = 0.0, []
-    for end in (c.duration for c in cfgs):
-        sol = _scipy("solve_ivp")(
-            rhs, (start, end), y, method="DOP853", rtol=rtol, atol=atol, t_eval=[end],
-        )
-        if not sol.success:
-            raise RuntimeError(f"integrator failed: {sol.message}")
-        y, start = sol.y[:, -1], end
-        pairs.append(y.reshape(2, levels, levels))
-    return pairs
+    a = destroy(cfg.n_max + 1)
+    n = np.arange(cfg.n_max + 1)
+    beta = _branch_amplitudes(cfg)[:2, None, None]
+    k = cfg.g * (beta * a.conj().T + np.conj(beta) * a)
+    lam, v = np.linalg.eigh(k + np.diag(cfg.delta * n))
+    t = np.array([c.duration for c in cfgs])[:, None, None]
+    # U_b(T) = e^{i Delta T N} V_b e^{-i T lambda_b} V_b^dag, one row phase per level
+    frame = np.exp(1j * cfg.delta * t * n)[..., None]
+    return frame * (v * np.exp(-1j * t * lam)[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
@@ -286,34 +273,27 @@ def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
     ])
 
 
-def _gate_pairs(
-    cfgs: list[TrapConfig], rtol: float, atol: float, analytic: bool
-) -> list[np.ndarray]:
+def _gate_pairs(cfgs: list[TrapConfig], analytic: bool) -> list[np.ndarray]:
     """Branch blocks G_b = U_{-b} U_b of (+,+) and (+,-) of the two-pulse
-    gates for configs that differ only in their increasing durations:
+    gates for configs that differ only in their durations:
     each gate pair is (Pi P Pi) P for its pulse pair P, and every pulse
     pair passes the leakage guard."""
-    pairs = [_closed_form_pair(c) for c in cfgs] if analytic else _integrated_pairs(cfgs, rtol, atol)
+    pairs = [_closed_form_pair(c) for c in cfgs] if analytic else _propagated_pairs(cfgs)
     parity = (-1.0) ** np.arange(cfgs[0].n_max + 1)
     for cfg, pair in zip(cfgs, pairs):
         _check_leakage(pair, cfg)
     return [(np.outer(parity, parity) * pair) @ pair for pair in pairs]
 
 
-def evolve_numerical(
-    cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12,
-    check: bool = True,
-) -> np.ndarray:
-    """Time-ordered propagator over [0, T] by adaptive high-order
-    integration of dU/dt = -i H(t) U, one phonon block per spin branch
-    (two integrated, two by parity).
+def evolve_numerical(cfg: TrapConfig, check: bool = True) -> np.ndarray:
+    """Time-ordered propagator over [0, T] of dU/dt = -i H(t) U in the
+    truncated space, exact to rounding: one phonon block per spin branch
+    (two from one eigendecomposition in the rotating frame, two by parity).
 
     Independent of the closed form: it sees only the Hamiltonian.  Raises
-    ValidationError for tolerances that are not finite, not positive or
-    below scipy's rtol floor, and TruncationError when population leaks
-    into the top two Fock levels.
+    TruncationError when population leaks into the top two Fock levels.
     """
-    [pair] = _integrated_pairs([cfg], rtol, atol)
+    [pair] = _propagated_pairs([cfg])
     if check:
         _check_leakage(pair, cfg)
     return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
@@ -348,16 +328,13 @@ def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
 
 
-def two_pulse_gate(
-    cfg: TrapConfig, rtol: float = 1e-10, atol: float = 1e-12,
-    analytic: bool = False,
-) -> np.ndarray:
+def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
     """Propagator of two equal pulses, the second with motional phases
     shifted by pi.  The displacement cancels, restoring the vibrational
     state regardless of the (common) detuning, and the spin-spin angle
     doubles to :func:`rotation_angle`.  One pulse is computed; the second
     one's branch blocks are its blocks in reverse order."""
-    [gate] = _gate_pairs([cfg], rtol, atol, analytic)
+    [gate] = _gate_pairs([cfg], analytic)
     return _assemble(cfg, _from_branches(cfg.zeta_plus[1], gate))
 
 
@@ -403,8 +380,6 @@ def composite_physical_gate(
     seq: CompositeSequence,
     cfg_base: TrapConfig,
     eps_g: float = 0.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     analytic: bool = False,
 ) -> np.ndarray:
     """Full physical propagator of a composite sequence with individual
@@ -415,18 +390,18 @@ def composite_physical_gate(
     A gate whose angle has the opposite sign to the detuning is realised
     by a pi shift of the spin phase, and a zero-angle gate, the identity,
     by no pulse.  Gates of equal duration share one gate pair, every
-    distinct pulse is a prefix of one integrated trajectory, and the
-    gates are multiplied as ion 1's s1 = + blocks, assembled on the full
-    space once.  The terminal frame rotation, a software phase, is
-    applied as an ideal qubit operation.  The induced relative
-    rotation-angle error is (1+eps_g)^2 - 1.
+    distinct pulse duration is one product on one shared
+    eigendecomposition, and the gates are multiplied as ion 1's s1 = +
+    blocks, assembled on the full space once.  The terminal frame
+    rotation, a software phase, is applied as an ideal qubit operation.
+    The induced relative rotation-angle error is (1+eps_g)^2 - 1.
     """
     gates = [gate for gate in seq.gates if gate.theta != 0.0]
     angles = {abs(gate.theta) for gate in gates}
     durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
     times = sorted(set(durations.values()))
     cfgs = [replace(cfg_base, g=cfg_base.g * (1.0 + eps_g), duration=t) for t in times]
-    pairs = dict(zip(times, _gate_pairs(cfgs, rtol, atol, analytic) if cfgs else []))
+    pairs = dict(zip(times, _gate_pairs(cfgs, analytic) if cfgs else []))
     levels = cfg_base.n_max + 1
     chain = np.eye(2 * levels, dtype=complex)
     for gate in gates:

@@ -520,8 +520,6 @@ def composite_per_pulse(
     seq: CompositeSequence,
     cfg_base: TrapConfig,
     eps_g: float = 0.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     analytic: bool = False,
 ) -> np.ndarray:
     """Composite physical gate as a loop over gates and, within each gate,
@@ -530,8 +528,7 @@ def composite_per_pulse(
     shared between gates.  A zero-angle gate is skipped, and a gate whose
     angle has the opposite sign to the detuning takes a pi spin-phase
     shift."""
-    pulse = analytic_propagator if analytic else (
-        lambda cfg: evolve_numerical(cfg, rtol, atol))
+    pulse = analytic_propagator if analytic else evolve_numerical
     u = np.eye(cfg_base.dim, dtype=complex)
     for gate in seq.gates:
         theta, phi = gate.theta, gate.phi
