@@ -237,6 +237,22 @@ def test_non_finite_xi_exit_code(tmp_path, capsys, command):
 TRAP_CONFIG = "g = 0.1767766952966369\ndelta = 1.0\ndelta_t = 2.0\nnmax = 25\n"
 
 
+@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1", "1e-15"])
+@pytest.mark.parametrize("analytic", [False, True])
+def test_iontrap_rejects_invalid_rtol(tmp_path, capsys, rtol, analytic):
+    # The propagation is exact to rounding, so `iontrap` has no tolerance
+    # option: any --rtol is a usage error, never a value silently ignored.
+    config = tmp_path / "trap.txt"
+    config.write_text(TRAP_CONFIG)
+    argv = ["iontrap", "--config", str(config), "--rtol", rtol]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--analytic"] * analytic)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --rtol {rtol}" in captured.err
+
+
 @pytest.mark.parametrize("eps_g", ["nan", "inf"])
 def test_iontrap_rejects_non_finite_eps_g(tmp_path, capsys, eps_g):
     config = tmp_path / "trap.txt"
