@@ -455,3 +455,46 @@ def test_iontrap_seq_with_negative_detuning(tmp_path, capsys):
         fidelities.append(float(out.read_text().split("fidelity=")[1]))
     assert fidelities[0] >= 1 - 1e-5
     assert abs(fidelities[0] - fidelities[1]) < 1e-11
+
+
+#: sequences and trap configs the golden commands below read, by the
+#: placeholder their argv uses; a sequence is the output of its command
+GOLDEN_SEQUENCES = {
+    "bb1": "catalog --entry bb1",
+    "bb2_037": "catalog --entry bb2 --theta-over-pi 0.37",
+    "pb22_031": "catalog --entry pb22 --theta-over-pi 0.31",
+    "wrapabs": "wrap-abs --seq {bb1}",
+}
+GOLDEN_TRAPS = {
+    "trap": TRAP_CONFIG,
+    "trap_detuned": "g = 0.2\ndelta = -1.3\nt = 4.8\nnmax = 30\nzeta1p = 0.1\nzeta2p = 0.3\n"
+                    "zeta1m = 0.2\nzeta2m = 0.45\neps_g = 0.01\n",
+}
+#: ``--out`` bytes of scans and order fits, and the last line (leakage and
+#: fidelity) of ``iontrap --out`` on both routes, keyed by the argv joined
+#: by spaces; captured before the block embedding and the pulse builders
+#: each got one implementation.
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+def golden_cli_outputs(tmp_path, keys):
+    """Output of each golden command in ``keys``, as stored in GOLDEN_CLI."""
+    paths = {}
+    for name, command in GOLDEN_SEQUENCES.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        argv = command.format(**paths).split()
+        assert main(argv + ["--out", paths[name]]) == 0, command
+    for name, text in GOLDEN_TRAPS.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        Path(paths[name]).write_text(text)
+    outputs = {}
+    for key in keys:
+        out = tmp_path / "out.txt"
+        assert main(key.format(**paths).split() + ["--out", str(out)]) == 0, key
+        text = out.read_text()
+        outputs[key] = text.splitlines()[-1] if key.startswith("iontrap") else text
+    return outputs
+
+
+def test_scan_order_and_iontrap_outputs_match_golden(tmp_path, capsys):
+    assert golden_cli_outputs(tmp_path, GOLDEN_CLI) == GOLDEN_CLI
