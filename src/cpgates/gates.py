@@ -83,6 +83,8 @@ class CompositeSequence:
             raise ValidationError("a composite sequence needs at least one gate")
         if not np.isfinite(self.terminal_phase):
             raise ValidationError("terminal phase must be finite")
+        if not np.isfinite(self.target_theta):
+            raise ValidationError(f"target angle must be finite, got {self.target_theta}")
 
     def total_angle(self) -> float:
         """Sum of |theta_k| over all gates (duration proxy)."""

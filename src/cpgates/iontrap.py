@@ -136,6 +136,9 @@ class TrapConfig:
             raise ValidationError("g, delta, duration and the zeta phases must be finite")
         if self.g < 0 or self.delta == 0 or self.duration <= 0:
             raise ValidationError("need g >= 0, delta != 0 and duration > 0")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n_max, self.initial_fock)):
+            raise ValidationError(
+                f"n_max={self.n_max!r} and initial_fock={self.initial_fock!r} must be integers")
         if not (0 <= self.initial_fock <= self.n_max):
             raise ValidationError("initial Fock level must lie within the truncation")
         amax = self.displacement_bound()

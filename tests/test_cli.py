@@ -224,6 +224,36 @@ def test_band_notes_eps_limit_on_stderr(tmp_path, capsys):
     assert "note:" not in capsys.readouterr().err
 
 
+#: arguments besides ``--seq`` of the commands that read a target angle
+TARGET_COMMANDS = {
+    "scan": ["--min", "-0.5", "--max", "0.5", "--steps", "11"],
+    "band": [],
+    "order": [],
+    "iontrap": ["--config", "@trap"],
+}
+
+
+@pytest.mark.parametrize("command, target", [
+    (command, target) for command in TARGET_COMMANDS for target in ("target,nan,", "target,inf,")
+] + [(command, "--theta-over-pi nan") for command in ("scan", "band", "order")])
+def test_non_finite_target_angle_exit_code(tmp_path, capsys, command, target):
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "bb1.csv"
+    config.write_text(TRAP_CONFIG)
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    argv = [command, "--seq", str(seq_path)] + [
+        {"@trap": str(config)}.get(a, a) for a in TARGET_COMMANDS[command]]
+    if target.startswith("target"):
+        rows = [ln for ln in seq_path.read_text().splitlines() if not ln.startswith("target")]
+        seq_path.write_text("\n".join(rows + [target]) + "\n")
+    else:
+        argv += target.split()
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: target angle must be finite" in captured.err
+
+
 @pytest.mark.parametrize("command", ["scan", "order"])
 def test_non_finite_xi_exit_code(tmp_path, capsys, command):
     seq_path = tmp_path / "bb1.csv"

@@ -192,3 +192,9 @@ def test_sequence_validation():
         CompositeSequence(gates=())
     with pytest.raises(ValidationError):
         PhasedGate(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_target_angle_raises(target):
+    with pytest.raises(ValidationError, match="target angle must be finite"):
+        CompositeSequence(gates=(PhasedGate(pi / 4, 0.0),), target_theta=target)

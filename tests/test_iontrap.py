@@ -603,6 +603,20 @@ def test_non_finite_trap_parameters_raise(field, bad):
         TrapConfig(**params)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n_max", 25.5), ("n_max", 25.0), ("initial_fock", 1.5), ("initial_fock", 1.0),
+    ("n_max", "25"),
+])
+def test_non_integer_fock_sizes_raise(field, bad):
+    params = dict(g=0.1, delta=1.0, duration=1.0, n_max=25, initial_fock=1)
+    params[field] = bad
+    with pytest.raises(ValidationError, match="must be integers"):
+        TrapConfig(**params)
+    # numpy integers are integers, as for the Fock levels of the readers
+    params[field] = np.int64(int(float(bad)))
+    assert TrapConfig(**params).dim == 4 * (int(params["n_max"]) + 1)
+
+
 def test_overflowing_displacement_raises():
     with pytest.raises(ValidationError):
         TrapConfig(g=1e200, delta=1e-200, duration=1.0, n_max=20)
