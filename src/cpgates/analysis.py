@@ -9,7 +9,7 @@ the phase.
 Scans, band searches and order fits use the 2x2 blocks V of
 :mod:`cpgates.gates`: for a 4x4 reference R with 2x2 blocks R_jk,
 Tr(R^dag U)/4 = Tr(r^dag V)/2 with the 2x2 reference
-r = (diag(R_00 + R_11) + offdiag(R_01 + R_10))/2.
+r = (diag(R_00 + R_11) + offdiag(R_01 + R_10))/2, e^{i theta sigma_x} for U(theta).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CompositeSequence, _sequence_blocks, ideal_cphase
+from .gates import CompositeSequence, _blocks, _sequence_blocks
 from .linalg import is_unitary
 
 
@@ -59,7 +59,7 @@ def _fidelities(seq: CompositeSequence, epsilons, xi: float = 0.0, ref=None) -> 
     """Fidelities against the 2x2 reference ``ref`` (default: the target)
     over a grid of relative errors."""
     if ref is None:
-        ref = _reference_block(ideal_cphase(seq.target_theta))
+        ref = _blocks(np.cos(seq.target_theta), 1j * np.sin(seq.target_theta))
     v = _sequence_blocks(seq, epsilons, xi)
     return np.abs(np.einsum("ij,eij->e", ref.conj(), v)) / 2.0
 
@@ -178,10 +178,9 @@ def tolerance_band(
             raise ValidationError(f"{name} must be finite and positive, got {value}")
     if eps_limit + coarse_step == eps_limit:
         raise ValidationError("coarse_step is too small to advance to eps_limit")
-    ref = _reference_block(ideal_cphase(seq.target_theta))
 
     def over(eps):
-        return 1.0 - _fidelities(seq, eps, ref=ref) > threshold
+        return 1.0 - _fidelities(seq, eps) > threshold
 
     if over(0.0)[0]:
         raise ValidationError("sequence exceeds the threshold already at eps = 0")

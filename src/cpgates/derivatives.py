@@ -37,7 +37,7 @@ from math import factorial, pi
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CompositeSequence, _embed_blocks
+from .gates import CompositeSequence, _blocks, _embed_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +91,6 @@ def _kernel(thetas, e, l_max: int, at_epsilon: float, keep=None):
         c = y[..., :n] if keep is None else keep[:, k, None] * y[..., :n]
         ab = (c + signed[:, :, k] * y[::-1, :, n:].conj()).reshape(2 * batch, n)
     return ab.reshape(2, batch, n) * factorials
-
-
-def _blocks(a, b):
-    """Cayley-Klein blocks [[a, b], [-conj(b), conj(a)]] from (a, b)."""
-    out = np.empty(a.shape + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = a, b
-    out[..., 1, 0], out[..., 1, 1] = -b.conj(), a.conj()
-    return out
 
 
 def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):

@@ -18,7 +18,9 @@ Conventions
   block V, i.e. ``I (x) d + sigma_x (x) o`` in the computational basis with
   d, o the diagonal and off-diagonal parts of V (Jones, PRA 67, 012317
   (2003)).  :func:`_sequence_blocks` computes V over a whole error grid;
-  the public 4x4 propagators are thin embeddings of one block.
+  :func:`_from_branches` is the one implementation of the identity, used
+  for the public 4x4 propagators (:func:`_embed_blocks`) and for the ion
+  trap's full space (fact (e) of :mod:`cpgates.iontrap`).
 """
 
 from __future__ import annotations
@@ -81,10 +83,8 @@ class CompositeSequence:
         object.__setattr__(self, "gates", tuple(self.gates))
         if not self.gates:
             raise ValidationError("a composite sequence needs at least one gate")
-        if not np.isfinite(self.terminal_phase):
-            raise ValidationError("terminal phase must be finite")
-        if not np.isfinite(self.target_theta):
-            raise ValidationError(f"target angle must be finite, got {self.target_theta}")
+        if not (np.isfinite(self.terminal_phase) and np.isfinite(self.target_theta)):
+            raise ValidationError("terminal phase and target angle must be finite")
 
     def total_angle(self) -> float:
         """Sum of |theta_k| over all gates (duration proxy)."""
@@ -145,6 +145,14 @@ def distorted_theta(theta, epsilon: float = 0.0, xi: float = 0.0):
     return theta * (1.0 + epsilon) + xi
 
 
+def _blocks(a, b):
+    """Cayley-Klein blocks [[a, b], [-conj(b), conj(a)]] from (a, b)."""
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, b
+    out[..., 1, 0], out[..., 1, 1] = -np.conj(b), np.conj(a)
+    return out
+
+
 def _sequence_blocks(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.ndarray:
     """(E, 2, 2) blocks V of the distorted propagators, one per entry of
     ``epsilons``, frame rotation included.  Each gate cos(t) I + i sin(t)
@@ -158,15 +166,22 @@ def _sequence_blocks(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.nd
         c, s = np.cos(t), 1j * np.sin(t) * np.exp(-1j * g.phi)
         a, b = c * a - s * b.conj(), c * b + s * a.conj()
     f = np.exp(-1j * seq.terminal_phase)
-    a, b = f * a, f * b
-    return np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
+    return _blocks(f * a, f * b)
+
+
+def _from_branches(zp: float, blocks) -> np.ndarray:
+    """sum_s P_s (x) blocks[s] for the eigenprojectors P_+- = (1 +- sigma(zp))/2
+    of one qubit's axis, each (batched) block acting on everything after that
+    qubit: 1 (x) M + sigma(zp) (x) D with M and D the half sum and difference."""
+    mean, diff = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
+    phase = np.exp(1j * zp)
+    return np.block([[mean, np.conj(phase) * diff], [phase * diff, mean]])
 
 
 def _embed_blocks(v: np.ndarray) -> np.ndarray:
     """4x4 matrices I (x) d + sigma_x (x) o of blocks V = d + o (d diagonal,
     o off-diagonal), batched over the leading axes of ``v``."""
-    d = np.where(np.eye(2, dtype=bool), v, 0)
-    return np.block([[d, v - d], [v - d, d]])
+    return _from_branches(0.0, (v, v * np.array([[1.0, -1.0], [-1.0, 1.0]])))
 
 
 def sequence_propagator(

@@ -31,8 +31,8 @@ which induces the phased two-qubit gate used by the composite sequences.
 
 H(t) commutes with sigma(zp_1) (x) 1 and 1 (x) sigma(zp_2).  In their
 joint eigenbasis, with eigenvalues b = (s1, s2) and projectors
-P_b = P1_{s1} (x) P2_{s2} (:func:`_from_branches`), each pulse splits
-into four driven oscillators of n_max+1 levels:
+P_b = P1_{s1} (x) P2_{s2}, each pulse splits into four driven
+oscillators of n_max+1 levels:
 
     H_b(t) = g (beta_b e^{i Delta t} a^dag + h.c.),
     beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2},
@@ -62,7 +62,9 @@ how much work a composite gate needs:
     is one product of 2(n_max+1)-square blocks
     C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}, assembled on the
     full space once (:func:`_assemble`).  A single pulse or gate is the
-    one-factor case.
+    one-factor case.  Both sums over eigenprojectors are the gate model's
+    block identity, implemented once in :func:`cpgates.gates._from_branches`,
+    which also embeds the gates' 2x2 blocks as 4x4 matrices.
 (f) With N = diag(0..n_max), e^{i Delta t N} a^dag e^{-i Delta t N} =
     e^{i Delta t} a^dag holds exactly in the truncated space, so
     H_b(t) = e^{i Delta t N} K_b e^{-i Delta t N} with the constant
@@ -94,7 +96,7 @@ from math import ceil, pi
 import numpy as np
 
 from .errors import TruncationError, ValidationError
-from .gates import CompositeSequence, phase_gate
+from .gates import CompositeSequence, _from_branches
 from .linalg import mat_exp_hermitian_generator, sigma_axis
 
 
@@ -136,11 +138,9 @@ class TrapConfig:
             raise ValidationError("g, delta, duration and the zeta phases must be finite")
         if self.g < 0 or self.delta == 0 or self.duration <= 0:
             raise ValidationError("need g >= 0, delta != 0 and duration > 0")
-        if not all(isinstance(v, (int, np.integer)) for v in (self.n_max, self.initial_fock)):
-            raise ValidationError(
-                f"n_max={self.n_max!r} and initial_fock={self.initial_fock!r} must be integers")
-        if not (0 <= self.initial_fock <= self.n_max):
-            raise ValidationError("initial Fock level must lie within the truncation")
+        if not isinstance(self.n_max, (int, np.integer)):
+            raise ValidationError(f"n_max={self.n_max!r} must be an integer")
+        _fock_level(self, self.initial_fock, None, "initial_fock")
         amax = self.displacement_bound()
         if not np.isfinite(amax):
             raise ValidationError("peak displacement g/delta overflows")
@@ -213,15 +213,6 @@ def _branch_leakage(pair: np.ndarray, cfg: TrapConfig) -> float:
     return float(np.max(np.mean(np.sum(top, axis=1), axis=0)))
 
 
-def _check_leakage(pair: np.ndarray, cfg: TrapConfig) -> None:
-    leak = _branch_leakage(pair, cfg)
-    if leak > LEAKAGE_LIMIT:
-        raise TruncationError(
-            f"population {leak:.2e} reached the top two Fock levels; "
-            f"increase n_max"
-        )
-
-
 def _branch_amplitudes(cfg: TrapConfig) -> np.ndarray:
     """beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2} for the branches (s1, s2)
     ordered (+,+), (+,-), (-,+), (-,-)."""
@@ -229,21 +220,17 @@ def _branch_amplitudes(cfg: TrapConfig) -> np.ndarray:
     return s1 * np.exp(-1j * cfg.zeta_minus[0]) + s2 * np.exp(-1j * cfg.zeta_minus[1])
 
 
-def _from_branches(zp: float, blocks: np.ndarray) -> np.ndarray:
-    """sum_s P_s (x) blocks[s] for the eigenprojectors P_+- = (1 +- sigma(zp))/2
-    of one ion's spin axis, each block acting on everything after that ion:
-    1 (x) M + sigma(zp) (x) D with M and D the half sum and half difference."""
-    mean, diff = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
-    phase = np.exp(1j * zp)
-    return np.block([[mean, np.conj(phase) * diff], [phase * diff, mean]])
-
-
 def _assemble(cfg: TrapConfig, plus: np.ndarray) -> np.ndarray:
     """sum_{s1} P1_{s1} (x) C_{s1} on the full space from ion 1's block
-    C_+ = ``plus`` on qubit 2 (x) phonon: C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi).
-    An operator with branch pair P has C_+ = _from_branches(zp_2, P)."""
+    C_+ = ``plus`` on qubit 2 (x) phonon: C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi)."""
     flip = np.outer([1.0, -1.0], (-1.0) ** np.arange(cfg.n_max + 1)).ravel()
-    return _from_branches(cfg.zeta_plus[0], np.array([plus, np.outer(flip, flip) * plus]))
+    return _from_branches(cfg.zeta_plus[0], (plus, np.outer(flip, flip) * plus))
+
+
+def _operator(cfg: TrapConfig, pair: np.ndarray) -> np.ndarray:
+    """Full-space operator of the branch pair P of (+,+) and (+,-):
+    C_+ = sum_{s2} P2_{s2} (x) P[s2]."""
+    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
 
 
 def _propagated_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
@@ -276,16 +263,24 @@ def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
     ])
 
 
-def _gate_pairs(cfgs: list[TrapConfig], analytic: bool) -> list[np.ndarray]:
-    """Branch blocks G_b = U_{-b} U_b of (+,+) and (+,-) of the two-pulse
-    gates for configs that differ only in their durations:
-    each gate pair is (Pi P Pi) P for its pulse pair P, and every pulse
-    pair passes the leakage guard."""
+def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool, check: bool = True) -> list[np.ndarray]:
+    """Branch blocks U_b(T) of (+,+) and (+,-) of pulses that differ only in
+    their durations, closed form or by (f); with ``check``, TruncationError
+    when a pulse leaks population into the top two Fock levels."""
     pairs = [_closed_form_pair(c) for c in cfgs] if analytic else _propagated_pairs(cfgs)
-    parity = (-1.0) ** np.arange(cfgs[0].n_max + 1)
-    for cfg, pair in zip(cfgs, pairs):
-        _check_leakage(pair, cfg)
-    return [(np.outer(parity, parity) * pair) @ pair for pair in pairs]
+    if check:
+        for cfg, pair in zip(cfgs, pairs):
+            if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
+                raise TruncationError(
+                    f"population {leak:.2e} reached the top two Fock levels; increase n_max")
+    return pairs
+
+
+def _gate(pair: np.ndarray) -> np.ndarray:
+    """Branch blocks G_b = U_{-b} U_b = (Pi P Pi) P of the two-pulse gate
+    of pulse pair P, by facts (a) and (b)."""
+    parity = (-1.0) ** np.arange(pair.shape[-1])
+    return (np.outer(parity, parity) * pair) @ pair
 
 
 def evolve_numerical(cfg: TrapConfig, check: bool = True) -> np.ndarray:
@@ -296,10 +291,7 @@ def evolve_numerical(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     Independent of the closed form: it sees only the Hamiltonian.  Raises
     TruncationError when population leaks into the top two Fock levels.
     """
-    [pair] = _propagated_pairs([cfg])
-    if check:
-        _check_leakage(pair, cfg)
-    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
+    return _operator(cfg, *_pulse_pairs([cfg], analytic=False, check=check))
 
 
 def rotation_angle(cfg: TrapConfig) -> float:
@@ -325,10 +317,7 @@ def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     """Closed-form single-pulse propagator (displacement times spin-spin
     exponential times scalar phase), built per spin branch in the
     truncated space: e^{i (phi0 + theta_c s1 s2)} D(alpha_b)."""
-    pair = _closed_form_pair(cfg)
-    if check:
-        _check_leakage(pair, cfg)
-    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], pair))
+    return _operator(cfg, *_pulse_pairs([cfg], analytic=True, check=check))
 
 
 def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
@@ -337,8 +326,7 @@ def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
     state regardless of the (common) detuning, and the spin-spin angle
     doubles to :func:`rotation_angle`.  One pulse is computed; the second
     one's branch blocks are its blocks in reverse order."""
-    [gate] = _gate_pairs([cfg], analytic)
-    return _assemble(cfg, _from_branches(cfg.zeta_plus[1], gate))
+    return _operator(cfg, _gate(*_pulse_pairs([cfg], analytic)))
 
 
 def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
@@ -404,7 +392,7 @@ def composite_physical_gate(
     durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
     times = sorted(set(durations.values()))
     cfgs = [replace(cfg_base, g=cfg_base.g * (1.0 + eps_g), duration=t) for t in times]
-    pairs = dict(zip(times, _gate_pairs(cfgs, analytic) if cfgs else []))
+    pairs = dict(zip(times, map(_gate, _pulse_pairs(cfgs, analytic) if cfgs else [])))
     levels = cfg_base.n_max + 1
     chain = np.eye(2 * levels, dtype=complex)
     for gate in gates:
@@ -412,8 +400,8 @@ def composite_physical_gate(
         pair = pairs[durations[abs(gate.theta)]]
         chain = _from_branches(cfg_base.zeta_plus[0] + phi, pair) @ chain
     if seq.terminal_phase != 0.0:
-        # the frame rotation is diagonal on qubit 2 and commutes with sigma_z (x) Pi
-        chain = np.repeat(np.diag(phase_gate(seq.terminal_phase, 2))[:2], levels)[:, None] * chain
+        # the frame rotation diag(e^{-it}, e^{it}) on qubit 2 commutes with sigma_z (x) Pi
+        chain = np.repeat(np.exp(np.array([-1j, 1j]) * seq.terminal_phase), levels)[:, None] * chain
     return _assemble(cfg_base, chain)
 
 

@@ -1,6 +1,8 @@
 """Reference routes kept only for cross-checking the library.
 
-Each oracle computes its quantity the slow, literal way: 4x4 products
+Each oracle computes its quantity the slow, literal way: the 4x4
+embedding of a 2x2 block written out, sums over a qubit's
+eigenprojectors as dense kron products, 4x4 products
 gate by gate, single-gate derivatives from the shifted-angle closed form
 and the explicit multinomial sum over them, the 4x4 Leibniz recursion
 and the solver residuals built from it, the closed-form low narrowband
@@ -93,6 +95,20 @@ def merge_adjacent(seq: CompositeSequence, tol: float = 1e-12) -> CompositeSeque
         else:
             merged.append(g)
     return replace(seq, gates=tuple(merged))
+
+
+def embed_blocks_4x4(v: np.ndarray) -> np.ndarray:
+    """4x4 matrices I (x) d + sigma_x (x) o of 2x2 blocks V = d + o (d
+    diagonal, o off-diagonal), batched over the leading axes of ``v``,
+    written out directly rather than as a sum over eigenprojectors."""
+    d = np.where(np.eye(2, dtype=bool), v, 0)
+    return np.block([[d, v - d], [v - d, d]])
+
+
+def branch_sum_dense(zp: float, blocks) -> np.ndarray:
+    """sum_s P_s (x) blocks[s] for the eigenprojectors P_+- = (1 +- sigma(zp))/2
+    of one qubit's axis, each term a dense kron product."""
+    return sum(np.kron((IDENTITY_2 + s * sigma_axis(zp)) / 2, b) for s, b in zip((1, -1), blocks))
 
 
 def gate_product_propagator(

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cpgates import analysis, catalog
+from cpgates import analysis, catalog, gates, iontrap
 from cpgates.analysis import fidelity, infidelity_order, scan, sequence_fidelity, tolerance_band
 from cpgates.errors import ValidationError
-from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
+from cpgates.gates import CompositeSequence, PhasedGate, ideal_cphase, sequence_propagator
 from cpgates.linalg import frobenius_norm
-from oracles import scalar_march_band, sequence_product_propagator
+from oracles import (
+    branch_sum_dense, embed_blocks_4x4, scalar_march_band, sequence_product_propagator,
+)
 
 angles = st.floats(-2 * pi, 2 * pi)
 phases = st.floats(0.0, 2 * pi)
@@ -46,6 +48,46 @@ def unitaries(draw):
 def test_block_embedding_equals_gate_product(seq, eps, xi):
     got = sequence_propagator(seq, eps, xi)
     assert frobenius_norm(got - sequence_product_propagator(seq, eps, xi)) < 1e-14
+
+
+@settings(max_examples=40)
+@given(st.floats(-2 * pi, 2 * pi), st.sampled_from([1, 2, 2 * (22 + 1)]), st.integers(0, 2**32 - 1))
+def test_branch_sum_equals_dense_kron_sum(zp, size, seed):
+    # a scalar block, a gate's 2x2 block, and ion 1's block at n_max = 22
+    rng = np.random.default_rng(seed)
+    blocks = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
+    got = gates._from_branches(zp, blocks)
+    assert np.max(np.abs(got - branch_sum_dense(zp, blocks))) < 1e-14
+    assert iontrap._from_branches is gates._from_branches
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (3,), (2, 5)]))
+def test_embedding_equals_the_direct_formula_bit_for_bit(seed, batch):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=batch + (2, 2)) + 1j * rng.normal(size=batch + (2, 2))
+    # exact zeros, as in the blocks of identities and of real or imaginary gates
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v.real[rng.random(v.shape) < 0.2] = 0.0
+    v.imag[rng.random(v.shape) < 0.2] = 0.0
+    got, want = gates._embed_blocks(v), embed_blocks_4x4(v)
+    assert got.shape == want.shape == batch + (4, 4)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_default_target_block_equals_the_block_of_the_4x4_target(monkeypatch):
+    built = []
+
+    def spy(a, b):
+        built.append(gates._blocks(a, b))
+        return built[-1]
+
+    monkeypatch.setattr(analysis, "_blocks", spy)
+    special = [0.0, pi / 4, -pi / 4, pi / 2, pi, -pi, 3 * pi, 1e-300]
+    for theta in special + list(np.random.default_rng(3).uniform(-4 * pi, 4 * pi, 200)):
+        seq = CompositeSequence(gates=(PhasedGate(pi / 4, 0.0),), target_theta=theta)
+        analysis._fidelities(seq, [0.0, 0.1])
+        np.testing.assert_array_equal(built[-1], analysis._reference_block(ideal_cphase(theta)))
+    assert len(built) == len(special) + 200
 
 
 @settings(max_examples=50)

@@ -251,7 +251,7 @@ def test_non_finite_target_angle_exit_code(tmp_path, capsys, command, target):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: target angle must be finite" in captured.err
+    assert "target angle must be finite" in captured.err
 
 
 @pytest.mark.parametrize("command", ["scan", "order"])

@@ -610,7 +610,7 @@ def test_non_finite_trap_parameters_raise(field, bad):
 def test_non_integer_fock_sizes_raise(field, bad):
     params = dict(g=0.1, delta=1.0, duration=1.0, n_max=25, initial_fock=1)
     params[field] = bad
-    with pytest.raises(ValidationError, match="must be integers"):
+    with pytest.raises(ValidationError, match="must be an integer"):
         TrapConfig(**params)
     # numpy integers are integers, as for the Fock levels of the readers
     params[field] = np.int64(int(float(bad)))

@@ -1,9 +1,12 @@
-"""The library ships no code that only tests call.
+"""The library ships no code that only tests call, and no stale copy.
 
 Every public module-level function or class of ``src/cpgates`` is
 referenced from other ``src`` code, exported by ``cpgates/__init__.py``
 or traced by the benchmark (a ``TARGETS`` attribute of
-``bench/spans.py``).  Test-only helpers live in ``tests/oracles.py``.
+``bench/spans.py``).  Every private one (``_name``, dunders aside) is
+referenced from another top-level statement of its own module or
+imported by another module, and no module both defines and imports the
+same name.  Test-only helpers live in ``tests/oracles.py``.
 A reference is a bare name that no enclosing function binds as a
 parameter or assignment target, or an attribute of a cpgates module
 alias (``cat.x``): ``args.entry`` or an ``entry`` parameter does not use
@@ -72,8 +75,26 @@ def _references(node, aliases, bound=frozenset()):
     return found
 
 
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(tree):
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _imports(tree):
+    """(module, name) of each name ``tree`` imports at top level from cpgates."""
+    return {
+        ((node.module or "").rsplit(".", 1)[-1], alias.name)
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "cpgates")
+        for alias in node.names
+    }
+
+
 def test_every_public_definition_is_used_by_the_program():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     exported = {
         alias.asname or alias.name
         for node in trees["__init__"].body if isinstance(node, ast.ImportFrom)
@@ -88,11 +109,28 @@ def test_every_public_definition_is_used_by_the_program():
     unused = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        for node in _definitions(tree)
+        if not node.name.startswith("_")
         and node.name not in exported
         and (module, node.name) not in traced
         and not any(node.name in names for top, names in statements if top is not node)
     ]
     assert unused == []
+
+
+def test_every_private_definition_is_used_and_defined_once():
+    trees = _trees()
+    unused, shadowed = [], []
+    for module, tree in trees.items():
+        aliases = _module_aliases(tree)
+        for node in _definitions(tree):
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = any(node.name in _references(top, aliases) for top in tree.body if top is not node)
+            imported = any((module, node.name) in _imports(other) for other in trees.values())
+            if not (own or imported):
+                unused.append(f"{module}.{node.name}")
+            if node.name in {name for _, name in _imports(tree)}:
+                shadowed.append(f"{module}.{node.name}")
+    assert unused == []
+    assert shadowed == []
