@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import pi
 
-import numpy as np
-
-from .gates import (
-    FAMILY_ABSOLUTE,
-    FAMILY_COMBINED,
-    CompositeSequence,
-    PhasedGate,
-    sequence_propagator,
-)
+from .gates import FAMILY_COMBINED, CompositeSequence, PhasedGate
 
 
 @dataclass(frozen=True)
@@ -41,23 +33,6 @@ class AbsoluteComposite:
     def gates(self) -> tuple[PhasedGate, PhasedGate]:
         half = self.target_theta / 2.0
         return (PhasedGate(half, self.phi), PhasedGate(-half, pi + self.phi))
-
-    def sequence(self) -> CompositeSequence:
-        return CompositeSequence(
-            gates=self.gates(),
-            terminal_phase=0.0,
-            target_theta=self.target_theta,
-            family=FAMILY_ABSOLUTE,
-            label="absolute",
-        )
-
-
-def absolute_composite_propagator(
-    c: AbsoluteComposite, xi: float = 0.0, epsilon: float = 0.0
-) -> np.ndarray:
-    """Propagator of the two-gate composite with both angles offset by xi
-    (and optionally scaled by 1 + epsilon)."""
-    return sequence_propagator(c.sequence(), epsilon, xi)
 
 
 def wrap_sequence_absolute(seq: CompositeSequence) -> CompositeSequence:

@@ -86,9 +86,6 @@ class ScanResult:
         if np.any(fids < 0) or np.any(fids > 1 + 1e-12):
             raise ValidationError("fidelities must lie in [0, 1]")
 
-    def infidelities(self) -> np.ndarray:
-        return 1.0 - np.asarray(self.fidelities)
-
 
 def scan(
     seq: CompositeSequence,
@@ -222,11 +219,10 @@ INFIDELITY_FLOOR = 1e-14
 def infidelity_order(
     seq: CompositeSequence,
     fit_window: tuple[float, float] = (1e-3, 1e-2),
-    points: int = 12,
     xi: float = 0.0,
 ) -> float:
-    """Least-squares slope of log10(1-F) versus log10(eps) on the positive
-    branch of the window.
+    """Least-squares slope of log10(1-F) versus log10(eps) at 12
+    log-spaced points of the positive branch of the window.
 
     Grid points whose infidelity sits below the double-precision floor
     (1e-14) are discarded; if fewer than two usable points remain the
@@ -236,7 +232,7 @@ def infidelity_order(
     lo, hi = fit_window
     if not 0 < lo < hi:
         raise ValidationError("fit window must satisfy 0 < lo < hi")
-    eps = np.logspace(np.log10(lo), np.log10(hi), points)
+    eps = np.logspace(np.log10(lo), np.log10(hi), 12)
     infid = 1.0 - _fidelities(seq, eps, xi)
     usable = infid > INFIDELITY_FLOOR
     if np.count_nonzero(usable) < 2:

@@ -23,7 +23,7 @@ which the solver and :func:`broadband_residuals` /
 :func:`narrowband_residuals` share: it fixes the frame rotation, the
 order layout and the sign of the target, and keeps every order as the
 first row of its block.  4x4 matrices appear only at the public
-boundary (:func:`derivative_sequence`, ``ResidualVector.entries``).
+boundary (:func:`derivative_sequence`).
 The tests check the kernel and the residuals against the 4x4 Leibniz
 recursion, the multinomial sum and finite differences.
 """
@@ -194,8 +194,8 @@ class ResidualVector:
     """Residual conditions per derivative order, with raw and scaled norms.
 
     ``rows[l]`` is the first row (a, b) of the order-l residual block
-    (see :func:`residual_rows`) and ``entries[l]`` the 4x4 residual matrix
-    it embeds to.  ``norms`` are the 4x4 Frobenius norms 2 |rows[l]|.
+    (see :func:`residual_rows`).  ``norms`` are the 4x4 Frobenius norms
+    2 |rows[l]|.
     ``scaled_norms`` divide order l by scale**l where scale = max(1,
     total rotation angle); the l-th derivative of the propagator grows
     like (total angle)^l, so the scaled norms are the ones comparable
@@ -204,10 +204,6 @@ class ResidualVector:
 
     rows: np.ndarray
     scale: float
-
-    @property
-    def entries(self) -> tuple:
-        return tuple(_embed_blocks(_blocks(self.rows[:, 0], self.rows[:, 1])))
 
     @property
     def norms(self) -> tuple[float, ...]:
@@ -249,10 +245,3 @@ def narrowband_residuals(seq: CompositeSequence, n2: int) -> ResidualVector:
     rv = _residual_vector(seq, 0, n2)
     rv.rows[0] = 0.0  # in place of the broadband order 0
     return rv
-
-
-def passband_residuals(
-    seq: CompositeSequence, n1: int, n2: int
-) -> tuple[ResidualVector, ResidualVector]:
-    """Broadband residuals at eps = 0 and narrowband residuals at eps = -1."""
-    return broadband_residuals(seq, n1), narrowband_residuals(seq, n2)

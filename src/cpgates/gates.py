@@ -38,7 +38,6 @@ TWO_PI = 2.0 * pi
 FAMILY_SINGLE = "single"
 FAMILY_BROADBAND = "broadband"
 FAMILY_PASSBAND = "passband"
-FAMILY_ABSOLUTE = "absolute"
 FAMILY_COMBINED = "combined"
 
 
@@ -46,7 +45,9 @@ def canonical_angle(phi: float) -> float:
     """Map an angle to the canonical representative in [0, 2*pi)."""
     if not np.isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi}")
-    return float(np.mod(phi, TWO_PI))
+    angle = float(np.mod(phi, TWO_PI))
+    # a tiny negative angle rounds up to 2*pi itself
+    return 0.0 if angle == TWO_PI else angle
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,6 @@ class PhasedGate:
         if not np.isfinite(self.theta):
             raise ValidationError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "phi", canonical_angle(self.phi))
-
-    def matrix(self) -> np.ndarray:
-        return phased_cphase(self.theta, self.phi)
 
 
 @dataclass(frozen=True)

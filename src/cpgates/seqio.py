@@ -8,8 +8,8 @@ Optional trailing rows carry metadata:
     target,<theta_over_pi>,          target angle (defaults to gate 0's)
     family,<name>,                   family tag (single/broadband/...)
 
-Unknown trailing labels are rejected so that typos do not silently drop
-information.
+Unknown trailing labels and repeated rows are rejected so that typos do
+not silently drop information.
 """
 
 from __future__ import annotations
@@ -50,8 +50,11 @@ def sequence_from_csv(text: str) -> CompositeSequence:
     target = None
     family = FAMILY_SINGLE
     label = ""
+    seen = set()
     for row in rows[1:]:
         tag = row[0].strip()
+        if tag in seen:
+            raise ValidationError(f"repeated {tag!r} row")
         try:
             if tag == "terminal":
                 terminal = float(row[2]) * pi
@@ -71,6 +74,7 @@ def sequence_from_csv(text: str) -> CompositeSequence:
                 gates.append(PhasedGate(float(row[1]) * pi, float(row[2]) * pi))
         except (ValueError, IndexError) as exc:
             raise ValidationError(f"malformed row {row!r}: {exc}") from None
+        seen.add(tag)
     if not gates:
         raise ValidationError("sequence CSV contains no gate rows")
     if target is None:
@@ -82,11 +86,6 @@ def sequence_from_csv(text: str) -> CompositeSequence:
         family=family,
         label=label,
     )
-
-
-def write_sequence(path, seq: CompositeSequence) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(sequence_to_csv(seq))
 
 
 def read_sequence(path) -> CompositeSequence:

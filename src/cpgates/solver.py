@@ -169,8 +169,10 @@ class SolverConfig:
         tol = self.residual_tolerance
         if not (np.isfinite(tol) and tol > 0):
             raise ValidationError(f"residual_tolerance must be finite and positive, got {tol}")
-        if self.max_newton_iters < 1 or self.max_restarts < 1:
-            raise ValidationError("iteration and restart budgets must be at least 1")
+        for name, least in (("max_newton_iters", 1), ("max_restarts", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
         phases = self.initial_phases
         if phases is not None and not all(map(isfinite, phases)):
             raise ValidationError(f"initial_phases must be finite, got {phases}")
@@ -510,18 +512,17 @@ def solve_with_escalation(
     target_theta: float,
     config: SolverConfig = SolverConfig(),
     log=None,
-    stage_restarts: int | None = 100,
+    stage_restarts: int = 100,
 ) -> SolverResult:
     """Try progressively longer gate-count shapes, returning the first
     converged result; records every attempted gate count.
 
     ``stage_restarts`` caps the Monte-Carlo budget spent per shape before
     escalating (shapes too short for the requested order never converge,
-    so an uncapped budget would stall on them); pass None to use the full
-    ``config.max_restarts`` at every stage.  Feasible stages converge
+    so an uncapped budget would stall on them).  Feasible stages converge
     within a few dozen restarts in practice.
     """
-    if stage_restarts is not None and stage_restarts < 1:
+    if stage_restarts < 1:
         raise ValidationError(f"stage_restarts must be at least 1, got {stage_restarts}")
     if family == FAMILY_BROADBAND:
         n = orders if isinstance(orders, int) else orders[0]
@@ -539,7 +540,7 @@ def solve_with_escalation(
                 f"stage gates={stage.gate_count} shape={stage.shape!r} "
                 f"unknowns={stage.free_phase_count}\n"
             )
-        budget = min(config.max_restarts, stage_restarts or config.max_restarts)
+        budget = min(config.max_restarts, stage_restarts)
         seed_phases = config.initial_phases
         if seed_phases is not None and len(seed_phases) != stage.free_phase_count:
             seed_phases = None

@@ -3,7 +3,8 @@
 Each oracle computes its quantity the slow, literal way: the 4x4
 embedding of a 2x2 block written out, sums over a qubit's
 eigenprojectors as dense kron products, 4x4 products
-gate by gate, single-gate derivatives from the shifted-angle closed form
+gate by gate (the two-gate absolute-error composite among them),
+single-gate derivatives from the shifted-angle closed form
 and the explicit multinomial sum over them, the 4x4 Leibniz recursion
 and the solver residuals built from it, the closed-form low narrowband
 conditions, the solver Jacobian by central differences, the Newton step
@@ -28,6 +29,7 @@ from math import comb, factorial, pi
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from cpgates.abserr import AbsoluteComposite
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import (
@@ -127,6 +129,15 @@ def sequence_product_propagator(
 ) -> np.ndarray:
     """Full 4x4 sequence propagator, terminal frame rotation included."""
     return phase_gate(seq.terminal_phase, 2) @ gate_product_propagator(seq, epsilon, xi)
+
+
+def absolute_composite_propagator(
+    c: AbsoluteComposite, xi: float = 0.0, epsilon: float = 0.0
+) -> np.ndarray:
+    """4x4 product of the two-gate composite's gates with both angles
+    offset by xi (and optionally scaled by 1 + epsilon)."""
+    seq = CompositeSequence(c.gates(), target_theta=c.target_theta)
+    return gate_product_propagator(seq, epsilon, xi)
 
 
 def derivative_single_gate(

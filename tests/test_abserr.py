@@ -3,15 +3,12 @@ import pytest
 from math import pi
 
 from cpgates import catalog
-from cpgates.abserr import (
-    AbsoluteComposite,
-    absolute_composite_propagator,
-    wrap_sequence_absolute,
-)
+from cpgates.abserr import AbsoluteComposite, wrap_sequence_absolute
 from cpgates.analysis import infidelity_order, sequence_fidelity
 from cpgates.gates import FAMILY_COMBINED, phased_cphase, sequence_propagator
 from cpgates.linalg import frobenius_norm
 from cpgates.solver import SolverConfig, polish
+from oracles import absolute_composite_propagator
 
 TH = pi / 4
 

@@ -12,7 +12,7 @@ import pytest
 from math import acos, cos, pi, sqrt
 
 from cpgates import catalog
-from cpgates.abserr import AbsoluteComposite, absolute_composite_propagator, wrap_sequence_absolute
+from cpgates.abserr import AbsoluteComposite, wrap_sequence_absolute
 from cpgates.analysis import infidelity_order, scan, sequence_fidelity, tolerance_band
 from cpgates.derivatives import derivative_sequence
 from cpgates.gates import (
@@ -35,8 +35,8 @@ from cpgates.iontrap import (
 from cpgates.linalg import frobenius_norm, is_unitary, sigma_axis
 from cpgates.solver import SolverConfig, broadband_problem, polish, solve
 from oracles import (
-    fock_population, pauli_string_matrix, pauli_string_product, propagator_distance,
-    reduced_narrowband_conditions,
+    absolute_composite_propagator, fock_population, pauli_string_matrix, pauli_string_product,
+    propagator_distance, reduced_narrowband_conditions,
 )
 
 TH = pi / 4

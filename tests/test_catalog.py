@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from math import pi
 
 from cpgates import catalog
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
-from cpgates.gates import sequence_propagator
+from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
 from cpgates.seqio import sequence_from_csv, sequence_to_csv
 from cpgates.solver import broadband_problem, passband_problem
 
@@ -88,6 +90,28 @@ def test_csv_rejects_bad_header_and_labels():
     good = sequence_to_csv(catalog.single())
     with pytest.raises(ValidationError):
         sequence_from_csv(good + "mystery,1,2\n")
+    # a repeated metadata row would silently overrule the first one
+    for row in ("target,0.3,", "terminal,,0.5", "family,broadband,"):
+        with pytest.raises(ValidationError, match="repeated"):
+            sequence_from_csv(good + f"{row}\n{row}\n")
+
+
+#: gate phases, tiny negative ones included: np.mod(-1e-16, 2 pi) rounds to 2 pi
+csv_phases = st.one_of(st.floats(-4 * pi, 4 * pi), st.floats(-1e-14, 0.0))
+
+
+@given(
+    st.lists(st.builds(PhasedGate, st.floats(-2 * pi, 2 * pi), csv_phases), min_size=1, max_size=6),
+    st.floats(-pi, pi),
+    st.floats(-2 * pi, 2 * pi),
+    st.sampled_from(["single", "broadband", "passband", "combined"]),
+)
+@example([PhasedGate(0.5, -1e-16)], 0.0, 0.5, "single")
+def test_csv_round_trip_is_a_fixed_point(gates, terminal, target, family):
+    text = sequence_to_csv(CompositeSequence(tuple(gates), terminal, target, family))
+    back = sequence_from_csv(text)
+    assert sequence_to_csv(back) == text
+    assert all(0.0 <= g.phi < 2 * pi for g in gates + list(back.gates))
 
 
 ANALYTIC = {"bb1": True, "bb2": True, "bb3": False, "bb4": False, "bb5": False,

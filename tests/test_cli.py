@@ -320,6 +320,7 @@ def test_iontrap_seq_with_zero_coupling(tmp_path, capsys):
     ["--stage-restarts", "-3"],
     ["--max-restarts", "0"],
     ["--max-iters", "-1"],
+    ["--seed", "-1"],
 ])
 def test_solve_rejects_invalid_budgets(tmp_path, capsys, extra):
     out = tmp_path / "seq.csv"

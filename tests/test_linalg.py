@@ -5,7 +5,6 @@ from math import pi
 from cpgates.errors import ValidationError
 from cpgates.linalg import (
     SIGMA_X,
-    SIGMA_Y,
     frobenius_norm,
     is_unitary,
     mat_exp_hermitian_generator,
@@ -110,5 +109,5 @@ def test_pauli_string_matches_explicit_products():
 
 def test_sigma_axis_basics():
     assert frobenius_norm(sigma_axis(0.0) - SIGMA_X) < 1e-15
-    assert frobenius_norm(sigma_axis(pi / 2) - SIGMA_Y) < 1e-15
+    assert frobenius_norm(sigma_axis(pi / 2) - np.array([[0, -1j], [1j, 0]])) < 1e-15
     assert frobenius_norm(sigma_axis(pi) + SIGMA_X) < 1e-15

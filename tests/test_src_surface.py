@@ -1,12 +1,15 @@
 """The library ships no code that only tests call, and no stale copy.
 
+The public surface is ``cpgates.__all__``, a literal list pinned here.
 Every public module-level function or class of ``src/cpgates`` is
-referenced from other ``src`` code, exported by ``cpgates/__init__.py``
-or traced by the benchmark (a ``TARGETS`` attribute of
+referenced from other ``src`` code, listed in ``cpgates.__all__`` or
+traced by the benchmark (a ``TARGETS`` attribute of
 ``bench/spans.py``).  Every private one (``_name``, dunders aside) is
 referenced from another top-level statement of its own module or
 imported by another module, and no module both defines and imports the
-same name.  Test-only helpers live in ``tests/oracles.py``.
+same name.  Every method or property of a ``src/cpgates`` class
+(dunders aside) is read as an attribute somewhere in ``src``, ``tests``
+or ``bench``.  Test-only helpers live in ``tests/oracles.py``.
 A reference is a bare name that no enclosing function binds as a
 parameter or assignment target, or an attribute of a cpgates module
 alias (``cat.x``): ``args.entry`` or an ``entry`` parameter does not use
@@ -16,9 +19,28 @@ a function ``entry``.
 import ast
 import importlib.util
 from pathlib import Path
+from types import ModuleType
+
+import cpgates
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cpgates"
+
+PUBLIC = [
+    "TruncationError", "ValidationError",
+    "CompositeSequence", "PhasedGate", "convert_phase_conventions", "ideal_cphase",
+    "interleaved_from_phases", "phase_gate", "phased_cphase", "sequence_propagator",
+    "broadband", "passband", "single",
+    "ResidualVector", "broadband_residuals", "derivative_sequence", "narrowband_residuals",
+    "SolverConfig", "SolverProblem", "SolverResult", "objective_D", "polish", "solve",
+    "solve_with_escalation",
+    "ScanResult", "ToleranceBand", "fidelity", "infidelity_order", "scan", "sequence_fidelity",
+    "tolerance_band",
+    "AbsoluteComposite", "wrap_sequence_absolute",
+    "TrapConfig", "analytic_propagator", "composite_physical_gate", "evolve_numerical",
+    "rotation_angle", "two_pulse_gate",
+    "read_sequence", "sequence_from_csv", "sequence_to_csv",
+]
 
 
 def _traced():
@@ -93,13 +115,28 @@ def _imports(tree):
     }
 
 
+def _pinned_all(tree):
+    """The names of ``__all__``, which must be assigned a literal list of strings."""
+    [value] = [
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    assert isinstance(value, ast.List)
+    assert all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts)
+    return [e.value for e in value.elts]
+
+
+def test_public_surface_is_pinned():
+    names = _pinned_all(_trees()["__init__"])
+    assert names == cpgates.__all__ == PUBLIC
+    assert not any(isinstance(getattr(cpgates, name), ModuleType) for name in names)
+    # submodules stay reachable as attributes of the package
+    assert isinstance(cpgates.catalog, ModuleType)
+
+
 def test_every_public_definition_is_used_by_the_program():
     trees = _trees()
-    exported = {
-        alias.asname or alias.name
-        for node in trees["__init__"].body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(_pinned_all(trees["__init__"]))
     traced = _traced()
     # each top-level statement of src with the names it reads
     statements = [
@@ -134,3 +171,18 @@ def test_every_private_definition_is_used_and_defined_once():
                 shadowed.append(f"{module}.{node.name}")
     assert unused == []
     assert shadowed == []
+
+
+def test_every_method_is_read_somewhere():
+    files = [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    read = {
+        node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.name}.{node.name}"
+        for tree in _trees().values() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("__") and node.name not in read
+    ]
+    assert unread == []
