@@ -111,14 +111,24 @@ def scan(
     return ScanResult(tuple(eps), tuple(fids.tolist()), seq.label or seq.family, seq.target_theta)
 
 
+#: Largest |eps| the band search reaches on either side.
+EPS_LIMIT = 1.5
+#: Band march grid: 1e-3 steps from 0 summed one at a time (the values of
+#: ``e += 1e-3``), 1501 points up to EPS_LIMIT.
+_MARCH_GRID = np.cumsum(np.r_[0.0, np.full(1501, 1e-3)])
+_MARCH_GRID = _MARCH_GRID[_MARCH_GRID <= EPS_LIMIT]
+#: Bisection steps from a march bracket: 1e-3 halved four times is 6.25e-5.
+_BISECTIONS = 4
+
+
 @dataclass(frozen=True)
 class ToleranceBand:
-    """Error interval around zero with infidelity below the threshold."""
+    """Error interval around zero with infidelity below the threshold; an
+    edge at |eps| = EPS_LIMIT met no crossing within the search."""
 
     eps_low: float
     eps_high: float
     threshold: float
-    eps_limit: float = float("inf")
 
     def __post_init__(self):
         if not (self.eps_low <= 0.0 <= self.eps_high):
@@ -128,15 +138,9 @@ class ToleranceBand:
         return min(-self.eps_low, self.eps_high)
 
     def sides_at_limit(self) -> tuple[str, ...]:
-        """Sides ("low", "high") that reached eps_limit without a crossing."""
+        """Sides ("low", "high") that reached EPS_LIMIT without a crossing."""
         edges = (("low", -self.eps_low), ("high", self.eps_high))
-        return tuple(side for side, edge in edges if edge >= self.eps_limit)
-
-
-#: Largest coarse-grid chunk evaluated per batched call of the band march.
-_MARCH_CHUNK = 4096
-#: Bisection-tree levels evaluated per batched call of the band search.
-_TREE_LEVELS = 4
+        return tuple(side for side, edge in edges if edge >= EPS_LIMIT)
 
 
 def _bisection_tree(brackets: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,65 +156,48 @@ def _bisection_tree(brackets: np.ndarray, levels: int) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def tolerance_band(
-    seq: CompositeSequence,
-    threshold: float = 1e-4,
-    eps_limit: float = 1.5,
-    coarse_step: float = 1e-3,
-    locate_tol: float = 1e-4,
-) -> ToleranceBand:
+def tolerance_band(seq: CompositeSequence, threshold: float = 1e-4) -> ToleranceBand:
     """Interval of eps around 0 keeping infidelity below ``threshold``.
 
-    Marches outward from zero in ``coarse_step`` increments (chunks doubling
-    from 64 points) until each side's first crossing is bracketed, then
-    bisects to ``locate_tol``, a few tree levels of both sides per call; the
-    edges equal a one-point march and bisection bit for bit.  Raises
-    ValidationError when the sequence already fails at eps = 0, or when a
-    parameter is out of range.
+    Marches outward from zero over 1e-3 steps (chunks doubling from 64
+    points) until each side's first crossing is bracketed, or |eps|
+    reaches EPS_LIMIT, then bisects each bracket four times, every
+    midpoint of both sides in one call; each edge lies within 6.25e-5 of
+    its crossing and equals a one-point march and bisection bit for bit.
+    Raises ValidationError when the sequence already fails at eps = 0.
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
-    for name, value in dict(eps_limit=eps_limit, coarse_step=coarse_step, locate_tol=locate_tol).items():
-        if not 0.0 < value < np.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
-    if eps_limit + coarse_step == eps_limit:
-        raise ValidationError("coarse_step is too small to advance to eps_limit")
 
     def over(eps):
         return 1.0 - _fidelities(seq, eps) > threshold
 
     if over(0.0)[0]:
         raise ValidationError("sequence exceeds the threshold already at eps = 0")
-    # march both sides over coarse_step, 2*coarse_step, ... accumulated one
-    # step at a time (the values of ``e += coarse_step``), a chunk per call
-    brackets, prev, size = {}, 0.0, 64
-    while prev + coarse_step <= eps_limit and len(brackets) < 2:
-        grid = np.cumsum(np.r_[prev, np.full(min(size, _MARCH_CHUNK), coarse_step)])
-        grid = grid[grid <= eps_limit]
+    brackets, start, size = {}, 0, 64
+    while start < len(_MARCH_GRID) - 1 and len(brackets) < 2:
+        grid = _MARCH_GRID[start:start + size + 1]
         sides = [d for d in (1.0, -1.0) if d not in brackets]
         hits = over(np.concatenate([d * grid[1:] for d in sides]))
         for d, row in zip(sides, hits.reshape(len(sides), -1)):
             if row.any():
                 k = int(np.argmax(row))
                 brackets[d] = (grid[k], grid[k + 1])
-        prev, size = grid[-1], 2 * size
-    edges = {d: d * eps_limit for d in (1.0, -1.0) if d not in brackets}
-    # bisect: one call per _TREE_LEVELS levels evaluates every midpoint the
-    # walk can reach (hi - lo > locate_tol); the walk stops at the level below
-    while any(hi - lo > locate_tol for lo, hi in brackets.values()):
+        start, size = start + size, 2 * size
+    edges = {d: d * EPS_LIMIT for d in (1.0, -1.0) if d not in brackets}
+    if brackets:
+        # the midpoints of the tree's first _BISECTIONS levels are every
+        # point the walk can reach; it ends at a leaf of the level below
         sides = list(brackets)
-        lo, hi = _bisection_tree(np.array([brackets[d] for d in sides]), _TREE_LEVELS + 1)
-        mid = 0.5 * (lo + hi)
-        todo = (hi - lo > locate_tol) & (np.arange(lo.shape[1]) < 2**_TREE_LEVELS - 1)
-        hit = np.zeros_like(todo)
-        hit[todo] = over((np.array(sides)[:, None] * mid)[todo])
+        lo, hi = _bisection_tree(np.array([brackets[d] for d in sides]), _BISECTIONS + 1)
+        mid = np.array(sides)[:, None] * (0.5 * (lo + hi))
+        hit = over(mid[:, :2**_BISECTIONS - 1].ravel()).reshape(len(sides), -1)
         for s, d in enumerate(sides):
             i = 0
-            while todo[s, i]:
+            for _ in range(_BISECTIONS):
                 i = 2 * i + (1 if hit[s, i] else 2)
-            brackets[d] = (lo[s, i], hi[s, i])
-    edges.update((d, d * 0.5 * (lo + hi)) for d, (lo, hi) in brackets.items())
-    return ToleranceBand(edges[-1.0], edges[1.0], threshold, eps_limit)
+            edges[d] = d * 0.5 * (lo[s, i] + hi[s, i])
+    return ToleranceBand(edges[-1.0], edges[1.0], threshold)
 
 
 INFIDELITY_FLOOR = 1e-14

@@ -24,6 +24,7 @@ import numpy as np
 from . import catalog as cat
 from .abserr import wrap_sequence_absolute
 from .analysis import (
+    EPS_LIMIT,
     band_report,
     infidelity_order,
     scan,
@@ -171,7 +172,7 @@ def cmd_band(args) -> int:
     seq = _load_sequence(args)
     band = tolerance_band(seq, threshold=args.threshold)
     if sides := band.sides_at_limit():
-        print(f"note: band reached eps_limit={band.eps_limit:g} without crossing the "
+        print(f"note: band reached eps_limit={EPS_LIMIT:g} without crossing the "
               f"threshold (sides: {', '.join(sides)})", file=sys.stderr)
     _emit(band_report(band) + "\n", args.out)
     return 0

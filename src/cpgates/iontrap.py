@@ -191,13 +191,12 @@ def _fock_level(cfg: TrapConfig, level: int | None, default: int | None, name: s
     return int(level)
 
 
-def leakage(u: np.ndarray, cfg: TrapConfig, source_levels: int | None = None) -> float:
+def leakage(u: np.ndarray, cfg: TrapConfig) -> float:
     """Worst-case population in the top two phonon levels over all input
-    basis states with phonon level <= source_levels."""
+    basis states with phonon level <= cfg.initial_fock."""
     levels = cfg.n_max + 1
-    src = _fock_level(cfg, source_levels, cfg.initial_fock, "source_levels")
     blocks = u.reshape(4, levels, 4, levels)
-    top = blocks[:, -2:, :, : src + 1]
+    top = blocks[:, -2:, :, : cfg.initial_fock + 1]
     return float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
 
 

@@ -522,8 +522,8 @@ def solve_with_escalation(
     so an uncapped budget would stall on them).  Feasible stages converge
     within a few dozen restarts in practice.
     """
-    if stage_restarts < 1:
-        raise ValidationError(f"stage_restarts must be at least 1, got {stage_restarts}")
+    if not (isinstance(stage_restarts, (int, np.integer)) and stage_restarts >= 1):
+        raise ValidationError(f"stage_restarts must be an integer of at least 1, got {stage_restarts!r}")
     if family == FAMILY_BROADBAND:
         n = orders if isinstance(orders, int) else orders[0]
         stages = broadband_progression(n, target_theta)

@@ -488,6 +488,25 @@ def test_iontrap_seq_with_negative_detuning(tmp_path, capsys):
     assert abs(fidelities[0] - fidelities[1]) < 1e-11
 
 
+def test_iontrap_seq_does_not_read_zeta2p(tmp_path, capsys):
+    # with --seq, ion 2's spin phase is zeta1p plus each gate's phase, so
+    # zeta2p changes the bare two-pulse gate but not a composite (the
+    # trap_detuned golden sets zeta2p = 0.3 with --seq)
+    seq_path = tmp_path / "bb1.csv"
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    outputs = {}
+    for zeta2p in ("0.0", "0.3"):
+        config = tmp_path / f"trap_{zeta2p}.txt"
+        config.write_text(TRAP_CONFIG + f"zeta1p = 0.1\nzeta2p = {zeta2p}\n")
+        for seq in (False, True):
+            out = tmp_path / f"gate_{zeta2p}_{seq}.csv"
+            argv = ["iontrap", "--config", str(config), "--out", str(out), "--analytic"]
+            assert main(argv + ["--seq", str(seq_path)] * seq) == 0
+            outputs[zeta2p, seq] = out.read_bytes()
+    assert outputs["0.0", True] == outputs["0.3", True]
+    assert outputs["0.0", False] != outputs["0.3", False]
+
+
 #: sequences and trap configs the golden commands below read, by the
 #: placeholder their argv uses; a sequence is the output of its command
 GOLDEN_SEQUENCES = {

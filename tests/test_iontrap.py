@@ -668,7 +668,6 @@ def test_scipy_functions_stay_module_level_names(monkeypatch):
 
 
 LEVEL_READERS = {
-    "leakage": lambda u, cfg, p: leakage(u, cfg, source_levels=p),
     "propagator_distance": lambda u, cfg, p: propagator_distance(u, u, cfg, source_levels=p),
     "phonon_identity_defect": lambda u, cfg, p: phonon_identity_defect(u, cfg, source_levels=p),
     "extract_qubit_gate": lambda u, cfg, p: extract_qubit_gate(u, cfg, fock_level=p),

@@ -473,9 +473,11 @@ def test_solver_config_accepts_numpy_integers():
     assert solve(broadband_problem(1, TH, 2, free_terminal=True), config).converged
 
 
-@pytest.mark.parametrize("stage_restarts", [0, -3])
+@pytest.mark.parametrize("stage_restarts", [0, -3, 2.5, 3.0, None])
 def test_escalation_rejects_empty_stage_budget(stage_restarts):
-    with pytest.raises(ValidationError):
+    # checked like SolverConfig's budgets, and reported under its own name
+    # rather than as the max_restarts it is passed on as
+    with pytest.raises(ValidationError, match="^stage_restarts must be an integer of at least 1"):
         solve_with_escalation(FAMILY_BROADBAND, 1, TH, stage_restarts=stage_restarts)
 
 
