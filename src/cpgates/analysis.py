@@ -115,7 +115,7 @@ def scan(
 EPS_LIMIT = 1.5
 #: Band march grid: 1e-3 steps from 0 summed one at a time (the values of
 #: ``e += 1e-3``), 1501 points up to EPS_LIMIT.
-_MARCH_GRID = np.cumsum(np.r_[0.0, np.full(1501, 1e-3)])
+_MARCH_GRID = np.cumsum(np.r_[0.0, np.full(int(EPS_LIMIT / 1e-3) + 1, 1e-3)])
 _MARCH_GRID = _MARCH_GRID[_MARCH_GRID <= EPS_LIMIT]
 #: Bisection steps from a march bracket: 1e-3 halved four times is 6.25e-5.
 _BISECTIONS = 4
@@ -143,12 +143,12 @@ class ToleranceBand:
         return tuple(side for side, edge in edges if edge >= EPS_LIMIT)
 
 
-def _bisection_tree(brackets: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals of the first ``levels`` levels of the bisection tree below
-    each row (lo, hi) of ``brackets``, in level order: node i splits at
-    0.5 * (lo + hi) into node 2i+1 = (lo, mid) and node 2i+2 = (mid, hi)."""
+def _bisection_tree(brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals of the first _BISECTIONS + 1 levels of the bisection tree
+    below each row (lo, hi) of ``brackets``, in level order: node i splits
+    at 0.5 * (lo + hi) into node 2i+1 = (lo, mid) and node 2i+2 = (mid, hi)."""
     lo, hi = brackets[:, :1], brackets[:, 1:]
-    for k in range(levels - 1):
+    for k in range(_BISECTIONS):
         a, b = lo[:, 2**k - 1:], hi[:, 2**k - 1:]
         mid = 0.5 * (a + b)
         lo = np.hstack([lo, np.stack([a, mid], -1).reshape(len(a), -1)])
@@ -189,7 +189,7 @@ def tolerance_band(seq: CompositeSequence, threshold: float = 1e-4) -> Tolerance
         # the midpoints of the tree's first _BISECTIONS levels are every
         # point the walk can reach; it ends at a leaf of the level below
         sides = list(brackets)
-        lo, hi = _bisection_tree(np.array([brackets[d] for d in sides]), _BISECTIONS + 1)
+        lo, hi = _bisection_tree(np.array([brackets[d] for d in sides]))
         mid = np.array(sides)[:, None] * (0.5 * (lo + hi))
         hit = over(mid[:, :2**_BISECTIONS - 1].ravel()).reshape(len(sides), -1)
         for s, d in enumerate(sides):

@@ -157,6 +157,12 @@ class SolverProblem:
         )
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer >= ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tolerance: float = 1e-10
@@ -170,9 +176,7 @@ class SolverConfig:
         if not (np.isfinite(tol) and tol > 0):
             raise ValidationError(f"residual_tolerance must be finite and positive, got {tol}")
         for name, least in (("max_newton_iters", 1), ("max_restarts", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least):
-                raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         phases = self.initial_phases
         if phases is not None and not all(map(isfinite, phases)):
             raise ValidationError(f"initial_phases must be finite, got {phases}")
@@ -522,8 +526,7 @@ def solve_with_escalation(
     so an uncapped budget would stall on them).  Feasible stages converge
     within a few dozen restarts in practice.
     """
-    if not (isinstance(stage_restarts, (int, np.integer)) and stage_restarts >= 1):
-        raise ValidationError(f"stage_restarts must be an integer of at least 1, got {stage_restarts!r}")
+    _check_count("stage_restarts", stage_restarts, 1)
     if family == FAMILY_BROADBAND:
         n = orders if isinstance(orders, int) else orders[0]
         stages = broadband_progression(n, target_theta)

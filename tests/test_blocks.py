@@ -50,7 +50,7 @@ def test_block_embedding_equals_gate_product(seq, eps, xi):
     assert frobenius_norm(got - sequence_product_propagator(seq, eps, xi)) < 1e-14
 
 
-@settings(max_examples=25)
+@settings(max_examples=40)
 @given(st.floats(-2 * pi, 2 * pi), st.sampled_from([1, 2, 2 * (22 + 1)]), st.integers(0, 2**32 - 1))
 def test_branch_sum_equals_dense_kron_sum(zp, size, seed):
     # a scalar block, a gate's 2x2 block, and ion 1's block at n_max = 22
@@ -118,20 +118,30 @@ BAND_SEQUENCES = [
 ]
 
 
-@settings(max_examples=25)
+def each_band_sequence_at(*thresholds):
+    """Explicit examples: every BAND_SEQUENCES entry at pi/4 and each threshold."""
+    def wrap(test):
+        for make in BAND_SEQUENCES:
+            for threshold in thresholds:
+                test = example(make, pi / 4, threshold)(test)
+        return test
+    return wrap
+
+
+@settings(max_examples=35)
 @given(
     st.sampled_from(BAND_SEQUENCES),
     st.floats(0.1 * pi, 0.45 * pi),
     st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 0.9]),
 )
-@example(BAND_SEQUENCES[1], pi / 4, 1e-4)
+@each_band_sequence_at(1e-4, 0.9)
 def test_batched_band_equals_scalar_march(make, theta, threshold):
     seq = make(theta)
     band = tolerance_band(seq, threshold)
     assert (band.eps_low, band.eps_high) == scalar_march_band(seq, threshold, 1.5, 1e-3, 1e-4)
 
 
-@settings(max_examples=15)
+@settings(max_examples=30)
 @given(st.floats(0.006, 0.012))
 @example(0.006)
 def test_batched_band_with_one_side_at_eps_limit(angle):
