@@ -46,7 +46,7 @@ from .iontrap import (
     two_pulse_gate,
 )
 from .seqio import read_sequence, sequence_to_csv
-from .solver import SolverConfig, polish, solve_with_escalation
+from .solver import SolverConfig, _residual_rank, polish, solve_with_escalation
 
 _ANALYTIC_RESIDUAL_TOL = 1e-10
 _DECIMAL_RESIDUAL_TOL = 5e-2
@@ -105,11 +105,12 @@ def cmd_solve(args) -> int:
         if args.log and log is not None:
             log.close()
     if not result.converged or result.sequence is None:
-        print(
-            f"did not converge: best D={result.residual_D:.3e} "
-            f"after gate counts {list(result.attempted_gate_counts)}",
-            file=sys.stderr,
-        )
+        stage, rank = result.problem, _residual_rank(result.problem)
+        reason = (f"every stage is below its rank; the largest, {stage.gate_count} gates "
+                  f"({stage.shape}), has {stage.free_phase_count} unknowns and needs rank {rank},"
+                  if stage.free_phase_count < rank else f"best D={result.residual_D:.3e}")
+        print(f"did not converge: {reason} after gate counts "
+              f"{list(result.attempted_gate_counts)}", file=sys.stderr)
         return 2
     seq = result.sequence
     print(
@@ -212,6 +213,9 @@ def cmd_iontrap(args) -> int:
     if args.eps_g is not None:
         eps_g = args.eps_g
     if args.seq:
+        if cfg.zeta_plus[1] != 0.0:
+            raise ValidationError("zeta2p is not used with --seq: ion 2's spin phase is "
+                                  "zeta1p plus each gate's phase; remove the key")
         seq = read_sequence(args.seq)
         u = composite_physical_gate(seq, cfg, eps_g, analytic=args.analytic)
         reference = ideal_cphase(seq.target_theta)

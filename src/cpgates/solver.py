@@ -22,7 +22,7 @@ call, then 25 Levenberg-regularised steps, solved together and evaluated
 in one batched call.  A run ends when D reaches the tolerance, when no
 candidate lowers it, when the iteration budget is spent, or when D has
 fallen by less than 0.1 % over the last 5 iterations (a stall: such runs
-sit at a false minimum, typically on a stage too short for the order).
+sit at a false minimum).
 
 A stage's restarts run in rounds.  Restart 0, which carries any given
 initial phases and usually converges by itself, runs alone; later rounds
@@ -34,6 +34,10 @@ its batch, and the stage's result is the lowest-index restart that
 converged (later restarts of its round are dropped unlogged), so results
 and logs do not depend on the round size: they are those of running the
 restarts one after another.
+
+Escalation skips a stage with fewer free phases than the rank C of its
+residual conditions (n + ceil(n/2) + 1 for order-n broadband), as such a
+stage generically has no solution.
 """
 
 from __future__ import annotations
@@ -510,6 +514,24 @@ def passband_progression(n1: int, n2: int, target_theta: float) -> list[SolverPr
     ]
 
 
+_RANKS: dict = {}
+
+
+def _residual_rank(stage: SolverProblem) -> int:
+    """Rank C of a ladder stage's residual conditions: the Jacobian's rank
+    (singular values above 1e-12 of the largest) at a fixed random point
+    of a 24-gate chain of the stage's shape at target 0.3 pi.  A shape
+    fixes the chain and the first gate, so C is cached by shape."""
+    key = (stage.orders, stage.shape, stage.free_terminal)
+    if key not in _RANKS:
+        first = 0.3 * pi + stage.thetas[0] - stage.target_theta
+        chain = replace(stage, target_theta=0.3 * pi, thetas=(first,) + stage.thetas[-1:] * 24)
+        x = np.random.default_rng(0).uniform(0.0, 2.0 * pi, (1, chain.free_phase_count))
+        s = np.linalg.svd(_jacobian(chain, x)[1][0], compute_uv=False)
+        _RANKS[key] = int(np.count_nonzero(s > 1e-12 * s[0]))
+    return _RANKS[key]
+
+
 def solve_with_escalation(
     family: str,
     orders,
@@ -521,10 +543,10 @@ def solve_with_escalation(
     """Try progressively longer gate-count shapes, returning the first
     converged result; records every attempted gate count.
 
-    ``stage_restarts`` caps the Monte-Carlo budget spent per shape before
-    escalating (shapes too short for the requested order never converge,
-    so an uncapped budget would stall on them).  Feasible stages converge
-    within a few dozen restarts in practice.
+    A stage with fewer free phases than its rank (:func:`_residual_rank`)
+    is skipped, logged and still listed; if every stage is, the result has
+    no restarts and the stage with the most free phases as its problem.
+    ``stage_restarts`` caps the Monte-Carlo budget of each stage that runs.
     """
     _check_count("stage_restarts", stage_restarts, 1)
     if family == FAMILY_BROADBAND:
@@ -536,8 +558,18 @@ def solve_with_escalation(
     else:
         raise ValidationError(f"escalation is defined for broadband/passband, got {family!r}")
     attempted: list[int] = []
+    last = SolverResult(
+        sequence=None, residual_D=float("inf"), restarts_used=0, iterations_used=0,
+        converged=False, problem=max(stages, key=lambda s: s.free_phase_count),
+    )
     for stage in stages:
         attempted.append(stage.gate_count)
+        rank = _residual_rank(stage)
+        if stage.free_phase_count < rank:
+            if log is not None:
+                log.write(f"stage gates={stage.gate_count} skipped: "
+                          f"unknowns {stage.free_phase_count} < rank {rank}\n")
+            continue
         if log is not None:
             log.write(
                 f"stage gates={stage.gate_count} shape={stage.shape!r} "

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,18 +58,35 @@ def test_solve_deterministic_output(tmp_path):
 def test_solve_writes_log(tmp_path):
     out = tmp_path / "seq.csv"
     log = tmp_path / "solve.log"
-    rc = main(["solve", "--family", "bb", "--order", "1", "--seed", "3",
+    rc = main(["solve", "--family", "bb", "--order", "2", "--seed", "3",
                "--out", str(out), "--log", str(log)])
     assert rc == 0
     lines = log.read_text().splitlines()
     assert any(ln.startswith("restart=") and " iters=" in ln and " D=" in ln for ln in lines)
-    # one stop-count line per stage; the sequence output does not change
+    # the three-gate stage is below rank 4 and skipped, with no stop-count
+    # line; every stage that runs has one; the sequence output does not change
+    assert lines[0] == "stage gates=3 skipped: unknowns 3 < rank 4"
+    assert lines[1].startswith("stage gates=5 ")
+    skipped = sum(" skipped: " in ln for ln in lines)
     assert sum(ln.startswith("stage-end ") for ln in lines) == sum(
-        ln.startswith("stage gates=") for ln in lines)
+        ln.startswith("stage gates=") for ln in lines) - skipped
     plain = tmp_path / "plain.csv"
-    assert main(["solve", "--family", "bb", "--order", "1", "--seed", "3",
+    assert main(["solve", "--family", "bb", "--order", "2", "--seed", "3",
                  "--out", str(plain)]) == 0
     assert plain.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("order, order2, rank", [("4", "4", 13), ("2", "4", 10)])
+def test_solve_with_every_stage_below_rank_exits_at_once(tmp_path, capsys, order, order2, rank):
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--family", "pb", "--order", order, "--order2", order2, "--out", str(out)]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert re.search(rf"the largest, 9 gates \(half-pi chain\), has 8 unknowns "
+                     rf"and needs rank {rank},", err)
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):
@@ -488,23 +507,24 @@ def test_iontrap_seq_with_negative_detuning(tmp_path, capsys):
     assert abs(fidelities[0] - fidelities[1]) < 1e-11
 
 
-def test_iontrap_seq_does_not_read_zeta2p(tmp_path, capsys):
-    # with --seq, ion 2's spin phase is zeta1p plus each gate's phase, so
-    # zeta2p changes the bare two-pulse gate but not a composite (the
-    # trap_detuned golden sets zeta2p = 0.3 with --seq)
+def test_iontrap_seq_rejects_zeta2p(tmp_path, capsys):
+    # with --seq, ion 2's spin phase is zeta1p plus each gate's phase, so a
+    # nonzero zeta2p would be ignored: it is an error there, while the bare
+    # two-pulse gate reads it
     seq_path = tmp_path / "bb1.csv"
     main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
-    outputs = {}
-    for zeta2p in ("0.0", "0.3"):
+    bare = {}
+    for zeta2p, code in (("0.0", 0), ("0.3", 1)):
         config = tmp_path / f"trap_{zeta2p}.txt"
         config.write_text(TRAP_CONFIG + f"zeta1p = 0.1\nzeta2p = {zeta2p}\n")
-        for seq in (False, True):
-            out = tmp_path / f"gate_{zeta2p}_{seq}.csv"
-            argv = ["iontrap", "--config", str(config), "--out", str(out), "--analytic"]
-            assert main(argv + ["--seq", str(seq_path)] * seq) == 0
-            outputs[zeta2p, seq] = out.read_bytes()
-    assert outputs["0.0", True] == outputs["0.3", True]
-    assert outputs["0.0", False] != outputs["0.3", False]
+        argv = ["iontrap", "--config", str(config), "--analytic", "--out"]
+        out = tmp_path / f"seq_{zeta2p}.csv"
+        assert main(argv + [str(out), "--seq", str(seq_path)]) == code
+        assert out.exists() == (code == 0)
+        assert main(argv + [str(tmp_path / "bare.csv")]) == 0
+        bare[zeta2p] = (tmp_path / "bare.csv").read_bytes()
+    assert "error: zeta2p is not used with --seq" in capsys.readouterr().err
+    assert bare["0.0"] != bare["0.3"]
 
 
 #: sequences and trap configs the golden commands below read, by the
@@ -519,6 +539,10 @@ GOLDEN_TRAPS = {
     "trap": TRAP_CONFIG,
     "trap_detuned": "g = 0.2\ndelta = -1.3\nt = 4.8\nnmax = 30\nzeta1p = 0.1\nzeta2p = 0.3\n"
                     "zeta1m = 0.2\nzeta2m = 0.45\neps_g = 0.01\n",
+    # trap_detuned without zeta2p, which --seq rejects; the stored --seq
+    # values were computed with zeta2p = 0.3, so that key was never read
+    "trap_detuned_seq": "g = 0.2\ndelta = -1.3\nt = 4.8\nnmax = 30\nzeta1p = 0.1\n"
+                        "zeta1m = 0.2\nzeta2m = 0.45\neps_g = 0.01\n",
 }
 #: ``--out`` bytes of scans and order fits, and the last line (leakage and
 #: fidelity) of ``iontrap --out`` on both routes, keyed by the argv joined

@@ -1,11 +1,13 @@
 import io
+import json
 import re
 import time
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from math import acos, pi
+from math import acos, ceil, pi
+from pathlib import Path
 
 from cpgates import catalog, solver
 from cpgates.derivatives import (
@@ -13,13 +15,19 @@ from cpgates.derivatives import (
 )
 from cpgates.errors import ValidationError
 from cpgates.gates import FAMILY_BROADBAND, FAMILY_PASSBAND, _blocks
+from cpgates.seqio import sequence_to_csv
 from cpgates.solver import (
+    SHAPE_HALF_CHAIN,
     SolverConfig,
     SolverProblem,
+    _jacobian,
+    _residual_rank,
     _residuals,
     broadband_problem,
+    broadband_progression,
     objective_D,
     passband_problem,
+    passband_progression,
     polish,
     solve,
     solve_with_escalation,
@@ -30,6 +38,11 @@ from oracles import (
 )
 
 TH = pi / 4
+
+#: ``sequence_to_csv`` text of the escalation tests' results, captured
+#: before stages below the rank of their residual conditions were skipped
+GOLDEN_ESCALATION = json.loads(
+    (Path(__file__).parent / "golden" / "escalation.json").read_text())
 
 
 def phases_match(candidate, reference, tol=1e-6):
@@ -157,7 +170,15 @@ def test_solver_log_ends_each_stage_with_stop_counts():
                           SolverConfig(rng_seed=7, max_restarts=12, max_newton_iters=8), log=log)
     lines = log.getvalue().splitlines()
     ends = [ln for ln in lines if ln.startswith("stage-end ")]
-    assert len(ends) == sum(ln.startswith("stage gates=") for ln in lines)
+    # a stage below its rank is skipped: one line, no restarts and no
+    # stop counts; every stage that runs ends with one stop-count line
+    skipped = [i for i, ln in enumerate(lines) if " skipped: " in ln]
+    assert [lines[i].split()[1] for i in skipped] == ["gates=3", "gates=5"]
+    for i in skipped:
+        m = re.fullmatch(r"stage gates=\d+ skipped: unknowns (\d+) < rank (\d+)", lines[i])
+        assert m and int(m[1]) < int(m[2]) == 6
+        assert lines[i + 1].startswith("stage gates=")
+    assert len(ends) == sum(ln.startswith("stage gates=") for ln in lines) - len(skipped)
     counts = []
     for ln in ends:
         m = re.fullmatch(r"stage-end restarts=(\d+) converged=(\d+) stalled=(\d+) "
@@ -188,6 +209,7 @@ def test_escalation_bb1_stops_at_three_gates():
     assert result.converged
     assert result.attempted_gate_counts == (3,)
     assert abs(result.sequence.total_angle() - 1.25 * pi) < 1e-12
+    assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["bb1_seed7"]
 
 
 def test_escalation_bb3_reaches_published_length():
@@ -196,12 +218,13 @@ def test_escalation_bb3_reaches_published_length():
     assert result.converged
     assert result.attempted_gate_counts == (3, 5, 7)
     assert abs(result.sequence.total_angle() - 3.25 * pi) < 1e-12
+    assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["bb3_seed7"]
 
 
 def test_escalation_bb6_total_angle():
     # seed the search with the catalog phases: the earlier (shorter) stages
-    # cannot satisfy order six and are abandoned after the restart budget,
-    # and the published twelve-gate shape converges immediately
+    # are below the rank of the order-six conditions and are skipped, and
+    # the published twelve-gate shape converges immediately
     seed_phases = tuple(g.phi for g in catalog.broadband(6, TH).gates[1:])
     config = SolverConfig(
         rng_seed=1, max_restarts=2, max_newton_iters=150, initial_phases=seed_phases
@@ -211,20 +234,21 @@ def test_escalation_bb6_total_angle():
     assert result.sequence is not None
     assert abs(result.sequence.total_angle() - 5.75 * pi) < 1e-12
     assert result.attempted_gate_counts[-1] == 12
+    assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["bb6_catalog_seeded"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_escalation_bb6_from_random_starts(seed):
-    # measured 3.1-3.5 s per seed (2 vCPU, one BLAS thread); dead stages end
-    # by the stall rule within a few iterations per restart, and each round
-    # of restarts advances in lockstep
+    # measured 0.4-0.5 s per seed (2 vCPU, one BLAS thread): the five
+    # stages below rank 10 are skipped, and only the twelve-gate stage runs
     t0 = time.perf_counter()
     result = solve_with_escalation(FAMILY_BROADBAND, 6, TH, SolverConfig(rng_seed=seed))
     elapsed = time.perf_counter() - t0
     assert result.converged
     assert len(result.sequence.gates) == 12
     assert abs(result.sequence.total_angle() - 5.75 * pi) < 1e-12
-    assert elapsed < 30.0
+    assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION[f"bb6_seed{seed}"]
+    assert elapsed < 1.5
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -252,6 +276,69 @@ def test_passband_escalation_pb11():
     assert result.converged
     assert result.attempted_gate_counts == (3,)
     assert abs(result.sequence.total_angle() - (2 * pi + TH)) < 1e-12
+    assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["pb11_seed3"]
+
+
+# --- the rank of the residual conditions -------------------------------------
+
+#: passband ranks (pi chain, plain or short; half-pi chain) by (n1, n2)
+PASSBAND_RANKS = {
+    (1, 1): (2, 5), (2, 1): (3, 6), (1, 2): (3, 6), (2, 2): (3, 7),
+    (1, 3): (5, 8), (3, 3): (5, 11), (4, 4): (6, 13), (2, 4): (6, 10),
+}
+LADDERS = [(FAMILY_BROADBAND, n) for n in range(1, 9)] + [
+    (FAMILY_PASSBAND, orders) for orders in PASSBAND_RANKS]
+
+
+def ladder(family, orders, theta):
+    if family == FAMILY_BROADBAND:
+        return broadband_progression(orders, theta)
+    return passband_progression(*orders, theta)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_broadband_rank_closed_form(n):
+    # every broadband shape, plain, short and with a free terminal
+    for stage in broadband_progression(n, TH):
+        assert _residual_rank(stage) == n + ceil(n / 2) + 1
+
+
+@pytest.mark.parametrize("orders", PASSBAND_RANKS)
+def test_passband_rank_by_shape(orders):
+    pi_chain, half_chain = PASSBAND_RANKS[orders]
+    for stage in passband_progression(*orders, TH):
+        want = half_chain if stage.shape == SHAPE_HALF_CHAIN else pi_chain
+        assert _residual_rank(stage) == want, stage.shape
+
+
+@settings(max_examples=40)
+@given(ladder_key=st.sampled_from(LADDERS), theta=st.floats(0.02 * pi, 0.98 * pi),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_jacobian_rank_is_min_of_unknowns_and_rank(ladder_key, theta, seed):
+    # the Jacobian has rank min(unknowns, C) at a generic point; a single
+    # random point of a short high-order stage can sit near a rank drop
+    # (s_min/s_0 down to 1e-17 for BB8), so the rank is the largest of
+    # four points, and no point may exceed it
+    rng = np.random.default_rng(seed)
+    for stage in ladder(*ladder_key, theta):
+        want = min(stage.free_phase_count, _residual_rank(stage))
+        _, jacs = _jacobian(stage, rng.uniform(0.0, 2 * pi, (4, stage.free_phase_count)))
+        ranks = [np.linalg.matrix_rank(j, tol=1e-12 * np.linalg.norm(j, 2)) for j in jacs]
+        assert max(ranks) == want, (stage.gate_count, stage.shape, ranks)
+
+
+@pytest.mark.parametrize("orders, rank", [((4, 4), 13), ((2, 4), 10)])
+def test_escalation_with_every_stage_below_rank_fails_at_once(orders, rank):
+    log = io.StringIO()
+    t0 = time.perf_counter()
+    result = solve_with_escalation(FAMILY_PASSBAND, orders, TH, SolverConfig(rng_seed=1), log=log)
+    assert time.perf_counter() - t0 < 1.0
+    assert not result.converged and result.sequence is None
+    assert result.restarts_used == 0
+    assert result.attempted_gate_counts == (3, 7, 4, 5, 9, 6, 6)
+    assert (result.problem.free_phase_count, _residual_rank(result.problem)) == (8, rank)
+    lines = log.getvalue().splitlines()
+    assert len(lines) == 7 and all(" skipped: " in ln for ln in lines)
 
 
 # --- residuals on 2x2 blocks, batched step ladder, budgets ------------------
