@@ -173,7 +173,11 @@ def _from_branches(zp: float, blocks) -> np.ndarray:
     qubit: 1 (x) M + sigma(zp) (x) D with M and D the half sum and difference."""
     mean, diff = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
     phase = np.exp(1j * zp)
-    return np.block([[mean, np.conj(phase) * diff], [phase * diff, mean]])
+    n = mean.shape[-1]
+    out = np.empty(mean.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = out[..., n:, n:] = mean
+    out[..., :n, n:], out[..., n:, :n] = np.conj(phase) * diff, phase * diff
+    return out
 
 
 def _embed_blocks(v: np.ndarray) -> np.ndarray:

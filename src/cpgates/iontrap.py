@@ -39,7 +39,7 @@ oscillators of n_max+1 levels:
     U(T)   = sum_b P_b (x) U_b(T).
 
 Six facts of H_b, none of them taken from the Magnus closed form, fix
-how much work a composite gate needs:
+how much work a composite gate needs, and (g) does so for the closed form:
 
 (a) beta_{-b} = -beta_b, and a pi shift of both zm maps beta_b to
     -beta_b, so the second pulse of a gate has the blocks U_{-b} of the
@@ -53,8 +53,8 @@ how much work a composite gate needs:
     angle (up to sign) share their blocks G_b.
 (d) Every pulse of a composite has the same g, Delta and beta_b, and
     starts its clock at t = 0, so the pulses differ only in their
-    durations: by (f), the pulse pairs at all distinct durations come
-    from one eigendecomposition, one product per duration.
+    durations: by (f), or (g) in closed form, the pulse pairs at all
+    distinct durations share one eigendecomposition, one product each.
 (e) Ion 1's spin phase zp_1 is the same for every gate, so in ion 1's
     eigenbasis every gate, and with it the composite, is block-diagonal,
     sum_{s1} P1_{s1} (x) C_{s1}.  Since sigma_z P2_+ sigma_z = P2_-,
@@ -73,13 +73,17 @@ how much work a composite gate needs:
     eigenpairs lambda_b, V_b, and
         U_b(T) = e^{i Delta T N} V_b e^{-i T lambda_b} V_b^dag,
     exact to rounding and without time steps (:func:`_propagated_pairs`).
+(g) By the same identity, D(r e^{if}) = e^{ifN} exp(r (a^dag - a)) e^{-ifN}
+    exactly in the truncated space, so one eigendecomposition of the
+    fixed Hermitian i (a - a^dag) gives every displacement, whatever g,
+    Delta and the durations (:func:`_closed_form_pairs`).
 
 The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
-alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b.  The numerical route
-propagates U_(+,+) and U_(+,-) from H_b in the truncated Fock space by
-(f); none of the Magnus results (phi0, theta_c, alpha) enters it, and
-the closed form never propagates H_b, so each route stays an
-independent check on the other.  The branch basis, the assembly and the
+alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b, built by (g).  The
+numerical route propagates U_(+,+) and U_(+,-) from H_b in the truncated
+Fock space by (f); none of the Magnus results (phi0, theta_c, alpha)
+enters it, and the closed form never propagates H_b, so each route stays
+an independent check on the other.  The branch basis, the assembly and the
 symmetries (a), (b), (e) and (f) they share are pinned by the tests
 against dense kron operators on the full spin-phonon space: the
 Hamiltonian, the pulse integrated by a stepping ODE solver, the
@@ -249,24 +253,28 @@ def _propagated_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
     return frame * (v * np.exp(-1j * t * lam)[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _closed_form_pair(cfg: TrapConfig) -> np.ndarray:
+def _closed_form_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
     """U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) of the branches
-    (+,+) and (+,-)."""
-    a = destroy(cfg.n_max + 1)
+    (+,+) and (+,-) for configs that differ only in their durations: by
+    fact (g), one eigendecomposition V diag(w) V^dag of i (a - a^dag)
+    serves every alpha_b = r e^{if}, as D = W e^{i r w} W^dag, W = e^{ifN} V."""
+    n = np.arange(cfgs[0].n_max + 1)
+    a = destroy(n.size)
+    w, v = np.linalg.eigh(1j * (a - a.conj().T))
     s1s2 = np.array([1.0, -1.0])
-    phases = np.exp(1j * (0.5 * rotation_angle(cfg) + single_pulse_spin_angle(cfg) * s1s2))
-    # D(alpha) = exp(i h) with the Hermitian h = -i (alpha a^dag - alpha^* a)
-    return np.array([
-        phase * mat_exp_hermitian_generator(-1j * (alpha * a.conj().T - np.conj(alpha) * a), 1.0)
-        for phase, alpha in zip(phases, displacement_amplitudes(cfg)[:2])
-    ])
+    phases = np.array([0.5 * rotation_angle(c) + single_pulse_spin_angle(c) * s1s2 for c in cfgs])
+    alpha = np.array([displacement_amplitudes(c)[:2] for c in cfgs])
+    rot = np.exp(1j * np.angle(alpha)[..., None, None] * n[:, None]) * v
+    disp = (rot * np.exp(1j * np.abs(alpha)[..., None, None] * w)) @ rot.conj().swapaxes(-1, -2)
+    return np.exp(1j * phases)[..., None, None] * disp
 
 
-def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool, check: bool = True) -> list[np.ndarray]:
+def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool, check: bool = True) -> np.ndarray:
     """Branch blocks U_b(T) of (+,+) and (+,-) of pulses that differ only in
-    their durations, closed form or by (f); with ``check``, TruncationError
-    when a pulse leaks population into the top two Fock levels."""
-    pairs = [_closed_form_pair(c) for c in cfgs] if analytic else _propagated_pairs(cfgs)
+    their durations, one eigendecomposition for all of them, by (g) in
+    closed form or by (f); with ``check``, TruncationError when a pulse
+    leaks population into the top two Fock levels."""
+    pairs = (_closed_form_pairs if analytic else _propagated_pairs)(cfgs)
     if check:
         for cfg, pair in zip(cfgs, pairs):
             if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
@@ -313,9 +321,10 @@ def displacement_amplitudes(cfg: TrapConfig) -> np.ndarray:
 
 
 def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
-    """Closed-form single-pulse propagator (displacement times spin-spin
-    exponential times scalar phase), built per spin branch in the
-    truncated space: e^{i (phi0 + theta_c s1 s2)} D(alpha_b)."""
+    """Closed-form single-pulse propagator e^{i (phi0 + theta_c s1 s2)}
+    D(alpha_b) per spin branch b in the truncated space (displacement
+    times spin-spin exponential times scalar phase), by fact (g); with
+    ``check``, TruncationError when it leaks into the top two Fock levels."""
     return _operator(cfg, *_pulse_pairs([cfg], analytic=True, check=check))
 
 

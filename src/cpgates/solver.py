@@ -541,7 +541,8 @@ def solve_with_escalation(
     stage_restarts: int = 100,
 ) -> SolverResult:
     """Try progressively longer gate-count shapes, returning the first
-    converged result; records every attempted gate count.
+    converged result; records every attempted gate count.  ``orders`` is
+    one integer n for broadband (BBn) and a pair (n1, n2) for passband.
 
     A stage with fewer free phases than its rank (:func:`_residual_rank`)
     is skipped, logged and still listed; if every stage is, the result has
@@ -550,11 +551,14 @@ def solve_with_escalation(
     """
     _check_count("stage_restarts", stage_restarts, 1)
     if family == FAMILY_BROADBAND:
-        n = orders if isinstance(orders, int) else orders[0]
-        stages = broadband_progression(n, target_theta)
+        if not isinstance(orders, (int, np.integer)):
+            raise ValidationError(f"broadband orders must be one integer, got {orders!r}")
+        stages = broadband_progression(int(orders), target_theta)
     elif family == FAMILY_PASSBAND:
-        n1, n2 = orders
-        stages = passband_progression(n1, n2, target_theta)
+        if not (isinstance(orders, (tuple, list)) and len(orders) == 2
+                and all(isinstance(n, (int, np.integer)) for n in orders)):
+            raise ValidationError(f"passband orders must be a pair of integers, got {orders!r}")
+        stages = passband_progression(int(orders[0]), int(orders[1]), target_theta)
     else:
         raise ValidationError(f"escalation is defined for broadband/passband, got {family!r}")
     attempted: list[int] = []

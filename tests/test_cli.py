@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cpgates
@@ -551,8 +552,10 @@ GOLDEN_TRAPS = {
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
 
-def golden_cli_outputs(tmp_path, keys):
-    """Output of each golden command in ``keys``, as stored in GOLDEN_CLI."""
+def golden_cli_runner(tmp_path):
+    """Write the golden commands' sequences and trap configs under
+    ``tmp_path``, and return a function that runs a golden command by its
+    key and returns its whole ``--out`` text."""
     paths = {}
     for name, command in GOLDEN_SEQUENCES.items():
         paths[name] = str(tmp_path / f"{name}.csv")
@@ -561,14 +564,39 @@ def golden_cli_outputs(tmp_path, keys):
     for name, text in GOLDEN_TRAPS.items():
         paths[name] = str(tmp_path / f"{name}.txt")
         Path(paths[name]).write_text(text)
-    outputs = {}
-    for key in keys:
+
+    def run_key(key):
         out = tmp_path / "out.txt"
         assert main(key.format(**paths).split() + ["--out", str(out)]) == 0, key
-        text = out.read_text()
+        return out.read_text()
+
+    return run_key
+
+
+def golden_cli_outputs(tmp_path, keys):
+    """Output of each golden command in ``keys``, as stored in GOLDEN_CLI."""
+    run_key = golden_cli_runner(tmp_path)
+    outputs = {}
+    for key in keys:
+        text = run_key(key)
         outputs[key] = text.splitlines()[-1] if key.startswith("iontrap") else text
     return outputs
 
 
 def test_scan_order_and_iontrap_outputs_match_golden(tmp_path, capsys):
     assert golden_cli_outputs(tmp_path, GOLDEN_CLI) == GOLDEN_CLI
+
+
+def test_iontrap_closed_form_matrix_matches_numerical_route(tmp_path, capsys):
+    # GOLDEN_CLI keeps only the last line of an iontrap output, so the
+    # matrix rows of the two routes are compared with each other here
+    run_key = golden_cli_runner(tmp_path)
+    analytic = [key for key in GOLDEN_CLI if key.endswith(" --analytic")]
+    assert len(analytic) == 4
+    for key in analytic:
+        closed, numerical = (run_key(k).splitlines() for k in (key, key[: -len(" --analytic")]))
+        assert closed[-1] == numerical[-1], key
+        rows = [np.array([row.split(",") for row in lines[:-1]], dtype=float)
+                for lines in (closed, numerical)]
+        assert rows[0].shape == rows[1].shape == (4, 8), key
+        assert np.max(np.abs(rows[0] - rows[1])) < 1e-13, key

@@ -224,6 +224,26 @@ def test_closed_form_matches_dense_oracle(zeta_plus, zeta_minus, g, delta, durat
     assert np.max(np.abs(u - analytic_full_space(cfg))) < 1e-12
 
 
+@settings(max_examples=20)
+@given(
+    zeta_plus=st.tuples(phases, phases),
+    zeta_minus=st.tuples(phases, phases),
+    g=st.floats(0.0, 0.1),
+    delta=st.sampled_from([1.0, -1.0]),
+    durations=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4),
+)
+def test_batched_closed_form_matches_dense_oracle(zeta_plus, zeta_minus, g, delta, durations):
+    # one batch of durations, as a composite builds it: each pulse must
+    # land at its own index of the batch
+    cfgs = [TrapConfig(g=g, delta=delta, duration=t, zeta_plus=zeta_plus,
+                       zeta_minus=zeta_minus, n_max=20) for t in durations]
+    pairs = iontrap._pulse_pairs(cfgs, analytic=True, check=False)
+    assert len(pairs) == len(cfgs)
+    for cfg, pair in zip(cfgs, pairs):
+        u = iontrap._operator(cfg, pair)
+        assert np.max(np.abs(u - analytic_full_space(cfg))) < 1e-12
+
+
 # --- two-pulse scheme ---------------------------------------------------------
 
 def test_rotation_angle_examples():
@@ -430,21 +450,27 @@ def test_one_eigendecomposition_per_composite(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     cfg = TrapConfig(g=0.1, delta=1.0, duration=2.0, n_max=20)
     base = quarter_cfg()
-    # one batched eigh of the branches (+,+) and (+,-) serves both pulses
-    # of a gate and every distinct duration of a composite: BB1 has pi/4
-    # and pi/2, BB2(pi/3) three angles, and a negative angle is a
-    # spin-phase shift of the positive one
-    runs = [
-        (cfg, lambda: two_pulse_gate(cfg)),
-        (base, lambda: composite_physical_gate(catalog.broadband(1), base)),
-        (base, lambda: composite_physical_gate(catalog.broadband(2, pi / 3), base)),
-        (base, lambda: composite_physical_gate(
-            CompositeSequence((PhasedGate(pi / 4, 0.3), PhasedGate(-pi / 4, 1.2))), base)),
-    ]
-    for c, run in runs:
-        calls.clear()
-        run()
-        assert calls == [(2, c.n_max + 1, c.n_max + 1)]
+    # one eigh serves both pulses of a gate and every distinct duration of
+    # a composite: BB1 has pi/4 and pi/2, BB2(pi/3) three angles, and a
+    # negative angle is a spin-phase shift of the positive one.  The
+    # numerical route decomposes K_b + Delta N of the branches (+,+) and
+    # (+,-) in one batch (fact (f)), the closed form i (a - a^dag) alone
+    # (fact (g))
+    for analytic in (False, True):
+        runs = [
+            (cfg, lambda: two_pulse_gate(cfg, analytic)),
+            (base, lambda: composite_physical_gate(catalog.broadband(1), base, analytic=analytic)),
+            (base, lambda: composite_physical_gate(
+                catalog.broadband(2, pi / 3), base, analytic=analytic)),
+            (base, lambda: composite_physical_gate(
+                CompositeSequence((PhasedGate(pi / 4, 0.3), PhasedGate(-pi / 4, 1.2))), base,
+                analytic=analytic)),
+        ] + [(cfg, lambda: analytic_propagator(cfg))] * analytic
+        for c, run in runs:
+            calls.clear()
+            run()
+            levels = c.n_max + 1
+            assert calls == [(levels, levels) if analytic else (2, levels, levels)], analytic
 
 
 @settings(max_examples=10)

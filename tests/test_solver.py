@@ -568,6 +568,35 @@ def test_escalation_rejects_empty_stage_budget(stage_restarts):
         solve_with_escalation(FAMILY_BROADBAND, 1, TH, stage_restarts=stage_restarts)
 
 
+@pytest.mark.parametrize("family, orders, message", [
+    (FAMILY_BROADBAND, (3, 2), "^broadband orders must be one integer"),
+    (FAMILY_BROADBAND, [3], "^broadband orders must be one integer"),
+    (FAMILY_BROADBAND, 1.5, "^broadband orders must be one integer"),
+    (FAMILY_BROADBAND, 3.0, "^broadband orders must be one integer"),
+    (FAMILY_BROADBAND, None, "^broadband orders must be one integer"),
+    (FAMILY_BROADBAND, -1, "^orders must be non-negative"),
+    (FAMILY_PASSBAND, 1, "^passband orders must be a pair of integers"),
+    (FAMILY_PASSBAND, (1,), "^passband orders must be a pair of integers"),
+    (FAMILY_PASSBAND, (1, 1, 1), "^passband orders must be a pair of integers"),
+    (FAMILY_PASSBAND, (1, 1.5), "^passband orders must be a pair of integers"),
+    (FAMILY_PASSBAND, "11", "^passband orders must be a pair of integers"),
+    (FAMILY_PASSBAND, (1, -1), "^orders must be non-negative"),
+])
+def test_escalation_rejects_malformed_orders(family, orders, message):
+    with pytest.raises(ValidationError, match=message):
+        solve_with_escalation(family, orders, TH)
+
+
+def test_escalation_accepts_numpy_integer_orders():
+    config = SolverConfig(rng_seed=7, max_restarts=50)
+    for family, orders, plain in ((FAMILY_BROADBAND, np.int64(1), 1),
+                                  (FAMILY_PASSBAND, (np.int32(1), np.uint8(1)), (1, 1))):
+        result = solve_with_escalation(family, orders, TH, config)
+        expected = solve_with_escalation(family, plain, TH, config)
+        assert result.converged
+        assert sequence_to_csv(result.sequence) == sequence_to_csv(expected.sequence)
+
+
 @pytest.mark.parametrize("orders", [(-1, 0), (1, -1), (-2, 1)])
 def test_problem_rejects_negative_orders(orders):
     with pytest.raises(ValidationError):
