@@ -10,16 +10,23 @@ Scans, band searches and order fits use the 2x2 blocks V of
 :mod:`cpgates.gates`: for a 4x4 reference R with 2x2 blocks R_jk,
 Tr(R^dag U)/4 = Tr(r^dag V)/2 with the 2x2 reference
 r = (diag(R_00 + R_11) + offdiag(R_01 + R_10))/2, e^{i theta sigma_x} for U(theta).
+
+Scan CSV cells are exactly ``'%.17g' % value``.  They are converted a
+whole column at a time (:func:`_format_g17`): an exact double-double
+product yields the 17 digits, and table lookups lay them out.  Zeros,
+non-finite values, |x| outside [1e-30, 1e30) and values within the
+proven error bound of a rounding tie go through ``%`` itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .gates import CompositeSequence, _blocks, _sequence_blocks
 from .linalg import is_unitary
 
@@ -101,14 +108,14 @@ def scan(
     probe the narrowband behaviour around eps = -1.  Any 4x4 unitary
     reference is exact.
     """
-    if steps < 2:
-        raise ValidationError("a scan needs at least 2 steps")
+    check_count("steps", steps, 2)
     if not eps_min < eps_max:
         raise ValidationError("eps_min must be below eps_max")
     ref = None if reference is None else _reference_block(np.asarray(reference))
     eps = np.linspace(eps_min, eps_max, steps)
     fids = _fidelities(seq, eps, xi, ref)
-    return ScanResult(tuple(eps), tuple(fids.tolist()), seq.label or seq.family, seq.target_theta)
+    return ScanResult(tuple(eps.tolist()), tuple(fids.tolist()), seq.label or seq.family,
+                      seq.target_theta)
 
 
 #: Largest |eps| the band search reaches on either side.
@@ -197,7 +204,7 @@ def tolerance_band(seq: CompositeSequence, threshold: float = 1e-4) -> Tolerance
             for _ in range(_BISECTIONS):
                 i = 2 * i + (1 if hit[s, i] else 2)
             edges[d] = d * 0.5 * (lo[s, i] + hi[s, i])
-    return ToleranceBand(edges[-1.0], edges[1.0], threshold)
+    return ToleranceBand(float(edges[-1.0]), float(edges[1.0]), float(threshold))
 
 
 INFIDELITY_FLOOR = 1e-14
@@ -232,12 +239,200 @@ def infidelity_order(
 # text output formats
 # ---------------------------------------------------------------------------
 
-def scan_csv_lines(result: ScanResult) -> list[str]:
-    """CSV rows ``epsilon,fidelity,infidelity`` at 17 significant digits."""
-    lines = ["epsilon,fidelity,infidelity"]
-    for e, f in zip(result.epsilons, result.fidelities):
-        lines.append("%.17g,%.17g,%.17g" % (e, f, 1.0 - f))
-    return lines
+def scan_csv_text(result: ScanResult) -> str:
+    """The scan as CSV text: the header ``epsilon,fidelity,infidelity``,
+    then one row per grid point, each cell exactly ``'%.17g' % value``
+    (the infidelity is ``1.0 - f``)."""
+    f = np.array(result.fidelities)
+    cells = np.column_stack([result.epsilons, f, 1.0 - f])
+    return "".join(("epsilon,fidelity,infidelity", _format_g17(cells, "\n,,"), "\n"))
+
+
+#: Decimal exponents k = floor(log10|x|) that :func:`_format_g17`
+#: converts itself: 1e-30 <= |x| < 1e30, exactly.
+_G17_K_MIN, _G17_K_MAX = -30, 29
+#: Fractions of |x| 10^(16-k) closer than this to 1/2 are left to ``%``.
+#: It is 13 times the proven error bound of 4.3e-15.
+_G17_TIE_MARGIN = 2.0**-44
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: hi + lo == a with 26-bit halves, so products of
+    halves are exact (Dekker 1971)."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10(q: int) -> tuple[float, float]:
+    """10^q as a double-double: hi = fl(10^q) and lo = fl(10^q - hi),
+    from exact integer ratios (int / int rounds correctly)."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _words(cells: np.ndarray) -> np.ndarray:
+    """Rows of 8 bytes as 64-bit words."""
+    return cells.view(np.uint64)[..., 0]
+
+
+@functools.cache
+def _g17_digit_tables():
+    """Tables of :func:`_g17_digits`, built on first use: 10^q for q in
+    [K_MIN, 16 - K_MIN] as double-doubles hi + lo (|10^q - hi - lo| <=
+    2^-106 10^q), hi split in halves, and the trailing zeros of the four
+    digits of 0..9999."""
+    hi, lo = np.array([_pow10(q) for q in range(_G17_K_MIN, 17 - _G17_K_MIN)]).T
+    n = np.arange(10000)
+    trailing_zeros = sum(n % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
+    return hi, lo, *_split(hi), trailing_zeros
+
+
+@functools.cache
+def _g17_layout_tables():
+    """Tables of :func:`_g17_cells`, built on first use.
+
+    * per decimal exponent X in [K_MIN, K_MAX + 1] of the printed value:
+      the digits before the point (``%g`` uses fixed notation for
+      -4 <= X < 17), the head word ("0." and -X-1 zeros in bytes 2-6
+      for X < 0 in fixed notation) and the exponent word ("e+dd" or
+      "e-dd", NULs in fixed notation);
+    * the head words of a minus sign (byte 1) and of each first digit
+      (byte 7);
+    * the words "_d_d_d_d" of 0..9999 (NUL, digit, ...);
+    * for keep = 0..17, the four words that pass digits 1 .. keep-1.
+    """
+    X = np.arange(_G17_K_MIN, _G17_K_MAX + 2)
+    fixed = (X >= -4) & (X < 17)
+    before_point = np.where(fixed, np.maximum(X + 1, 0), 1)
+    head = np.zeros((len(X), 8), np.uint8)
+    prefix = np.where(fixed & (X < 0), 1 - X, 0)  # length of "0.00..."
+    head[:, 2:7] = np.where(np.arange(5) < prefix[:, None], np.frombuffer(b"0.000", np.uint8), 0)
+    minus = np.zeros(8, np.uint8)
+    minus[1] = ord("-")
+    first = np.zeros((10, 8), np.uint8)
+    first[:, 7] = 48 + np.arange(10)
+    exponent = np.zeros((len(X), 8), np.uint8)
+    exponent[:, :4] = np.stack([np.full(len(X), ord("e")), np.where(X < 0, ord("-"), ord("+")),
+                                48 + abs(X) // 10, 48 + abs(X) % 10], axis=1)
+    exponent[fixed] = 0
+    quads = np.zeros((10000, 8), np.uint8)
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)
+    by_place = quads.reshape(10, 10, 10, 10, 8)
+    by_place[..., 1] = ascii_digits[:, None, None, None]
+    by_place[..., 3] = ascii_digits[:, None, None]
+    by_place[..., 5] = ascii_digits[:, None]
+    by_place[..., 7] = ascii_digits
+    digit = np.arange(32) // 2 + 1  # digit i sits in byte 2i - 1 of words 1-4
+    masks = np.where((np.arange(32) % 2 == 1) & (digit < np.arange(18)[:, None]), 255, 0)
+    masks = masks.astype(np.uint8).reshape(18, 4, 8)
+    return (before_point, _words(head), _words(minus), _words(first), _words(exponent),
+            _words(quads), _words(masks))
+
+
+def _g17_digits(x: np.ndarray):
+    """Steps 1 and 2 of :func:`_format_g17` for a flat array:
+    ``(ok, k, lead, groups, significant)``.  k indexes the printed
+    decimal exponent in the tables, the 17 digits are ``lead`` and the
+    four 4-digit ``groups``, and ``significant`` counts the digits before
+    the trailing zeros; ``ok`` is False where ``%`` must format the
+    value."""
+    hi, lo, hi_h, hi_l, trailing_zeros = _g17_digit_tables()
+    a = np.abs(x)
+    ok = (a >= 1e-30) & (a < 1e30)
+    a[~ok] = 1.0
+    top = _G17_K_MAX - _G17_K_MIN
+    # k as an index into hi/lo, which start at 10^K_MIN
+    k = np.clip(np.floor(np.log10(a)).astype(np.intp) - _G17_K_MIN, 0, top)
+    k += (a > hi[k + 1]) | ((a == hi[k + 1]) & (lo[k + 1] <= 0))
+    k -= (a < hi[k]) | ((a == hi[k]) & (lo[k] > 0))
+    ok &= (k >= 0) & (k <= top)
+    a[~ok], k[~ok] = 1.0, -_G17_K_MIN  # placeholders: |x| = 1, k = 0
+    q = 16 - 2 * _G17_K_MIN - k  # index of 10^(16-k)
+    prod = a * hi[q]
+    a_h, a_l = _split(a)
+    r = ((a_h * hi_h[q] - prod) + a_h * hi_l[q] + a_l * hi_h[q] + a_l * hi_l[q]) + a * lo[q]
+    t = np.rint(r)
+    ok &= np.abs(np.abs(r - t) - 0.5) > _G17_TIE_MARGIN
+    # y rounds to high * 1e8 + low: 9 and 8 digits, exact in doubles
+    high = np.floor(prod / 1e8)
+    low = prod - high * 1e8 + t
+    carry = np.floor(low / 1e8)
+    low -= carry * 1e8
+    high += carry
+    rolled = high == 1e9
+    high[rolled] = 1e8
+    k += rolled
+    lead = np.floor(high / 1e8)
+    high -= lead * 1e8
+    groups = np.empty((len(x), 4), np.uint16)
+    groups[:, 0] = np.floor(high / 1e4)
+    groups[:, 1] = high - groups[:, 0] * 1e4
+    groups[:, 2] = np.floor(low / 1e4)
+    groups[:, 3] = low - groups[:, 2] * 1e4
+    tz = trailing_zeros.take(groups)
+    end = groups == 0
+    zeros = tz[:, 3] + end[:, 3] * (tz[:, 2] + end[:, 2] * (tz[:, 1] + end[:, 1] * tz[:, 0]))
+    return ok, k, lead.astype(np.intp), groups, 17 - zeros
+
+
+def _g17_cells(values: np.ndarray, separators: str) -> np.ndarray:
+    """Step 3 of :func:`_format_g17`: one row of six 64-bit words per
+    value, as bytes."""
+    before_point, head, minus, first, exponent, quads, masks = _g17_layout_tables()
+    x = np.asarray(values, dtype=float)
+    rows, cols = x.shape
+    x = x.ravel()
+    ok, k, lead, groups, significant = _g17_digits(x)
+    whole = before_point[k]
+    keep = np.maximum(significant, whole)
+    sep = np.zeros((cols, 8), np.uint8)
+    sep[:, 0] = np.frombuffer(separators.encode("ascii"), np.uint8)
+    out = np.empty((len(x), 6), np.uint64)
+    out[:, 0] = ((head[k] | np.where(x < 0, minus, 0) | first[lead])
+                 .reshape(rows, cols) | sep.view(np.uint64)[:, 0]).ravel()
+    out[:, 1:5] = quads.take(groups)
+    out[:, 1:5] &= masks.take(keep, axis=0)
+    out[:, 5] = exponent[k]
+    out = out.view(np.uint8)
+    point = np.flatnonzero((keep > whole) & (whole > 0))
+    out.ravel()[point * out.shape[1] + 6 + 2 * whole[point]] = ord(".")
+    fallback = np.flatnonzero(~ok)
+    text = np.array(["%.17g" % v for v in x[fallback].tolist()], dtype="S47")
+    out[fallback, 1:] = text.view(np.uint8).reshape(-1, 47)
+    return out
+
+
+def _format_g17(values: np.ndarray, separators: str) -> str:
+    """Rows of ``values`` as text: each cell is its column's separator
+    followed by exactly ``'%.17g' % value``.
+
+    One column-at-a-time conversion replaces the per-value ``%``:
+
+    1. k = floor(log10|x|) from ``np.log10``, corrected by one exact
+       comparison of |x| with the double-double 10^k and 10^(k+1).
+    2. y = |x| 10^(16-k), in [1e16, 1e17), as P + r: P = fl(|x| hi) and
+       r the sum of Dekker's exact product error and fl(|x| lo).  Three
+       roundings of at most 1.24e-15, 1.24e-15 and 1.78e-15 separate P + r
+       from y, so round(y) = P + rint(r) whenever the fraction of r is
+       farther than that from 1/2 (Adams, "Ryu revisited", 2019, prints
+       fixed precision from the same kind of bound).
+    3. The 17-digit integer, split as 9 + 8 digits in exact double
+       arithmetic (10^17 carries into k + 1), is cut into groups of 1, 4,
+       4, 4 and 4 digits.  Each cell fills six 64-bit words by ``%g``'s
+       rules, from tables indexed by X and by digit group: separator,
+       sign, "0.000" prefix and first digit, then digits 1-16 each after
+       a point slot, then the exponent.  Trailing zeros and unused slots
+       are NUL, and ``bytes.translate`` drops every NUL.
+
+    Zeros, non-finite values, |x| outside [1e-30, 1e30) and values whose
+    fraction lies within ``_G17_TIE_MARGIN`` of 1/2 (exact ties such as
+    2^-25 among them) are formatted by ``%`` itself, so every byte
+    equals the per-value loop's.
+    """
+    return _g17_cells(values, separators).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def band_report(band: ToleranceBand) -> str:

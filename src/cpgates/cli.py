@@ -28,7 +28,7 @@ from .analysis import (
     band_report,
     infidelity_order,
     scan,
-    scan_csv_lines,
+    scan_csv_text,
     sequence_fidelity,
     tolerance_band,
     trace_overlap,
@@ -165,7 +165,7 @@ def cmd_scan(args) -> int:
     seq = _load_sequence(args)
     ref = np.eye(4, dtype=complex) if args.identity_ref else None
     result = scan(seq, args.min, args.max, args.steps, xi=args.xi * pi, reference=ref)
-    _emit("\n".join(scan_csv_lines(result)) + "\n", args.out)
+    _emit(scan_csv_text(result), args.out)
     return 0
 
 

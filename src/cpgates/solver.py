@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .gates import (
     FAMILY_BROADBAND,
     FAMILY_PASSBAND,
@@ -161,12 +161,6 @@ class SolverProblem:
         )
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValidationError unless ``value`` is an integer >= ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tolerance: float = 1e-10
@@ -180,7 +174,7 @@ class SolverConfig:
         if not (np.isfinite(tol) and tol > 0):
             raise ValidationError(f"residual_tolerance must be finite and positive, got {tol}")
         for name, least in (("max_newton_iters", 1), ("max_restarts", 1), ("rng_seed", 0)):
-            _check_count(name, getattr(self, name), least)
+            check_count(name, getattr(self, name), least)
         phases = self.initial_phases
         if phases is not None and not all(map(isfinite, phases)):
             raise ValidationError(f"initial_phases must be finite, got {phases}")
@@ -549,7 +543,7 @@ def solve_with_escalation(
     no restarts and the stage with the most free phases as its problem.
     ``stage_restarts`` caps the Monte-Carlo budget of each stage that runs.
     """
-    _check_count("stage_restarts", stage_restarts, 1)
+    check_count("stage_restarts", stage_restarts, 1)
     if family == FAMILY_BROADBAND:
         if not isinstance(orders, (int, np.integer)):
             raise ValidationError(f"broadband orders must be one integer, got {orders!r}")

@@ -10,9 +10,10 @@ and the solver residuals built from it, the closed-form low narrowband
 conditions, the solver Jacobian by central differences, the Newton step
 ladder one candidate at a time and the solver's restarts one after
 another, the band search as a scalar march one grid point at a time, the
-ion-trap pulse, closed form and integrated, as dense operators over the
-full spin-phonon space, and composite ion-trap gates as a loop over
-gates and pulses, each pulse computed on its own.  Helpers that only
+scan CSV as one ``%`` row per grid point, the ion-trap pulse, closed
+form and integrated, as dense operators over the full spin-phonon
+space, and composite ion-trap gates as a loop over gates and pulses,
+each pulse computed on its own.  Helpers that only
 tests use live here too: the closed form of a product of phased Pauli
 axes, the fusion of neighbouring gates of equal phase, and the ion-trap
 readers (the Hamiltonian at one time, a propagator distance and the
@@ -423,6 +424,14 @@ def scalar_march_band(seq, threshold, eps_limit, coarse_step, locate_tol):
     low = _scalar_crossing(infid, threshold, -1.0, coarse_step, eps_limit, locate_tol)
     high = _scalar_crossing(infid, threshold, 1.0, coarse_step, eps_limit, locate_tol)
     return low, high
+
+
+def scan_csv_rows(result) -> str:
+    """Scan CSV text written one ``"%.17g,%.17g,%.17g" % row`` at a time."""
+    lines = ["epsilon,fidelity,infidelity"]
+    for e, f in zip(result.epsilons, result.fidelities):
+        lines.append("%.17g,%.17g,%.17g" % (e, f, 1.0 - f))
+    return "\n".join(lines) + "\n"
 
 
 def spin_phonon(cfg: TrapConfig):

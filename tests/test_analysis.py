@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from math import cos, pi
 
 from cpgates import catalog
+from cpgates.abserr import wrap_sequence_absolute
 from cpgates.analysis import (
     ScanResult,
+    _format_g17,
     band_report,
     fidelity,
     infidelity_order,
     scan,
-    scan_csv_lines,
+    scan_csv_text,
     sequence_fidelity,
     tolerance_band,
     trace_overlap,
@@ -17,6 +21,7 @@ from cpgates.analysis import (
 from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, ideal_cphase, sequence_propagator
 from cpgates.solver import SolverConfig, polish
+from oracles import scan_csv_rows
 
 TH = pi / 4
 
@@ -84,24 +89,70 @@ def test_scan_pb22_identity_at_minus_one():
 def test_scan_validation():
     with pytest.raises(ValidationError):
         scan(catalog.single(TH), 0.5, -0.5, 10)
-    with pytest.raises(ValidationError):
-        scan(catalog.single(TH), -0.5, 0.5, 1)
+    for steps in (1, np.int64(1), 2.5, 5.0, "5", None):
+        with pytest.raises(ValidationError, match="steps must be an integer of at least 2"):
+            scan(catalog.single(TH), -0.5, 0.5, steps)
+    assert len(scan(catalog.single(TH), -0.5, 0.5, np.int64(5)).epsilons) == 5
+
+
+def test_scan_stores_python_floats():
+    result = scan(catalog.broadband(2, TH), -0.5, 0.5, 11)
+    assert all(type(v) is float for v in result.epsilons + result.fidelities)
 
 
 def test_scan_csv_format():
-    result = scan(catalog.single(TH), -0.1, 0.1, 5)
-    lines = scan_csv_lines(result)
-    assert lines[0] == "epsilon,fidelity,infidelity"
-    assert len(lines) == 6
-    cells = lines[1].split(",")
-    assert len(cells) == 3
-    assert abs(float(cells[0]) + 0.1) < 1e-15
+    # every cell equals the per-row "%" formatting, byte for byte
+    results = [scan(catalog.by_name(name), -1.0, 1.0, 401) for name in catalog.NAMES]
+    results.append(scan(catalog.passband(2, 2), -1.05, -0.95, 101, reference=np.eye(4)))
+    results.append(scan(wrap_sequence_absolute(catalog.broadband(2)), -1.0, 1.0, 201, xi=0.1 * pi))
+    narrow = scan(catalog.broadband(1), -1e-3, 1e-3, 21)
+    results.append(narrow)
+    infidelities = [row.split(",")[2] for row in scan_csv_text(narrow).splitlines()[1:]]
+    assert all("e-" in cell for cell in infidelities if cell != "0")
+    for result in results:
+        assert scan_csv_text(result) == scan_csv_rows(result), result.label
+
+
+def _percent_g17(values) -> str:
+    return "," + ",".join(map("%.17g".__mod__, values))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(2.0**-25)
+@example(float(np.nextafter(1e-4, 0.0)))
+@example(1e-4)
+@example(float(np.nextafter(1e17, 0.0)))
+@example(0.99999999999999995)
+@example(1 - 2.0**-53)
+@example(-2.220446049250313e-16)
+@example(1e-14)  # below 10^-14, its 17 digits round up to 10^17
+def test_format_g17_matches_percent(x):
+    assert _format_g17(np.array([[x]]), ",") == _percent_g17([x])
+
+
+def test_format_g17_sweep():
+    # 2e5 random bit patterns, three quarters with the exponent in the
+    # kernel's window (1e-30 .. 1e30), then values of uniform and tiny size
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64)
+    window = rng.integers(0, 2**64, 150_000, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    window |= rng.integers(923, 1124, 150_000, dtype=np.uint64) << np.uint64(52)
+    tiny = rng.choice([-1.0, 1.0], 25_000) * 10.0 ** rng.uniform(-17, -15, 25_000)
+    x = np.concatenate([bits, window.view(np.float64), rng.uniform(0.0, 1.0, 25_000), tiny])
+    x = x[np.isfinite(x)]
+    assert _format_g17(x[:, None], ",") == _percent_g17(x.tolist())
 
 
 def test_tolerance_band_single_gate():
     band = tolerance_band(catalog.single(TH))
     assert abs(band.symmetric_width() - 0.018) < 1e-3
     assert band.eps_low < 0 < band.eps_high
+    assert all(type(v) is float for v in (band.eps_low, band.eps_high, band.threshold))
+    assert "np.float64" not in repr(band)
 
 
 def test_tolerance_band_report_format():
