@@ -17,6 +17,7 @@ import argparse
 import functools
 import re
 import sys
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -46,12 +47,10 @@ from .iontrap import (
     two_pulse_gate,
 )
 from .seqio import read_sequence, sequence_to_csv
-from .solver import SolverConfig, _residual_rank, polish, solve_with_escalation
+from .solver import SolverConfig, _residual_rank, solve_with_escalation
 
-_ANALYTIC_RESIDUAL_TOL = 1e-10
-_DECIMAL_RESIDUAL_TOL = 5e-2
-_CATALOG_FIDELITY_TOL = 1e-4
-_ANALYTIC_FIDELITY_TOL = 1e-12
+_RESIDUAL_TOL = 1e-10
+_FIDELITY_TOL = 1e-12
 #: leakage below the square of the double rounding unit is rounding noise
 #: of the top Fock amplitudes; it is printed as 0, so that equivalent
 #: computations give the same output bytes
@@ -74,8 +73,6 @@ def _emit(text: str, out: str | None) -> None:
 def _load_sequence(args):
     seq = read_sequence(args.seq)
     if getattr(args, "theta_over_pi", None) is not None:
-        from dataclasses import replace
-
         seq = replace(seq, target_theta=args.theta_over_pi * pi)
     return seq
 
@@ -126,15 +123,11 @@ def cmd_verify(args) -> int:
     rows = cat.table_rows(args.catalog.removeprefix("table"), args.theta_over_pi * pi)
     failures = 0
     for name, n1, n2, seq in rows:
-        analytic = cat.has_analytic_phases(seq)
-        tol = _ANALYTIC_RESIDUAL_TOL if analytic else _DECIMAL_RESIDUAL_TOL
-        rv = broadband_residuals(seq, n1)
-        worst = rv.max_scaled()
+        worst = broadband_residuals(seq, n1).max_scaled()
         if n2:
             worst = max(worst, narrowband_residuals(seq, n2).max_scaled())
         fid0 = sequence_fidelity(seq)
-        fid_tol = _ANALYTIC_FIDELITY_TOL if analytic else _CATALOG_FIDELITY_TOL
-        ok = worst <= tol and fid0 >= 1 - fid_tol
+        ok = worst <= _RESIDUAL_TOL and fid0 >= 1 - _FIDELITY_TOL
         report = (
             f"{name}: gates={len(seq.gates)} total_angle={seq.total_angle()/pi:.6g}pi "
             f"max_scaled_residual={worst:.3e} fidelity={fid0:.12f}"
@@ -145,17 +138,11 @@ def cmd_verify(args) -> int:
         if args.orders and seq.family == FAMILY_BROADBAND and n1 <= 4:
             # above order 4 the fit window would sit below the double-
             # precision infidelity floor, so the slope is not measurable
-            refined = polish(seq, n1)
-            if refined.converged and refined.sequence is not None:
-                windows = {1: (1e-3, 1e-2), 2: (5e-3, 3e-2), 3: (2e-2, 7e-2)}
-                window = windows.get(n1, (4e-2, 1e-1))
-                slope = infidelity_order(refined.sequence, window)
-                expected = 2 * n1 + 2
-                report += f" fitted_order={slope:.2f} (expect {expected})"
-                ok = ok and abs(slope - expected) <= 0.3
-            else:
-                report += " polish_failed"
-                ok = False
+            windows = {1: (1e-3, 1e-2), 2: (5e-3, 3e-2), 3: (2e-2, 7e-2)}
+            slope = infidelity_order(seq, windows.get(n1, (4e-2, 1e-1)))
+            expected = 2 * n1 + 2
+            report += f" fitted_order={slope:.2f} (expect {expected})"
+            ok = ok and abs(slope - expected) <= 0.3
         print(report + ("  OK" if ok else "  FAIL"))
         failures += 0 if ok else 1
     return 0 if failures == 0 else 2
@@ -220,8 +207,6 @@ def cmd_iontrap(args) -> int:
         u = composite_physical_gate(seq, cfg, eps_g, analytic=args.analytic)
         reference = ideal_cphase(seq.target_theta)
     else:
-        from dataclasses import replace
-
         pulse = replace(cfg, g=cfg.g * (1.0 + eps_g))
         u = two_pulse_gate(pulse, analytic=args.analytic)
         reference = extract_qubit_gate(ideal_two_pulse_gate(cfg), cfg)
@@ -310,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-over-pi", type=float, default=0.25)
     p.add_argument("--bands", action="store_true", help="also locate tolerance bands")
     p.add_argument("--orders", action="store_true",
-                   help="also fit infidelity orders after polishing (slow)")
+                   help="also fit the infidelity orders of BB1-BB4")
     p.set_defaults(func=cmd_verify)
 
     p = add_parser("scan", "fidelity versus relative error")
@@ -355,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="qubit gate CSV output (default stdout)")
     p.set_defaults(func=cmd_iontrap)
 
-    p = add_parser("catalog", "dump the published sequence tables")
+    p = add_parser("catalog", "dump the catalog's sequence tables at full precision")
     p.add_argument("--table", choices=("1", "2", "all"), default="all")
     p.add_argument("--entry", help="write one entry as a sequence CSV: " + ", ".join(cat.NAMES))
     p.add_argument("--theta-over-pi", type=float, default=0.25)

@@ -18,7 +18,8 @@ tests use live here too: the closed form of a product of phased Pauli
 axes, the fusion of neighbouring gates of equal phase, and the ion-trap
 readers (the Hamiltonian at one time, a propagator distance and the
 phonon-identity defect over source levels clear of the truncation edge,
-and a Fock population).
+and a Fock population), and the paper's published three-decimal phases
+of the tabulated catalog entries.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from math import comb, factorial, pi
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from cpgates import catalog
 from cpgates.abserr import AbsoluteComposite
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
@@ -83,6 +85,26 @@ def pauli_string_matrix(kind: str, argument: float) -> np.ndarray:
     if kind == SIGMA:
         return sigma_axis(argument)
     raise ValidationError(f"unknown pauli string kind {kind!r}")
+
+
+#: The published phases of the tabulated catalog entries at theta = pi/4,
+#: as (chain phases, terminal) in units of pi, keyed by catalog name.
+#: The catalog stores these refined to full precision.
+PUBLISHED = {
+    "bb3": ((1.725, 0.244, 1.127, 0.351, 1.785, 1.042), 0.0),
+    "bb4": ((0.170, 0.170, 1.374, 0.677, 1.598, 1.818, 0.528), 1.995),
+    "bb5": ((0.065, 2.257, 1.826, 1.020, 0.487, 1.452, 1.671, 0.132, 0.812), 0.0),
+    "bb6": ((2.193, 1.933, 0.737, 1.932, 1.286, 0.641, 1.531, 1.983, 1.240, 2.077, 0.579), 0.0),
+    "pb13": ((0.076, 1.604, 1.851, 0.595, 1.443, 0.751, 0.691, 1.111), 0.0),
+    "pb33": ((0.091, 0.644, 1.866, 0.941, 1.596), 0.0),
+}
+
+
+def published_entry(name: str) -> CompositeSequence:
+    """The catalog entry ``name`` with its published decimal phases."""
+    seq = catalog.by_name(name)
+    phases, terminal = PUBLISHED[name]
+    return seq.with_phis((seq.gates[0].phi,) + tuple(p * pi for p in phases), terminal * pi)
 
 
 def merge_adjacent(seq: CompositeSequence, tol: float = 1e-12) -> CompositeSequence:

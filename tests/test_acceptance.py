@@ -8,7 +8,6 @@ budgeted well inside the per-criterion time limits asserted below.
 
 import time
 import numpy as np
-import pytest
 from math import acos, cos, pi, sqrt
 
 from cpgates import catalog
@@ -33,7 +32,7 @@ from cpgates.iontrap import (
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_unitary, sigma_axis
-from cpgates.solver import SolverConfig, broadband_problem, polish, solve
+from cpgates.solver import SolverConfig, broadband_problem, solve
 from oracles import (
     absolute_composite_propagator, fock_population, pauli_string_matrix, pauli_string_product,
     propagator_distance, reduced_narrowband_conditions,
@@ -48,17 +47,6 @@ def _phases_match(candidate, reference, tol=1e-6):
     return any(
         np.max(np.abs(np.mod(s * c - r + pi, 2 * pi) - pi)) < tol for s in (1.0, -1.0)
     )
-
-
-@pytest.fixture(scope="module")
-def refined_broadband():
-    """Catalog entries polished to solver precision, keyed by order."""
-    out = {}
-    for n in catalog.BROADBAND_ORDERS:
-        result = polish(catalog.broadband(n, TH), n)
-        assert result.converged, f"polish failed for order {n}"
-        out[n] = result.sequence
-    return out
 
 
 def test_criterion_1_single_gate_band():
@@ -97,11 +85,11 @@ def test_criterion_2_analytic_solver_solutions():
     print(PASS % (2, "first/second-order phases recovered at " + "; ".join(details)))
 
 
-def test_criterion_3_tolerance_ladder(refined_broadband):
+def test_criterion_3_tolerance_ladder():
     t0 = time.time()
     widths = {}
     for n in catalog.BROADBAND_ORDERS:
-        seq = refined_broadband[n]
+        seq = catalog.broadband(n, TH)
         expected_total = catalog.BROADBAND_TOTAL_ANGLES[n] * pi
         assert abs(seq.total_angle() - expected_total) < 1e-12
         widths[n] = tolerance_band(seq).symmetric_width()
@@ -113,12 +101,12 @@ def test_criterion_3_tolerance_ladder(refined_broadband):
     print(PASS % (3, f"bands {summary} ({elapsed:.1f}s)"))
 
 
-def test_criterion_4_order_scaling(refined_broadband):
+def test_criterion_4_order_scaling():
     t0 = time.time()
     windows = {1: (1e-3, 1e-2), 2: (5e-3, 3e-2), 3: (2e-2, 7e-2), 4: (4e-2, 1e-1)}
     slopes = {}
     for n in (1, 2, 3, 4):
-        slopes[n] = infidelity_order(refined_broadband[n], windows[n])
+        slopes[n] = infidelity_order(catalog.broadband(n, TH), windows[n])
         assert abs(slopes[n] - (2 * n + 2)) <= 0.3
     elapsed = time.time() - t0
     assert elapsed < 60.0
@@ -308,12 +296,12 @@ def test_criterion_8_property_suites():
     print(PASS % (8, f"5 property suites x 200 randomized cases ({elapsed:.1f}s)"))
 
 
-def test_figure_shape_checks(refined_broadband):
+def test_figure_shape_checks():
     """Scan-curve shape checks: fidelity 1 at eps=0 and plateaus widening
     monotonically with the order."""
     half_widths = []
     for n in catalog.BROADBAND_ORDERS:
-        result = scan(refined_broadband[n], -0.6, 0.6, 241)
+        result = scan(catalog.broadband(n, TH), -0.6, 0.6, 241)
         fids = np.asarray(result.fidelities)
         mid = len(fids) // 2
         assert fids[mid] >= 1 - 1e-12

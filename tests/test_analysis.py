@@ -20,7 +20,6 @@ from cpgates.analysis import (
 )
 from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, ideal_cphase, sequence_propagator
-from cpgates.solver import SolverConfig, polish
 from oracles import scan_csv_rows
 
 TH = pi / 4
@@ -178,23 +177,18 @@ def test_infidelity_order_single_gate():
 
 
 def test_infidelity_order_bb1():
-    refined = polish(catalog.broadband(1, TH), 1, SolverConfig())
-    assert refined.converged
-    slope = infidelity_order(refined.sequence)
+    slope = infidelity_order(catalog.broadband(1, TH))
     assert abs(slope - 4.0) < 0.2
 
 
 def test_infidelity_order_bb3_shifted_window():
-    refined = polish(catalog.broadband(3, TH), 3, SolverConfig())
-    assert refined.converged
-    slope = infidelity_order(refined.sequence, (2e-2, 7e-2))
+    slope = infidelity_order(catalog.broadband(3, TH), (2e-2, 7e-2))
     assert abs(slope - 8.0) < 0.3
 
 
 def test_infidelity_order_indeterminate_below_floor():
-    refined = polish(catalog.broadband(3, TH), 3, SolverConfig())
     # far below the double-precision floor everywhere in this tiny window
-    slope = infidelity_order(refined.sequence, (1e-6, 2e-6))
+    slope = infidelity_order(catalog.broadband(3, TH), (1e-6, 2e-6))
     assert np.isnan(slope)
 
 

@@ -9,23 +9,43 @@ from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
 from cpgates.seqio import sequence_from_csv, sequence_to_csv
-from cpgates.solver import broadband_problem, passband_problem
+from cpgates.solver import SolverConfig, broadband_problem, passband_problem, polish
+from oracles import PUBLISHED, published_entry
 
 
 @pytest.mark.parametrize("n", catalog.BROADBAND_ORDERS)
 def test_broadband_zero_error_fidelity(n):
-    seq = catalog.broadband(n, pi / 4)
-    fid = sequence_fidelity(seq)
-    threshold = 1e-12 if catalog.has_analytic_phases(seq) else 1e-4
-    assert fid >= 1 - threshold
+    assert sequence_fidelity(catalog.broadband(n, pi / 4)) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("orders", catalog.PASSBAND_ORDERS)
 def test_passband_zero_error_fidelity(orders):
-    seq = catalog.passband(*orders, pi / 4)
-    fid = sequence_fidelity(seq)
-    threshold = 1e-12 if catalog.has_analytic_phases(seq) else 1e-4
-    assert fid >= 1 - threshold
+    assert sequence_fidelity(catalog.passband(*orders, pi / 4)) >= 1 - 1e-12
+
+
+#: largest distance of a stored phase or terminal from its published
+#: decimal, modulo 2 pi, in thousandths of pi (measured, rounded up)
+PUBLISHED_DISTANCE = {"bb3": 0.82, "bb4": 2.25, "bb5": 2.46, "bb6": 2.18, "pb13": 0.52,
+                      "pb33": 0.42}
+
+
+def _phase_distance(a, b):
+    """Largest distance modulo 2 pi between the phases and terminals of
+    two sequences of the same skeleton."""
+    x = np.append(a.phis(), a.terminal_phase) - np.append(b.phis(), b.terminal_phase)
+    return np.max(np.abs(np.mod(x + pi, 2 * pi) - pi))
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED))
+def test_tabulated_phases_refine_the_published_decimals(name):
+    _, n1, n2 = catalog.NAMES[name]
+    seq, published = catalog.by_name(name), published_entry(name)
+    assert _phase_distance(seq, published) <= PUBLISHED_DISTANCE[name] * 1e-3 * pi
+    config = SolverConfig(residual_tolerance=1e-13)
+    refined = polish(published, (n1, n2), config)
+    assert refined.converged and _phase_distance(refined.sequence, seq) <= 1e-12
+    again = polish(seq, (n1, n2), config)
+    assert again.converged and again.iterations_used == 0
 
 
 @pytest.mark.parametrize("theta", [pi / 8, pi / 4, pi / 2])
@@ -114,18 +134,7 @@ def test_csv_round_trip_is_a_fixed_point(gates, terminal, target, family):
     assert all(0.0 <= g.phi < 2 * pi for g in gates + list(back.gates))
 
 
-ANALYTIC = {"bb1": True, "bb2": True, "bb3": False, "bb4": False, "bb5": False,
-            "bb6": False, "pb11": True, "pb21": True, "pb12": True, "pb22": True,
-            "pb13": False, "pb33": False, "single": True}
-
-
 def test_provenance_labels_and_names():
-    assert sorted(catalog.NAMES) == sorted(ANALYTIC)
-    for name, analytic in ANALYTIC.items():
-        assert catalog.has_analytic_phases(catalog.by_name(name)) is analytic, name
-    # a CSV carries no label, so a read-back closed form is not analytic
-    back = sequence_from_csv(sequence_to_csv(catalog.broadband(2)))
-    assert back.family == "broadband" and not catalog.has_analytic_phases(back)
     assert broadband_problem(3, pi / 4, 6).label() == catalog.broadband(3).label == "BB3"
     assert passband_problem(1, 3, pi / 4, 8).label() == catalog.passband(1, 3).label == "PB(1,3)"
     with pytest.raises(ValidationError) as err:

@@ -137,7 +137,8 @@ def test_catalog_dump_has_source_column(capsys):
 #: ``catalog --table all`` stdout and ``catalog --entry`` bytes of every
 #: entry at pi/4 and of the closed forms at 0.3*pi, keyed by the argv
 #: joined by spaces; captured before the entries moved into one table per
-#: phase form.
+#: phase form, and for the six tabulated entries again when the table
+#: began to hold their refined phases.
 GOLDEN_CATALOG = json.loads((Path(__file__).parent / "golden" / "catalog.json").read_text())
 
 
@@ -169,16 +170,16 @@ def test_verify_catalog_passes(capsys):
 GOLDEN_VERIFY_BANDS = [
     "broadband n=1: gates=3 total_angle=1.25pi max_scaled_residual=2.356e-16 fidelity=1.000000000000 band=[-0.1090,+0.1090]  OK",
     "broadband n=2: gates=4 total_angle=2.25pi max_scaled_residual=3.143e-16 fidelity=1.000000000000 band=[-0.2203,+0.2203]  OK",
-    "broadband n=3: gates=7 total_angle=3.25pi max_scaled_residual=1.530e-04 fidelity=1.000000000000 band=[-0.3015,+0.3015]  OK",
-    "broadband n=4: gates=8 total_angle=3.75pi max_scaled_residual=1.803e-04 fidelity=1.000000000000 band=[-0.3660,+0.3660]  OK",
-    "broadband n=5: gates=10 total_angle=4.75pi max_scaled_residual=3.908e-04 fidelity=1.000000000000 band=[-0.4170,+0.4170]  OK",
-    "broadband n=6: gates=12 total_angle=5.75pi max_scaled_residual=5.389e-04 fidelity=1.000000000000 band=[-0.4592,+0.4592]  OK",
+    "broadband n=3: gates=7 total_angle=3.25pi max_scaled_residual=3.347e-16 fidelity=1.000000000000 band=[-0.3022,+0.3022]  OK",
+    "broadband n=4: gates=8 total_angle=3.75pi max_scaled_residual=2.926e-15 fidelity=1.000000000000 band=[-0.3664,+0.3664]  OK",
+    "broadband n=5: gates=10 total_angle=4.75pi max_scaled_residual=5.213e-16 fidelity=1.000000000000 band=[-0.4144,+0.4144]  OK",
+    "broadband n=6: gates=12 total_angle=5.75pi max_scaled_residual=1.350e-15 fidelity=1.000000000000 band=[-0.4536,+0.4536]  OK",
     "passband n1=1 n2=1: gates=3 total_angle=2.25pi max_scaled_residual=2.692e-16 fidelity=1.000000000000 band=[-0.0763,+0.0763]  OK",
     "passband n1=2 n2=1: gates=7 total_angle=3.25pi max_scaled_residual=8.309e-16 fidelity=1.000000000000 band=[-0.1532,+0.1532]  OK",
     "passband n1=1 n2=2: gates=7 total_angle=3.25pi max_scaled_residual=5.188e-16 fidelity=1.000000000000 band=[-0.0642,+0.0642]  OK",
     "passband n1=2 n2=2: gates=5 total_angle=4.25pi max_scaled_residual=1.808e-16 fidelity=1.000000000000 band=[-0.1412,+0.1412]  OK",
-    "passband n1=1 n2=3: gates=9 total_angle=4.25pi max_scaled_residual=5.117e-04 fidelity=1.000000000000 band=[-0.0557,+0.0557]  OK",
-    "passband n1=3 n2=3: gates=6 total_angle=5.75pi max_scaled_residual=8.169e-04 fidelity=1.000000000000 band=[-0.1807,+0.1807]  OK",
+    "passband n1=1 n2=3: gates=9 total_angle=4.25pi max_scaled_residual=1.567e-15 fidelity=1.000000000000 band=[-0.0556,+0.0556]  OK",
+    "passband n1=3 n2=3: gates=6 total_angle=5.75pi max_scaled_residual=2.773e-16 fidelity=1.000000000000 band=[-0.1808,+0.1808]  OK",
 ]
 GOLDEN_BB2_BAND = b"band_low=-0.22034375000000017 band_high=0.22034375000000017 threshold=0.0001\n"
 

@@ -218,10 +218,9 @@ def test_passband_22_reduced_conditions():
 def test_passband_residuals_cancel_their_orders(orders):
     n1, n2 = orders
     seq = catalog.passband(n1, n2, pi / 4)
-    tol = 1e-9 if catalog.has_analytic_phases(seq) else 5e-2
     bb, nb = broadband_residuals(seq, n1), narrowband_residuals(seq, n2)
-    assert max(bb.scaled_norms) <= tol
-    assert max(nb.scaled_norms) <= tol
+    assert max(bb.scaled_norms) <= 1e-9
+    assert max(nb.scaled_norms) <= 1e-9
 
 
 def test_passband_chi_sign_branch_matters():

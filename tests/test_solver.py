@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from math import acos, ceil, pi
 from pathlib import Path
 
-from cpgates import catalog, solver
+from cpgates import solver
 from cpgates.derivatives import (
     broadband_residuals, narrowband_residuals, product_derivative_stack,
 )
@@ -33,8 +33,8 @@ from cpgates.solver import (
     solve_with_escalation,
 )
 from oracles import (
-    central_difference_jacobian, embed_blocks_4x4, newton_sequential, residual_matrices_4x4,
-    residuals_4x4, solve_sequential,
+    central_difference_jacobian, embed_blocks_4x4, newton_sequential, published_entry,
+    residual_matrices_4x4, residuals_4x4, solve_sequential,
 )
 
 TH = pi / 4
@@ -222,10 +222,10 @@ def test_escalation_bb3_reaches_published_length():
 
 
 def test_escalation_bb6_total_angle():
-    # seed the search with the catalog phases: the earlier (shorter) stages
-    # are below the rank of the order-six conditions and are skipped, and
-    # the published twelve-gate shape converges immediately
-    seed_phases = tuple(g.phi for g in catalog.broadband(6, TH).gates[1:])
+    # seed the search with the published phases: the earlier (shorter)
+    # stages are below the rank of the order-six conditions and are
+    # skipped, and the published twelve-gate shape converges immediately
+    seed_phases = tuple(g.phi for g in published_entry("bb6").gates[1:])
     config = SolverConfig(
         rng_seed=1, max_restarts=2, max_newton_iters=150, initial_phases=seed_phases
     )
@@ -253,13 +253,13 @@ def test_escalation_bb6_from_random_starts(seed):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_polish_catalog_broadband_in_few_iterations(n):
-    result = polish(catalog.broadband(n, TH), n)
+    result = polish(published_entry(f"bb{n}"), n)
     assert result.converged
     assert result.iterations_used <= 5
 
 
 def test_polish_refines_catalog_decimals():
-    seq = catalog.broadband(3, TH)
+    seq = published_entry("bb3")
     result = polish(seq, 3)
     assert result.converged
     assert result.residual_D <= 1e-10
