@@ -169,29 +169,17 @@ def cmd_band(args) -> int:
 def cmd_order(args) -> int:
     seq = _load_sequence(args)
     slope = infidelity_order(seq, (args.wmin, args.wmax), xi=args.xi * pi)
-    if np.isnan(slope):
-        _emit("order=indeterminate\n", args.out)
-    else:
-        _emit("order=%.6g\n" % slope, args.out)
+    _emit("order=indeterminate\n" if np.isnan(slope) else "order=%.6g\n" % slope, args.out)
     return 0
 
 
 def cmd_wrap_abs(args) -> int:
-    seq = read_sequence(args.seq)
-    wrapped = wrap_sequence_absolute(seq)
-    _emit(sequence_to_csv(wrapped), args.out)
+    _emit(sequence_to_csv(wrap_sequence_absolute(read_sequence(args.seq))), args.out)
     return 0
 
 
 def _matrix_csv(m: np.ndarray) -> str:
-    lines = []
-    for row in m:
-        cells = []
-        for z in row:
-            cells.append("%.17g" % z.real)
-            cells.append("%.17g" % z.imag)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join("%.17g,%.17g" % (z.real, z.imag) for z in row) + "\n" for row in m)
 
 
 def cmd_iontrap(args) -> int:
@@ -212,20 +200,11 @@ def cmd_iontrap(args) -> int:
         reference = extract_qubit_gate(ideal_two_pulse_gate(cfg), cfg)
     qubit_gate = extract_qubit_gate(u, cfg)
     leak = leakage(u, cfg)
-    if leak < _LEAKAGE_FLOOR:
-        leak = 0.0
-    fidelity_value = abs(trace_overlap(reference, qubit_gate))
-    _emit(
-        _matrix_csv(qubit_gate)
-        + "leakage=%.6e fidelity=%.12f\n" % (leak, fidelity_value),
-        args.out,
-    )
-    summary_target = rotation_angle(cfg) / pi
-    print(
-        f"two-pulse angle per config: {summary_target:.6g}pi; "
-        f"leakage={leak:.3e} fidelity={fidelity_value:.9f}",
-        file=sys.stderr,
-    )
+    leak = 0.0 if leak < _LEAKAGE_FLOOR else leak
+    fid = abs(trace_overlap(reference, qubit_gate))
+    _emit(_matrix_csv(qubit_gate) + "leakage=%.6e fidelity=%.12f\n" % (leak, fid), args.out)
+    print(f"two-pulse angle per config: {rotation_angle(cfg) / pi:.6g}pi; "
+          f"leakage={leak:.3e} fidelity={fid:.9f}", file=sys.stderr)
     return 0
 
 

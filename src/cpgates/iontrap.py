@@ -95,7 +95,8 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, replace
-from math import ceil, pi
+from functools import reduce
+from math import ceil, factorial, inf, pi, sin, tan, ulp
 
 import numpy as np
 
@@ -105,20 +106,13 @@ from .linalg import mat_exp_hermitian_generator, sigma_axis
 
 
 def __getattr__(name: str):
-    """Import scipy's ``solve_ivp`` and ``brentq`` on first use (PEP 562),
-    since scipy is most of the package's import time, and keep them as
-    module globals, which callers and tests may rebind.  No pulse uses
-    ``solve_ivp``; it stays resolvable because the benchmark's span
-    recorder (``bench/spans.py``) wraps it."""
-    module = {"solve_ivp": "scipy.integrate", "brentq": "scipy.optimize"}.get(name)
-    if module is None:
+    """Import scipy's ``solve_ivp`` on first use (PEP 562).  No pulse uses it:
+    it resolves only for the benchmark's span recorder (``bench/spans.py``),
+    which wraps it, and goes when in-program metrics replace that recorder."""
+    if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = getattr(importlib.import_module(module), name)
+    globals()[name] = importlib.import_module("scipy.integrate").solve_ivp
     return globals()[name]
-
-
-def _scipy(name: str):
-    return globals().get(name) or __getattr__(name)
 
 
 LEAKAGE_LIMIT = 1e-8
@@ -170,8 +164,7 @@ class TrapConfig:
         return 2.0 * (self.g / abs(self.delta)) * loop
 
     def shifted_motional_phases(self) -> "TrapConfig":
-        zm = tuple(z + pi for z in self.zeta_minus)
-        return replace(self, zeta_minus=zm)
+        return replace(self, zeta_minus=tuple(z + pi for z in self.zeta_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +173,7 @@ class TrapConfig:
 
 def destroy(levels: int) -> np.ndarray:
     """Truncated phonon annihilation operator on ``levels`` Fock states."""
-    a = np.zeros((levels, levels), dtype=complex)
-    n = np.arange(1, levels)
-    a[n - 1, n] = np.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
 
 
 def _fock_level(cfg: TrapConfig, level: int | None, default: int | None, name: str) -> int:
@@ -356,23 +346,54 @@ def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig, fock_level: int | None = 
     return u.reshape(4, levels, 4, levels)[:, p, :, p].copy()
 
 
+# 2 pi = _TWO_PI_HI + _TWO_PI_LO to 2^-62 (Cody & Waite); the high part has
+# 8 significant bits, so k * _TWO_PI_HI is exact for k < 2^45
+_TWO_PI_HI, _TWO_PI_LO = 201 / 32, 1.9353071795864769253e-3
+# (u - sin u - u^3/6) / u^5 in powers of u^2, highest first, to 1e-20 for |u| < 1.5
+_SINE_TAIL = [(-1) ** (n + 1) / factorial(2 * n + 5) for n in reversed(range(10))]
+
+
+def _sine_gap(u: float, c: float) -> float:
+    """u - sin u - c; for |u| < 1.5, where u - sin u cancels, from its
+    series with (u^3 - 6c)/6 rounded once, so it keeps its relative accuracy."""
+    if abs(u) >= 1.5:
+        return u - sin(u) - c
+    (p, q), (r, s) = u.as_integer_ratio(), c.as_integer_ratio()
+    tail = reduce(lambda acc, coef: acc * (u * u) + coef, _SINE_TAIL, 0.0)
+    return (p**3 * s - 6 * r * q**3) / (6 * q**3 * s) + u**5 * tail
+
+
 def duration_for_angle(g: float, delta: float, theta: float) -> float:
     """Positive pulse duration giving the two-pulse rotation angle
-    sign(delta) * theta: the angle is odd in the detuning."""
-    if not (np.isfinite(theta) and theta > 0):
-        raise ValidationError("target angle must be finite and positive")
+    sign(delta) * theta: the angle is odd in the detuning.
+
+    The loop angle x = |delta| T solves x - sin x = y = theta delta^2/(4 g^2):
+    with k whole turns and c = y - 2 pi k against a two-term 2 pi, the series
+    root u = s + s^3/60 + s^5/1400, s = (6c)^(1/3), of u - sin u = c starts
+    at most six Halley steps, and x = 2 pi k + u leaves x - sin x - y within
+    a few ulp of y.  At whole turns x - sin x is flat to third order: there
+    the residual r falls below 1e-3 ulp yet fixes x only to (6r)^(1/3),
+    2e-6 at y = 8 pi, which the angle, a function of x - sin x, never sees."""
     if g <= 0:
         raise ValidationError("a gate angle needs g > 0")
     y = theta * delta**2 / (4.0 * g**2)
-    if not np.isfinite(y):
-        raise ValidationError("target angle out of reach: theta*delta^2/g^2 overflows")
-    f = lambda x: x - np.sin(x) - y
-    lo = max(y - 1.0, 1e-9)
-    hi = y + 1.0 + 1e-9
-    if f(lo) > 0:
-        lo = 1e-12
-    x = _scipy("brentq")(f, lo, hi, xtol=1e-14, rtol=1e-15)
-    return x / abs(delta)
+    if not 0.0 < y < inf:
+        raise ValidationError("target angle out of reach: need theta > 0 and "
+                              "theta*delta^2/(4 g^2) positive and finite")
+    k = round(y / (2 * pi))
+    # past k = 2^45 the rounding of k * _TWO_PI_HI, below ulp(y), may carry c beyond pi
+    c = min(max((y - k * _TWO_PI_HI) - k * _TWO_PI_LO, -pi), pi)
+    s = float(np.cbrt(6.0 * c))
+    u = s + s**3 / 60.0 + s**5 / 1400.0
+    for _ in range(6):
+        if (f := _sine_gap(u, c)) == 0.0:
+            break
+        t = f / (2.0 * sin(0.5 * u) ** 2)  # f / f', f' = 1 - cos u free of cancellation
+        step = t / (1.0 - 0.5 * t / tan(0.5 * u))  # Halley's step: f''/f' = cot(u/2)
+        u -= step
+        if abs(step) < ulp(u):
+            break
+    return (k * _TWO_PI_HI + (k * _TWO_PI_LO + u)) / abs(delta)
 
 
 def composite_physical_gate(

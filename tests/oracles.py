@@ -18,18 +18,21 @@ tests use live here too: the closed form of a product of phased Pauli
 axes, the fusion of neighbouring gates of equal phase, and the ion-trap
 readers (the Hamiltonian at one time, a propagator distance and the
 phonon-identity defect over source levels clear of the truncation edge,
-and a Fock population), and the paper's published three-decimal phases
-of the tabulated catalog entries.
+and a Fock population), the paper's published three-decimal phases
+of the tabulated catalog entries, and for pulse durations the root of
+x - sin x = y by bracketing and x - sin x - y in 60-digit decimals.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from math import comb, factorial, pi
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from cpgates import catalog
 from cpgates.abserr import AbsoluteComposite
@@ -604,3 +607,35 @@ def composite_per_pulse(
     if seq.terminal_phase != 0.0:
         u = np.kron(phase_gate(seq.terminal_phase, 2), np.eye(cfg_base.n_max + 1)) @ u
     return u
+
+
+#: pi to 64 digits, for :func:`sine_gap_exact`
+PI_64 = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+
+
+def loop_angle_bracketed(y: float) -> float:
+    """Root x > 0 of x - sin x = y by Brent's method on a bracket of width
+    about 2 around y, in double precision: the duration solver's former path."""
+    f = lambda x: x - np.sin(x) - y
+    lo = max(y - 1.0, 1e-9)
+    hi = y + 1.0 + 1e-9
+    if f(lo) > 0:
+        lo = 1e-12
+    return brentq(f, lo, hi, xtol=1e-14, rtol=1e-15)
+
+
+def sine_gap_exact(x: float, y: float) -> float:
+    """x - sin x - y in 60-digit decimals, correct to about 1e-55 for
+    |x| below 1e4: x is reduced to u by whole turns of a 64-digit 2 pi and
+    u - sin u summed from its series, so nothing cancels."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        two_pi = 2 * PI_64
+        turns = (Decimal(x) / two_pi).to_integral_value()
+        u = Decimal(x) - turns * two_pi
+        term, gap, n = u**3 / 6, Decimal(0), 1
+        while abs(term) > Decimal("1e-60"):
+            gap += term
+            term *= -u * u / ((2 * n + 2) * (2 * n + 3))
+            n += 1
+        return float(turns * two_pi + gap - Decimal(y))

@@ -434,6 +434,32 @@ def test_iontrap_composite_leaves_scipy_integrate_unloaded(tmp_path):
     assert out.splitlines()[-1] == "0 False"
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    # the runtime needs numpy alone: in an interpreter where `import scipy`
+    # fails, every subcommand, both iontrap routes among them, exits 0 and
+    # leaves no scipy module loaded
+    config, seq_path, out = tmp_path / "trap.txt", tmp_path / "bb1.csv", tmp_path / "out.csv"
+    config.write_text(TRAP_CONFIG)
+    commands = [
+        ["catalog"],
+        ["catalog", "--entry", "bb1", "--out", seq_path],
+        ["solve", "--family", "bb", "--order", "1", "--out", out],
+        ["verify"],
+        ["scan", "--seq", seq_path, "--min", "-1e-3", "--max", "1e-3", "--steps", "3"],
+        ["band", "--seq", seq_path],
+        ["order", "--seq", seq_path],
+        ["wrap-abs", "--seq", seq_path, "--out", out],
+        ["iontrap", "--config", config],
+        ["iontrap", "--config", config, "--seq", seq_path, "--out", out],
+        ["iontrap", "--config", config, "--seq", seq_path, "--analytic", "--out", out],
+    ]
+    code = ("import json, sys; sys.modules['scipy'] = None; from cpgates.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(codes, [m for m, v in sys.modules.items() if m.startswith('scipy') and v])")
+    printed = _fresh_python(code, json.dumps([[str(a) for a in argv] for argv in commands]))
+    assert printed.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+
 @pytest.mark.parametrize("argv", [
     ["iontrap", "--config", "@trap", "--eps-g", "-2.8e-05"],
     ["scan", "--seq", "@seq", "--min", "-1e-3", "--max", "1e-3", "--steps", "3"],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from math import pi, sqrt
+from math import pi, sin, sqrt, ulp
 
 from cpgates import catalog, iontrap
 from cpgates.errors import TruncationError, ValidationError
@@ -32,8 +32,10 @@ from oracles import (
     evolve_full_space,
     fock_population,
     hamiltonian_at,
+    loop_angle_bracketed,
     phonon_identity_defect,
     propagator_distance,
+    sine_gap_exact,
     spin_phonon,
 )
 
@@ -338,6 +340,60 @@ def test_duration_for_angle_round_trip():
             t = duration_for_angle(0.15, delta, theta)
             cfg = TrapConfig(g=0.15, delta=delta, duration=t, n_max=22)
             assert abs(rotation_angle(cfg) - delta * theta) < 1e-10
+
+
+def _trap_loop_target(theta):
+    """y = theta Delta^2 / (4 g^2) at the tests' trap, g = G_QUARTER and Delta = 1."""
+    return theta / (4.0 * G_QUARTER**2)
+
+
+@given(y=st.one_of(
+    # whole turns to a few ulp, where x - sin x is flat to third order
+    st.builds(lambda k, j: 2 * pi * k * (1 + j * 2.0**-52), st.integers(1, 8), st.integers(-8, 8)),
+    st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
+))
+@example(y=_trap_loop_target(pi / 4))
+@example(y=_trap_loop_target(pi / 2))
+@example(y=_trap_loop_target(pi))
+@settings(max_examples=200, deadline=None)
+def test_duration_root_leaves_a_few_ulp_of_residual(y):
+    # at g = 1/2 and Delta = 1, 4 g^2 = 1: the target is y and the duration
+    # the loop angle x itself
+    x = duration_for_angle(0.5, 1.0, y)
+    residual = sine_gap_exact(x, y)
+    assert abs(residual) <= 4 * ulp(y)
+    # both roots meet y to their residuals, so they differ by no more than
+    # x - sin x lets them: a cube root where it is flat, else linear in the slope
+    reference = loop_angle_bracketed(y)
+    spread = abs(residual) + abs(sine_gap_exact(reference, y))
+    slope = 2 * sin(reference / 2) ** 2  # 1 - cos x without its cancellation
+    assert abs(x - reference) <= min((24 * spread) ** (1 / 3), 4 * spread / slope) + 2 * ulp(x)
+
+
+def test_duration_root_at_whole_turns_leaves_far_below_an_ulp():
+    # x - sin x is flat there, so rounding x costs nothing and the residual
+    # is the error of the reduction by whole turns: small only when 2 pi is
+    # carried to more than double precision
+    for k in range(1, 9):
+        for j in range(-8, 9):
+            y = 2 * pi * k * (1 + j * 2.0**-52)
+            assert abs(sine_gap_exact(duration_for_angle(0.5, 1.0, y), y)) <= ulp(y) / 64
+
+
+@pytest.mark.parametrize("y", [1e15, 1e17, 1e300, 1.7e308])
+def test_duration_root_reaches_the_largest_targets(y):
+    # k * 2 pi is no longer exact there, and its rounding must not throw the
+    # reduced target out of [-pi, pi]: |x - y| = |sin x| <= 1, up to rounding
+    assert abs(duration_for_angle(0.5, 1.0, y) - y) <= 1 + 4 * ulp(y)
+
+
+@pytest.mark.parametrize("theta", [1e-30, 1e-20, 1e-12])
+def test_duration_for_angle_follows_the_series_root_at_tiny_angles(theta):
+    # x - sin x cancels to 0 in double precision long before x does, so a
+    # root of the cancelled difference is set by rounding, not by theta
+    s = (6 * _trap_loop_target(theta)) ** (1 / 3)
+    series = s + s**3 / 60 + s**5 / 1400
+    assert duration_for_angle(G_QUARTER, 1.0, theta) == pytest.approx(series, rel=1e-12)
 
 
 def test_composite_single_gate_plumbing():
@@ -674,23 +730,16 @@ def test_duration_for_angle_needs_positive_coupling():
         duration_for_angle(0.0, 1.0, pi / 4)
     with pytest.raises(ValidationError):
         duration_for_angle(0.1, 1.0, float("nan"))
+    # no detuning, no loop: the closed form has no duration to offer
+    with pytest.raises(ValidationError, match="out of reach"):
+        duration_for_angle(0.1, 0.0, pi / 4)
 
 
-def test_scipy_functions_stay_module_level_names(monkeypatch):
-    # imported on first use, yet rebindable like ordinary module globals
-    assert iontrap.solve_ivp.__module__.startswith("scipy.integrate")
-    assert iontrap.brentq.__module__.startswith("scipy.optimize")
-    calls = []
-
-    def fake_brentq(f, lo, hi, **kw):
-        calls.append((lo, hi))
-        return 1.0
-
-    monkeypatch.setattr(iontrap, "brentq", fake_brentq)
-    assert iontrap.duration_for_angle(0.1, 2.0, 0.5) == 0.5
-    assert len(calls) == 1
-    with pytest.raises(AttributeError):
-        iontrap.no_such_name
+def test_unknown_module_names_raise_attribute_error():
+    # the duration root needs no scipy name; only the benchmark's solve_ivp resolves
+    for name in ("brentq", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(iontrap, name)
 
 
 LEVEL_READERS = {
