@@ -90,14 +90,12 @@ def cmd_solve(args) -> int:
     config = SolverConfig(
         residual_tolerance=args.tolerance,
         max_newton_iters=args.max_iters,
-        max_restarts=args.max_restarts,
+        max_restarts=args.stage_restarts,
         rng_seed=args.seed,
     )
     log = open(args.log, "w") if args.log else (sys.stderr if args.verbose else None)
     try:
-        result = solve_with_escalation(
-            family, orders, theta, config, log=log, stage_restarts=args.stage_restarts
-        )
+        result = solve_with_escalation(family, orders, theta, config, log=log)
     finally:
         if args.log and log is not None:
             log.close()
@@ -197,7 +195,7 @@ def cmd_iontrap(args) -> int:
     else:
         pulse = replace(cfg, g=cfg.g * (1.0 + eps_g))
         u = two_pulse_gate(pulse, analytic=args.analytic)
-        reference = extract_qubit_gate(ideal_two_pulse_gate(cfg), cfg)
+        reference = ideal_two_pulse_gate(cfg)
     qubit_gate = extract_qubit_gate(u, cfg)
     leak = leakage(u, cfg)
     leak = 0.0 if leak < _LEAKAGE_FLOOR else leak
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--max-restarts", type=int, default=10_000)
     p.add_argument("--stage-restarts", type=int, default=100,
                    help="Monte-Carlo budget per gate-count stage")
     p.add_argument("--out", help="sequence CSV output path (default stdout)")

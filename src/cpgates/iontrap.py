@@ -138,7 +138,7 @@ class TrapConfig:
             raise ValidationError("need g >= 0, delta != 0 and duration > 0")
         if not isinstance(self.n_max, (int, np.integer)):
             raise ValidationError(f"n_max={self.n_max!r} must be an integer")
-        _fock_level(self, self.initial_fock, None, "initial_fock")
+        _fock_level(self, self.initial_fock, "initial_fock")
         amax = self.displacement_bound()
         if not np.isfinite(amax):
             raise ValidationError("peak displacement g/delta overflows")
@@ -176,10 +176,9 @@ def destroy(levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
 
 
-def _fock_level(cfg: TrapConfig, level: int | None, default: int | None, name: str) -> int:
-    """``level`` (``default`` when None) as an index into the truncated Fock
-    space; ValidationError unless it is an integer in [0, n_max]."""
-    level = default if level is None else level
+def _fock_level(cfg: TrapConfig, level: int, name: str) -> int:
+    """``level`` as an index into the truncated Fock space; ValidationError
+    unless it is an integer in [0, n_max]."""
     if not (isinstance(level, (int, np.integer)) and 0 <= level <= cfg.n_max):
         raise ValidationError(f"{name}={level!r} must be an integer in [0, n_max={cfg.n_max}]")
     return int(level)
@@ -259,17 +258,16 @@ def _closed_form_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
     return np.exp(1j * phases)[..., None, None] * disp
 
 
-def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool, check: bool = True) -> np.ndarray:
+def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool) -> np.ndarray:
     """Branch blocks U_b(T) of (+,+) and (+,-) of pulses that differ only in
     their durations, one eigendecomposition for all of them, by (g) in
-    closed form or by (f); with ``check``, TruncationError when a pulse
+    closed form or by (f).  Every pulse is guarded: TruncationError when one
     leaks population into the top two Fock levels."""
     pairs = (_closed_form_pairs if analytic else _propagated_pairs)(cfgs)
-    if check:
-        for cfg, pair in zip(cfgs, pairs):
-            if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
-                raise TruncationError(
-                    f"population {leak:.2e} reached the top two Fock levels; increase n_max")
+    for cfg, pair in zip(cfgs, pairs):
+        if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
+            raise TruncationError(
+                f"population {leak:.2e} reached the top two Fock levels; increase n_max")
     return pairs
 
 
@@ -280,7 +278,7 @@ def _gate(pair: np.ndarray) -> np.ndarray:
     return (np.outer(parity, parity) * pair) @ pair
 
 
-def evolve_numerical(cfg: TrapConfig, check: bool = True) -> np.ndarray:
+def evolve_numerical(cfg: TrapConfig) -> np.ndarray:
     """Time-ordered propagator over [0, T] of dU/dt = -i H(t) U in the
     truncated space, exact to rounding: one phonon block per spin branch
     (two from one eigendecomposition in the rotating frame, two by parity).
@@ -288,13 +286,13 @@ def evolve_numerical(cfg: TrapConfig, check: bool = True) -> np.ndarray:
     Independent of the closed form: it sees only the Hamiltonian.  Raises
     TruncationError when population leaks into the top two Fock levels.
     """
-    return _operator(cfg, *_pulse_pairs([cfg], analytic=False, check=check))
+    return _operator(cfg, *_pulse_pairs([cfg], analytic=False))
 
 
 def rotation_angle(cfg: TrapConfig) -> float:
-    """Two-pulse qubit rotation angle (4 g^2/Delta^2)(Delta T - sin Delta T)."""
-    dt = cfg.phase_angle()
-    return 4.0 * (cfg.g / cfg.delta) ** 2 * (dt - np.sin(dt))
+    """Two-pulse qubit rotation angle (4 g^2/Delta^2)(Delta T - sin Delta T),
+    with Delta T - sin Delta T from :func:`_sine_gap`, accurate at small Delta T."""
+    return 4.0 * (cfg.g / cfg.delta) ** 2 * _sine_gap(float(cfg.phase_angle()), 0.0)
 
 
 def single_pulse_spin_angle(cfg: TrapConfig) -> float:
@@ -310,12 +308,12 @@ def displacement_amplitudes(cfg: TrapConfig) -> np.ndarray:
     return c * _branch_amplitudes(cfg)
 
 
-def analytic_propagator(cfg: TrapConfig, check: bool = True) -> np.ndarray:
+def analytic_propagator(cfg: TrapConfig) -> np.ndarray:
     """Closed-form single-pulse propagator e^{i (phi0 + theta_c s1 s2)}
     D(alpha_b) per spin branch b in the truncated space (displacement
-    times spin-spin exponential times scalar phase), by fact (g); with
-    ``check``, TruncationError when it leaks into the top two Fock levels."""
-    return _operator(cfg, *_pulse_pairs([cfg], analytic=True, check=check))
+    times spin-spin exponential times scalar phase), by fact (g); raises
+    TruncationError when it leaks into the top two Fock levels."""
+    return _operator(cfg, *_pulse_pairs([cfg], analytic=True))
 
 
 def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
@@ -328,21 +326,21 @@ def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
 
 
 def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
-    """exp(i theta sigma(zp1) sigma(zp2)) (x) 1 with the scalar phase of
-    the two-pulse scheme included (it equals the rotation angle)."""
+    """4x4 qubit gate e^{i theta} exp(i theta cos(zm1 - zm2) sigma(zp1) sigma(zp2))
+    of the two-pulse scheme, theta the rotation angle; the ideal gate on the
+    full space is its kron with the phonon identity."""
     theta = rotation_angle(cfg)
     spin = mat_exp_hermitian_generator(
         np.kron(sigma_axis(cfg.zeta_plus[0]), sigma_axis(cfg.zeta_plus[1])),
         theta * np.cos(cfg.zeta_minus[0] - cfg.zeta_minus[1]),
     )
-    return np.exp(1j * theta) * np.kron(spin, np.eye(cfg.n_max + 1))
+    return np.exp(1j * theta) * spin
 
 
-def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig, fock_level: int | None = None) -> np.ndarray:
+def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig) -> np.ndarray:
     """4x4 qubit block of a propagator that acts as identity on the
-    phonon factor, read off at the given Fock level."""
-    levels = cfg.n_max + 1
-    p = _fock_level(cfg, fock_level, cfg.initial_fock, "fock_level")
+    phonon factor, read off at the initial Fock level ``cfg.initial_fock``."""
+    levels, p = cfg.n_max + 1, cfg.initial_fock
     return u.reshape(4, levels, 4, levels)[:, p, :, p].copy()
 
 

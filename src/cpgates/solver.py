@@ -163,9 +163,12 @@ class SolverProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tolerance on D and budgets of a search; ``max_restarts`` is the one
+    restart budget, of a :func:`solve` and of every escalation stage."""
+
     residual_tolerance: float = 1e-10
     max_newton_iters: int = 200
-    max_restarts: int = 10_000
+    max_restarts: int = 100
     rng_seed: int = 0
     initial_phases: Optional[tuple[float, ...]] = None
 
@@ -358,7 +361,7 @@ def solve(
     problem: SolverProblem, config: SolverConfig = SolverConfig(), log=None
 ) -> SolverResult:
     """Monte-Carlo restarted Newton search for phases nullifying the
-    residual conditions.
+    residual conditions, at most ``config.max_restarts`` restarts.
 
     Restart 0 uses ``config.initial_phases`` when given (a length other
     than the problem's free phase count is a ValidationError); every other
@@ -532,7 +535,6 @@ def solve_with_escalation(
     target_theta: float,
     config: SolverConfig = SolverConfig(),
     log=None,
-    stage_restarts: int = 100,
 ) -> SolverResult:
     """Try progressively longer gate-count shapes, returning the first
     converged result; records every attempted gate count.  ``orders`` is
@@ -541,9 +543,8 @@ def solve_with_escalation(
     A stage with fewer free phases than its rank (:func:`_residual_rank`)
     is skipped, logged and still listed; if every stage is, the result has
     no restarts and the stage with the most free phases as its problem.
-    ``stage_restarts`` caps the Monte-Carlo budget of each stage that runs.
+    Each stage that runs has the Monte-Carlo budget ``config.max_restarts``.
     """
-    check_count("stage_restarts", stage_restarts, 1)
     if family == FAMILY_BROADBAND:
         if not isinstance(orders, (int, np.integer)):
             raise ValidationError(f"broadband orders must be one integer, got {orders!r}")
@@ -573,12 +574,10 @@ def solve_with_escalation(
                 f"stage gates={stage.gate_count} shape={stage.shape!r} "
                 f"unknowns={stage.free_phase_count}\n"
             )
-        budget = min(config.max_restarts, stage_restarts)
         seed_phases = config.initial_phases
         if seed_phases is not None and len(seed_phases) != stage.free_phase_count:
             seed_phases = None
-        stage_config = replace(config, max_restarts=budget, initial_phases=seed_phases)
-        last = solve(stage, stage_config, log=log)
+        last = solve(stage, replace(config, initial_phases=seed_phases), log=log)
         if last.converged:
             break
     return replace(last, attempted_gate_counts=tuple(attempted))

@@ -43,7 +43,7 @@ from cpgates.gates import (
 )
 from cpgates.iontrap import (
     TrapConfig, _assemble, _branch_amplitudes, _fock_level, _from_branches, analytic_propagator,
-    destroy, duration_for_angle, evolve_numerical, extract_qubit_gate,
+    destroy, duration_for_angle, evolve_numerical,
 )
 from cpgates.linalg import IDENTITY_2, SIGMA_Z, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import (
@@ -549,7 +549,8 @@ def propagator_distance(
     same truncated operators legitimately differ.
     """
     levels = cfg.n_max + 1
-    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
+    src = _fock_level(
+        cfg, safe_source_level(cfg) if source_levels is None else source_levels, "source_levels")
     da = (a - b).reshape(4, levels, 4, levels)[:, :, :, : src + 1]
     return float(np.linalg.norm(da))
 
@@ -560,10 +561,12 @@ def phonon_identity_defect(
     """Frobenius distance between u and (qubit block) (x) 1, over source
     columns that stay clear of the truncation edge."""
     levels = cfg.n_max + 1
-    src = _fock_level(cfg, source_levels, safe_source_level(cfg), "source_levels")
-    q = extract_qubit_gate(u, cfg, fock_level=min(cfg.initial_fock, src))
-    ideal = np.einsum("qr,pm->qprm", q, np.eye(levels))
-    da = (u.reshape(4, levels, 4, levels) - ideal)[:, :, :, : src + 1]
+    src = _fock_level(
+        cfg, safe_source_level(cfg) if source_levels is None else source_levels, "source_levels")
+    blocks = u.reshape(4, levels, 4, levels)
+    p = min(cfg.initial_fock, src)
+    ideal = np.einsum("qr,pm->qprm", blocks[:, p, :, p], np.eye(levels))
+    da = (blocks - ideal)[:, :, :, : src + 1]
     return float(np.linalg.norm(da))
 
 
@@ -571,7 +574,7 @@ def fock_population(u: np.ndarray, cfg: TrapConfig, qubit_state: np.ndarray, lev
     """Population of phonon |level> after applying u to qubit_state (x) |level>."""
     levels = cfg.n_max + 1
     phonon = np.zeros(levels, dtype=complex)
-    phonon[_fock_level(cfg, level, None, "level")] = 1.0
+    phonon[_fock_level(cfg, level, "level")] = 1.0
     psi = np.kron(np.asarray(qubit_state, dtype=complex), phonon)
     out = (u @ psi).reshape(4, levels)
     return float(np.sum(np.abs(out[:, level]) ** 2))

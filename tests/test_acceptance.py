@@ -189,8 +189,7 @@ def test_criterion_7_ion_trap():
     ]
     worst = 0.0
     for cfg in grid:
-        d = propagator_distance(evolve_numerical(cfg, check=False),
-                                analytic_propagator(cfg, check=False), cfg)
+        d = propagator_distance(evolve_numerical(cfg), analytic_propagator(cfg), cfg)
         worst = max(worst, d)
     assert worst <= 1e-6
 

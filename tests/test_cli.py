@@ -93,7 +93,7 @@ def test_solve_with_every_stage_below_rank_exits_at_once(tmp_path, capsys, order
 def test_solve_nonconvergence_exit_code(tmp_path):
     # an impossible budget forces the non-convergence path
     rc = main(["solve", "--family", "bb", "--order", "3", "--seed", "0",
-               "--max-restarts", "1", "--max-iters", "2",
+               "--stage-restarts", "1", "--max-iters", "2",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
 
@@ -221,6 +221,32 @@ def test_every_subcommand_documents_pi_units():
         assert "pi" in text, name
 
 
+#: every subcommand's option strings, in the order the parser declares
+#: them: adding or removing a flag is a reviewed edit of this table
+OPTIONS = {
+    "solve": ["--family", "--order", "--order2", "--theta-over-pi", "--seed", "--tolerance",
+              "--max-iters", "--stage-restarts", "--out", "--log", "--verbose"],
+    "verify": ["--catalog", "--theta-over-pi", "--bands", "--orders"],
+    "scan": ["--seq", "--theta-over-pi", "--min", "--max", "--steps", "--xi", "--identity-ref",
+             "--out"],
+    "band": ["--seq", "--theta-over-pi", "--threshold", "--out"],
+    "order": ["--seq", "--theta-over-pi", "--wmin", "--wmax", "--xi", "--out"],
+    "wrap-abs": ["--seq", "--out"],
+    "iontrap": ["--config", "--seq", "--eps-g", "--analytic", "--out"],
+    "catalog": ["--table", "--entry", "--theta-over-pi", "--out"],
+}
+
+
+def test_cli_option_list_is_pinned():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    found = {
+        name: [s for action in sp._actions for s in action.option_strings
+               if s not in ("-h", "--help")]
+        for name, sp in subparsers.items()
+    }
+    assert found == OPTIONS
+
+
 @pytest.mark.parametrize("threshold", ["nan", "2"])
 def test_band_rejects_invalid_threshold(tmp_path, capsys, threshold):
     seq_path = tmp_path / "single.csv"
@@ -339,7 +365,7 @@ def test_iontrap_seq_with_zero_coupling(tmp_path, capsys):
     ["--tolerance", "inf"],
     ["--stage-restarts", "0"],
     ["--stage-restarts", "-3"],
-    ["--max-restarts", "0"],
+    ["--max-iters", "0"],
     ["--max-iters", "-1"],
     ["--seed", "-1"],
 ])

@@ -195,6 +195,16 @@ def test_solver_log_ends_each_stage_with_stop_counts():
     assert sum(c[4] for c in counts) > 0  # the small budget is hit
 
 
+def test_escalation_gives_every_stage_the_config_budget():
+    # a budget above the CLI's default of 100 restarts per stage is kept
+    log = io.StringIO()
+    config = SolverConfig(rng_seed=0, max_restarts=150, max_newton_iters=1,
+                          residual_tolerance=1e-300)
+    solve_with_escalation(FAMILY_BROADBAND, 1, TH, config, log=log)
+    ends = [ln.split()[1] for ln in log.getvalue().splitlines() if ln.startswith("stage-end ")]
+    assert ends == ["restarts=150"] * len(broadband_progression(1, TH))
+
+
 def test_phases_reported_in_canonical_range():
     problem = broadband_problem(2, TH, 4)
     result = solve(problem, SolverConfig(rng_seed=7, max_restarts=300))
@@ -562,10 +572,10 @@ def test_solver_config_accepts_numpy_integers():
 
 @pytest.mark.parametrize("stage_restarts", [0, -3, 2.5, 3.0, None])
 def test_escalation_rejects_empty_stage_budget(stage_restarts):
-    # checked like SolverConfig's budgets, and reported under its own name
-    # rather than as the max_restarts it is passed on as
-    with pytest.raises(ValidationError, match="^stage_restarts must be an integer of at least 1"):
-        solve_with_escalation(FAMILY_BROADBAND, 1, TH, stage_restarts=stage_restarts)
+    # every stage runs on config.max_restarts, so an empty budget is
+    # refused before any stage starts
+    with pytest.raises(ValidationError, match="^max_restarts must be an integer of at least 1"):
+        solve_with_escalation(FAMILY_BROADBAND, 1, TH, SolverConfig(max_restarts=stage_restarts))
 
 
 @pytest.mark.parametrize("family, orders, message", [
