@@ -78,7 +78,12 @@ def sequence_fidelity(seq: CompositeSequence, epsilon: float = 0.0, xi: float = 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Fidelity-versus-relative-error curve for one sequence."""
+    """Fidelity-versus-relative-error curve for one sequence.
+
+    The values may be given as sequences or arrays.  They are checked as
+    arrays, which the result keeps for :func:`scan_csv_text`, and stored
+    as tuples of Python floats.
+    """
 
     epsilons: tuple[float, ...]
     fidelities: tuple[float, ...]
@@ -86,12 +91,15 @@ class ScanResult:
     target_theta: float
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons)
+        eps = np.array(self.epsilons, dtype=float)
         if np.any(np.diff(eps) <= 0):
             raise ValidationError("scan grid must be strictly increasing")
-        fids = np.asarray(self.fidelities)
+        fids = np.array(self.fidelities, dtype=float)
         if np.any(fids < 0) or np.any(fids > 1 + 1e-12):
             raise ValidationError("fidelities must lie in [0, 1]")
+        object.__setattr__(self, "epsilons", tuple(eps.tolist()))
+        object.__setattr__(self, "fidelities", tuple(fids.tolist()))
+        object.__setattr__(self, "_arrays", (eps, fids))
 
 
 def scan(
@@ -114,8 +122,7 @@ def scan(
     ref = None if reference is None else _reference_block(np.asarray(reference))
     eps = np.linspace(eps_min, eps_max, steps)
     fids = _fidelities(seq, eps, xi, ref)
-    return ScanResult(tuple(eps.tolist()), tuple(fids.tolist()), seq.label or seq.family,
-                      seq.target_theta)
+    return ScanResult(eps, fids, seq.label or seq.family, seq.target_theta)
 
 
 #: Largest |eps| the band search reaches on either side.
@@ -243,8 +250,8 @@ def scan_csv_text(result: ScanResult) -> str:
     """The scan as CSV text: the header ``epsilon,fidelity,infidelity``,
     then one row per grid point, each cell exactly ``'%.17g' % value``
     (the infidelity is ``1.0 - f``)."""
-    f = np.array(result.fidelities)
-    cells = np.column_stack([result.epsilons, f, 1.0 - f])
+    eps, f = result._arrays
+    cells = np.column_stack([eps, f, 1.0 - f])
     return "".join(("epsilon,fidelity,infidelity", _format_g17(cells, "\n,,"), "\n"))
 
 

@@ -149,8 +149,8 @@ def derivative_sequence(
 
 def residual_rows(thetas, phis, terminal, target_theta: float, orders, partials: bool = False):
     """Residual conditions of a batch of phase vectors ``phis`` (B, G)
-    and terminal phases ``terminal`` (B,), as the first rows (a, b) of
-    their 2x2 blocks.
+    and terminal phases ``terminal`` (B,), or None for a frame rotation
+    fixed at zero, as the first rows (a, b) of their 2x2 blocks.
 
     For ``orders = (n1, n2)`` the result is (B, n1 + n2 + 1, 2): orders
     0..n1 of the framed gate product at eps = 0, then orders 1..n2 of the
@@ -162,22 +162,22 @@ def residual_rows(thetas, phis, terminal, target_theta: float, orders, partials:
     fixed by its first row, and its 4x4 Frobenius norm is
     2 sqrt(|a|^2 + |b|^2).
 
-    With ``partials`` the result is (B, G + 1, n1 + n2 + 1, 2): [b, 0]
-    the residual rows, [b, k] their exact partials with respect to
-    phis[b, k] (k = 1..G-1, from :func:`phase_partials_stack`) and
-    [b, G] with respect to the terminal phase: -i times the framed
-    eps = 0 rows, 0 for the eps = -1 rows.
+    With ``partials`` the result is (B, G, n1 + n2 + 1, 2): [b, 0] the
+    residual rows and [b, k] their exact partials with respect to
+    phis[b, k] (k = 1..G-1, from :func:`phase_partials_stack`).  Given
+    terminal phases, [b, G] follows, the partials with respect to them:
+    -i times the framed eps = 0 rows, 0 for the eps = -1 rows.
     """
     n1, n2 = orders
     stack = phase_partials_stack if partials else product_derivative_stack
     # the frame rotation diag(e^{-it}, e^{it}) acts on the first row as e^{-it}
     rows = stack(thetas, phis, n1)[..., 0, :]
-    frame = np.exp(-1j * np.asarray(terminal))
+    frame = np.exp(-1j * np.asarray(0.0 if terminal is None else terminal))
     rows = frame.reshape(frame.shape + (1,) * (rows.ndim - frame.ndim)) * rows
     if n2 > 0:
         narrow = stack(thetas, phis, n2, at_epsilon=-1.0)
         rows = np.concatenate([rows, narrow[..., 1:, 0, :]], axis=-2)
-    if partials:
+    if partials and terminal is not None:
         dt = np.zeros_like(rows[:, :1])
         dt[:, :, : n1 + 1] = -1j * rows[:, :1, : n1 + 1]
         rows = np.concatenate([rows, dt], axis=1)

@@ -154,14 +154,22 @@ def _blocks(a, b):
 def _sequence_blocks(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.ndarray:
     """(E, 2, 2) blocks V of the distorted propagators, one per entry of
     ``epsilons``, frame rotation included.  Each gate cos(t) I + i sin(t)
-    sigma_phi is kept in Cayley-Klein form [[a, b], [-conj(b), conj(a)]]."""
+    sigma_phi is kept in Cayley-Klein form [[a, b], [-conj(b), conj(a)]],
+    with b's factor (i sin t) e^{-i phi}.  The grids cos t and i sin t
+    are computed once per distinct gate angle (the same double, -0.0
+    apart from 0.0): BB6 has 12 gates but 2 angles."""
     eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
     if not (np.all(np.isfinite(eps)) and np.isfinite(xi)):
         raise ValidationError("epsilon and xi must be finite")
     a, b = np.ones(eps.shape, dtype=complex), np.zeros(eps.shape, dtype=complex)
+    trig = {}
     for g in seq.gates:
-        t = distorted_theta(g.theta, eps, xi)
-        c, s = np.cos(t), 1j * np.sin(t) * np.exp(-1j * g.phi)
+        key = float(g.theta).hex()
+        if key not in trig:
+            t = distorted_theta(g.theta, eps, xi)
+            trig[key] = np.cos(t), 1j * np.sin(t)
+        c, i_sin = trig[key]
+        s = i_sin * np.exp(-1j * g.phi)
         a, b = c * a - s * b.conj(), c * b + s * a.conj()
     f = np.exp(-1j * seq.terminal_phase)
     return _blocks(f * a, f * b)

@@ -17,23 +17,25 @@ order cancels.
 Each Newton step takes the exact Jacobian with respect to the phases
 from one batched kernel pass of the same function (its phase partials),
 then accepts the first candidate step that lowers D: the full
-least-squares step, evaluated alone, then its 19 halvings in one batched
-call, then 25 Levenberg-regularised steps, solved together and evaluated
-in one batched call.  A run ends when D reaches the tolerance, when no
-candidate lowers it, when the iteration budget is spent, or when D has
-fallen by less than 0.1 % over the last 5 iterations (a stall: such runs
-sit at a false minimum).
+least-squares step, evaluated with its Jacobian, then its 19 halvings in
+one batched call, then 25 Levenberg-regularised steps, solved together
+and evaluated in one batched call.  An accepted full step carries its
+Jacobian into the next iteration, so a run of full steps costs one
+kernel pass per iteration.  A run ends when D reaches the tolerance,
+when no candidate lowers it, when the iteration budget is spent, or when
+D has fallen by less than 0.1 % over the last 5 iterations (a stall:
+such runs sit at a false minimum).
 
 A stage's restarts run in rounds.  Restart 0, which carries any given
 initial phases and usually converges by itself, runs alone; later rounds
 hold up to ROUND_SIZE restarts (16), and one Newton loop advances all of
-a round's live restarts together: one kernel pass for their Jacobians
-and one batched call per rung of the step ladder, each start keeping its
-own stop rules.  A start's arithmetic does not depend on the others in
-its batch, and the stage's result is the lowest-index restart that
-converged (later restarts of its round are dropped unlogged), so results
-and logs do not depend on the round size: they are those of running the
-restarts one after another.
+a round's live restarts together: one kernel pass for the Jacobians
+they do not carry and one batched call per rung of the step ladder, each
+start keeping its own stop rules.  A start's arithmetic does not depend
+on the others in its batch, and the stage's result is the lowest-index
+restart that converged (later restarts of its round are dropped
+unlogged), so results and logs do not depend on the round size: they
+are those of running the restarts one after another.
 
 Escalation skips a stage with fewer free phases than the rank C of its
 residual conditions (n + ceil(n/2) + 1 for order-n broadband), as such a
@@ -200,10 +202,8 @@ def _weighted_rows(problem: SolverProblem, x_batch, partials: bool = False):
     ``partials`` also their partials with respect to the free phases,
     (B, n + 1, orders, 2) with the rows first."""
     phis, terminal = problem.split(np.atleast_2d(np.asarray(x_batch, dtype=float)))
-    rows = residual_rows(
-        problem.thetas, phis, terminal, problem.target_theta, problem.orders, partials)
-    if partials and not problem.free_terminal:
-        rows = rows[:, :-1]
+    rows = residual_rows(problem.thetas, phis, terminal if problem.free_terminal else None,
+                         problem.target_theta, problem.orders, partials)
     return rows * problem.residual_weights
 
 
@@ -215,8 +215,14 @@ def _residuals(problem: SolverProblem, x_batch: np.ndarray):
     """
     rows = _weighted_rows(problem, x_batch)
     r = rows.view(float).reshape(len(rows), -1)
-    d = np.sqrt(np.sum(r.reshape(len(rows), -1, 4) ** 2, axis=2)).sum(axis=1)
-    return r, d
+    return r, _objective(r)
+
+
+def _objective(r):
+    """D of residual vectors r (B, p): the sum of the norms of their
+    rows, four components each.  The squares form a new contiguous array,
+    so D is the same bits whatever the layout of r."""
+    return np.sqrt(np.sum(r.reshape(len(r), -1, 4) ** 2, axis=2)).sum(axis=1)
 
 
 def _jacobian(problem: SolverProblem, x_batch: np.ndarray):
@@ -295,11 +301,13 @@ def _newton_from(problem, x, d, config):
     ``x`` is (R, n) and ``d`` (R,) their objectives.  Returns (x, D,
     iterations, reasons), one entry per start, each reason one of
     "converged", "stalled", "no_step" (no candidate lowers D) and
-    "budget".  Every iteration takes the Jacobians of all live starts in
-    one kernel pass, then evaluates each rung of the step ladder for all
-    starts that still need it in one batched call: full steps, halvings,
-    Levenberg steps.  A start's arithmetic does not depend on the others
-    in its batch, so each start ends exactly as it would alone.
+    "budget".  Every iteration evaluates each rung of the step ladder for
+    all starts that still need it in one batched call: the full steps
+    with their Jacobians, then halvings and Levenberg steps by value.  A
+    start whose full step is accepted carries that Jacobian into the next
+    iteration; the others get theirs in one kernel pass at its top.  A
+    start's arithmetic does not depend on the others in its batch, so
+    each start ends exactly as it would alone.
     """
     x = np.array(x, dtype=float)
     d = np.array(d, dtype=float)
@@ -309,6 +317,8 @@ def _newton_from(problem, x, d, config):
     reasons = ["budget"] * len(x)
     trail = [d.copy()]
     live = list(range(len(x)))
+    # (residual vector, Jacobian) at x[i], kept from an accepted full step
+    held = [None] * len(x)
 
     def end(i, it, reason):
         iters[i], reasons[i] = it, reason
@@ -325,15 +335,26 @@ def _newton_from(problem, x, d, config):
         live = running
         if not live:
             break
+        fresh = [i for i in live if held[i] is None]
+        if fresh:
+            for i, r, jac in zip(fresh, *_jacobian(problem, x[fresh])):
+                held[i] = r, jac
         x_live, d_live = (x, d) if len(live) == len(x) else (x[live], d[live])
-        r0, jacs = _jacobian(problem, x_live)
+        r0, jacs = zip(*(held[i] for i in live))
         steps = [np.linalg.lstsq(jac, -r, rcond=None)[0] for r, jac in zip(r0, jacs)]
+        full = x_live + np.array(steps)
+        r_full, jac_full = _jacobian(problem, full)
+        d_full = _objective(r_full)
+        found = [None] * len(live)
+        for j, i in enumerate(live):
+            held[i] = None
+            if d_full[j] < d_live[j]:
+                found[j] = full[j], float(d_full[j])
+                held[i] = r_full[j], jac_full[j]
         rungs = (
-            lambda j: (x_live[j] + steps[j])[None, :],
             lambda j: x_live[j] + halvings * steps[j],
             lambda j: _levenberg_block(x_live[j], r0[j], jacs[j]),
         )
-        found = [None] * len(live)
         for rung in rungs:
             failing = [j for j, f in enumerate(found) if f is None]
             if not failing:

@@ -39,7 +39,8 @@ from cpgates.abserr import AbsoluteComposite
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import (
-    CompositeSequence, PhasedGate, distorted_theta, ideal_cphase, phase_gate, phased_cphase,
+    CompositeSequence, PhasedGate, _blocks, distorted_theta, ideal_cphase, phase_gate,
+    phased_cphase,
 )
 from cpgates.iontrap import (
     TrapConfig, _assemble, _branch_amplitudes, _fock_level, _from_branches, analytic_propagator,
@@ -155,6 +156,19 @@ def sequence_product_propagator(
 ) -> np.ndarray:
     """Full 4x4 sequence propagator, terminal frame rotation included."""
     return phase_gate(seq.terminal_phase, 2) @ gate_product_propagator(seq, epsilon, xi)
+
+
+def sequence_blocks_per_gate(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.ndarray:
+    """The (E, 2, 2) blocks of :func:`cpgates.gates._sequence_blocks`, with
+    cos t and i sin t evaluated afresh for every gate."""
+    eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
+    a, b = np.ones(eps.shape, dtype=complex), np.zeros(eps.shape, dtype=complex)
+    for g in seq.gates:
+        t = distorted_theta(g.theta, eps, xi)
+        c, s = np.cos(t), 1j * np.sin(t) * np.exp(-1j * g.phi)
+        a, b = c * a - s * b.conj(), c * b + s * a.conj()
+    f = np.exp(-1j * seq.terminal_phase)
+    return _blocks(f * a, f * b)
 
 
 def absolute_composite_propagator(

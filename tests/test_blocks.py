@@ -15,7 +15,8 @@ from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, ideal_cphase, sequence_propagator
 from cpgates.linalg import frobenius_norm
 from oracles import (
-    branch_sum_dense, embed_blocks_4x4, scalar_march_band, sequence_product_propagator,
+    branch_sum_dense, embed_blocks_4x4, scalar_march_band, sequence_blocks_per_gate,
+    sequence_product_propagator,
 )
 
 angles = st.floats(-2 * pi, 2 * pi)
@@ -72,6 +73,31 @@ def test_embedding_equals_the_direct_formula_bit_for_bit(seed, batch):
     got, want = gates._embed_blocks(v), embed_blocks_4x4(v)
     assert got.shape == want.shape == batch + (4, 4)
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def repeating_sequences(draw):
+    """Sequences of up to 12 gates whose angles come from a pool of at
+    most three, which may hold negative angles and both signed zeros."""
+    pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), angles),
+                         min_size=1, max_size=3))
+    thetas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    gates = tuple(PhasedGate(t, draw(phases)) for t in thetas)
+    return CompositeSequence(gates=gates, terminal_phase=draw(st.floats(-pi, pi)))
+
+
+@settings(max_examples=150)
+@given(repeating_sequences(), st.lists(epsilons, min_size=1, max_size=5),
+       st.one_of(st.sampled_from([0.0, -0.0]), offsets))
+# at eps = -1 and xi = -0.0 the gate angles are the signed zeros of theta
+@example(CompositeSequence(gates=(PhasedGate(0.0, 1.0), PhasedGate(-0.0, 2.0),
+                                  PhasedGate(-pi / 2, 0.5), PhasedGate(pi / 2, 0.5),
+                                  PhasedGate(-0.0, 3.0))),
+         [-1.0, 0.0, 0.25], -0.0)
+def test_sequence_blocks_equal_per_gate_oracle_bit_for_bit(seq, eps, xi):
+    # cos t and i sin t are shared between gates of the same angle only
+    got = gates._sequence_blocks(seq, eps, xi)
+    assert got.tobytes() == sequence_blocks_per_gate(seq, eps, xi).tobytes()
 
 
 def test_default_target_block_equals_the_block_of_the_4x4_target(monkeypatch):

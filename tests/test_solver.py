@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from math import acos, ceil, pi
 from pathlib import Path
 
-from cpgates import solver
+from cpgates import catalog, solver
 from cpgates.derivatives import (
-    broadband_residuals, narrowband_residuals, product_derivative_stack,
+    broadband_residuals, narrowband_residuals, product_derivative_stack, residual_rows,
 )
 from cpgates.errors import ValidationError
 from cpgates.gates import FAMILY_BROADBAND, FAMILY_PASSBAND, _blocks
@@ -429,8 +429,10 @@ def test_jacobian_equals_central_differences(problem, data):
     x = np.array(data.draw(st.lists(st.floats(0.0, 2 * pi), min_size=n, max_size=n)))
     assume(_sign_margin(problem, x) > 1e-3)
     r0, jacs = solver._jacobian(problem, x[None, :])
-    r, _ = _residuals(problem, x[None, :])
-    np.testing.assert_allclose(r0[0], r[0], rtol=0, atol=1e-13)
+    r, d = _residuals(problem, x[None, :])
+    # the full Newton step takes its D from the Jacobian pass: the same bits
+    assert np.array_equal(r0[0], r[0])
+    assert solver._objective(r0)[0] == d[0]
     np.testing.assert_allclose(jacs[0], central_difference_jacobian(problem, x, h=1e-6),
                                rtol=0, atol=1e-8)
 
@@ -465,18 +467,24 @@ LADDER_PANEL = [
 
 
 def test_batched_ladder_equals_sequential_oracle(monkeypatch):
-    batches = []
+    batches, jacobian_batches = [], []
 
     def counting(problem, x_batch):
         batches.append(len(np.atleast_2d(x_batch)))
         return _residuals(problem, x_batch)
 
+    def counting_jacobian(problem, x_batch):
+        jacobian_batches.append(len(x_batch))
+        return _jacobian(problem, x_batch)
+
     monkeypatch.setattr(solver, "_residuals", counting)
+    monkeypatch.setattr(solver, "_jacobian", counting_jacobian)
     config = SolverConfig(max_newton_iters=60)
     for problem, seed in LADDER_PANEL:
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(0.0, 2 * pi, (3, problem.free_phase_count))
         d0 = _residuals(problem, x0)[1]
+        jacobian_batches.clear()
         # the three starts advance together, each as it would alone
         xs, ds, iters, reasons = solver._newton_from(problem, x0, d0, config)
         for k in range(3):
@@ -486,11 +494,55 @@ def test_batched_ladder_equals_sequential_oracle(monkeypatch):
             assert reasons[k] == reason_ref
             assert ds[k] == d_ref
             assert np.array_equal(xs[k], x_ref)
-    # each rung is one call for all starts that need it: full steps in
-    # calls of at most three rows, halvings in multiples of 19 rows and
-    # Levenberg rungs in multiples of 25
-    assert all(b <= 3 or b % 19 == 0 or b % 25 == 0 for b in batches)
+        # every iteration evaluates the full steps of its live starts
+        # with their Jacobians in one call; a start whose full step was
+        # accepted needs no Jacobian at the top of the next iteration
+        loops = max(iters)
+        assert loops <= len(jacobian_batches) <= 2 * loops
+        assert all(b <= 3 for b in jacobian_batches)
+    # each later rung is one call for all starts that need it: halvings
+    # in multiples of 19 rows and Levenberg rungs in multiples of 25
+    assert all(b % 19 == 0 or b % 25 == 0 for b in batches)
     assert any(b % 19 == 0 for b in batches) and any(b % 25 == 0 for b in batches)
+
+
+#: restart-0 runs whose every Newton step is the full step
+FULL_STEP_RUNS = [
+    (broadband_problem(1, TH, 2, free_terminal=True), 0),
+    (broadband_problem(2, TH, 4), 11),
+    (passband_problem(1, 1, TH, 2), 0),
+]
+
+
+@pytest.mark.parametrize("problem, seed", FULL_STEP_RUNS, ids=["bb1", "bb2", "pb11"])
+def test_accepted_full_steps_carry_their_jacobian(monkeypatch, problem, seed):
+    # one kernel pass per iteration, and three more: D at the start, the
+    # first Jacobian and D at the wrapped phases
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return residual_rows(*args)
+
+    monkeypatch.setattr(solver, "residual_rows", counting)
+    result = solve(problem, SolverConfig(rng_seed=seed, max_restarts=1))
+    assert result.converged and result.iterations_used >= 4
+    assert len(calls) <= result.iterations_used + 3
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_polish_from_a_converged_start_takes_no_jacobian(monkeypatch, n):
+    partials = []
+
+    def counting(*args):
+        partials.append(args[5])
+        return residual_rows(*args)
+
+    monkeypatch.setattr(solver, "residual_rows", counting)
+    result = polish(catalog.broadband(n), n)
+    assert result.converged and result.iterations_used == 0
+    # D at the start and at the wrapped phases, both by value
+    assert partials == [False, False]
 
 
 #: (problem, config, restarts used) stages run by the lockstep solver and
