@@ -131,8 +131,14 @@ EPS_LIMIT = 1.5
 #: ``e += 1e-3``), 1501 points up to EPS_LIMIT.
 _MARCH_GRID = np.cumsum(np.r_[0.0, np.full(int(EPS_LIMIT / 1e-3) + 1, 1e-3)])
 _MARCH_GRID = _MARCH_GRID[_MARCH_GRID <= EPS_LIMIT]
+#: Probe ladder of the band search: 25 log-spaced march-grid indices from
+#: 8 to the last, each at most round(1.25 x) the one before, so a march
+#: to the first over-threshold probe overshoots the crossing by 25 % at most.
+_PROBES = np.geomspace(8, len(_MARCH_GRID) - 1, 25).round().astype(np.intp)
 #: Bisection steps from a march bracket: 1e-3 halved four times is 6.25e-5.
 _BISECTIONS = 4
+#: Infidelities below this are double-precision rounding noise.
+INFIDELITY_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -157,64 +163,57 @@ class ToleranceBand:
         return tuple(side for side, edge in edges if edge >= EPS_LIMIT)
 
 
-def _bisection_tree(brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals of the first _BISECTIONS + 1 levels of the bisection tree
-    below each row (lo, hi) of ``brackets``, in level order: node i splits
-    at 0.5 * (lo + hi) into node 2i+1 = (lo, mid) and node 2i+2 = (mid, hi)."""
-    lo, hi = brackets[:, :1], brackets[:, 1:]
-    for k in range(_BISECTIONS):
-        a, b = lo[:, 2**k - 1:], hi[:, 2**k - 1:]
-        mid = 0.5 * (a + b)
-        lo = np.hstack([lo, np.stack([a, mid], -1).reshape(len(a), -1)])
-        hi = np.hstack([hi, np.stack([mid, b], -1).reshape(len(a), -1)])
-    return lo, hi
-
-
 def tolerance_band(seq: CompositeSequence, threshold: float = 1e-4) -> ToleranceBand:
     """Interval of eps around 0 keeping infidelity below ``threshold``.
 
-    Marches outward from zero over 1e-3 steps (chunks doubling from 64
-    points) until each side's first crossing is bracketed, or |eps|
-    reaches EPS_LIMIT, then bisects each bracket four times, every
-    midpoint of both sides in one call; each edge lies within 6.25e-5 of
-    its crossing and equals a one-point march and bisection bit for bit.
-    Raises ValidationError when the sequence already fails at eps = 0.
+    Three batched passes: eps = 0 and the probe ladder _PROBES of the 1e-3
+    march grid; each side's march out to its first over-threshold probe
+    (to EPS_LIMIT if none), which brackets the first crossing; and the 15
+    midpoints that four bisections of each bracket can reach (none without
+    a bracket).  Each edge lies within 6.25e-5 of its crossing and equals
+    a one-point march and bisection bit for bit.  Raises ValidationError
+    for a threshold outside [INFIDELITY_FLOOR, 1) (below the floor, 1 - F
+    is rounding noise) and when the sequence fails already at eps = 0.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
+    if not INFIDELITY_FLOOR <= threshold < 1.0:
+        raise ValidationError(f"threshold must lie in [{INFIDELITY_FLOOR:g}, 1), got {threshold}")
 
     def over(eps):
         return 1.0 - _fidelities(seq, eps) > threshold
 
-    if over(0.0)[0]:
+    sides = (1.0, -1.0)
+    probes = _MARCH_GRID[_PROBES]
+    hits = over(np.concatenate([[0.0], probes, -probes]))
+    if hits[0]:
         raise ValidationError("sequence exceeds the threshold already at eps = 0")
-    brackets, start, size = {}, 0, 64
-    while start < len(_MARCH_GRID) - 1 and len(brackets) < 2:
-        grid = _MARCH_GRID[start:start + size + 1]
-        sides = [d for d in (1.0, -1.0) if d not in brackets]
-        hits = over(np.concatenate([d * grid[1:] for d in sides]))
-        for d, row in zip(sides, hits.reshape(len(sides), -1)):
-            if row.any():
-                k = int(np.argmax(row))
-                brackets[d] = (grid[k], grid[k + 1])
-        start, size = start + size, 2 * size
-    edges = {d: d * EPS_LIMIT for d in (1.0, -1.0) if d not in brackets}
-    if brackets:
-        # the midpoints of the tree's first _BISECTIONS levels are every
-        # point the walk can reach; it ends at a leaf of the level below
-        sides = list(brackets)
-        lo, hi = _bisection_tree(np.array([brackets[d] for d in sides]))
-        mid = np.array(sides)[:, None] * (0.5 * (lo + hi))
-        hit = over(mid[:, :2**_BISECTIONS - 1].ravel()).reshape(len(sides), -1)
-        for s, d in enumerate(sides):
+    stops = [_PROBES[row.argmax() if row.any() else -1] for row in hits[1:].reshape(2, -1)]
+    hits = over(np.concatenate([d * _MARCH_GRID[1:stop + 1] for d, stop in zip(sides, stops)]))
+    trees, edges = {}, {}
+    for d, row in zip(sides, np.split(hits, stops[:1])):
+        if row.any():
+            k = int(row.argmax())  # grid point k + 1 is the first crossing
+            trees[d] = [(float(_MARCH_GRID[k]), float(_MARCH_GRID[k + 1]))]
+        else:
+            edges[d] = d * EPS_LIMIT
+    if trees:
+        # bisection trees in level order: node i = (a, b) splits at mid =
+        # 0.5 * (a + b) into nodes 2i+1 = (a, mid) and 2i+2 = (mid, b); the walk
+        # reaches the midpoints of the first levels and ends at a leaf below
+        inner = 2**_BISECTIONS - 1
+        for nodes in trees.values():
+            for i in range(inner):
+                a, b = nodes[i]
+                mid = 0.5 * (a + b)
+                nodes += [(a, mid), (mid, b)]
+        mids = [d * (0.5 * (a + b)) for d, nodes in trees.items() for a, b in nodes[:inner]]
+        hits = over(np.array(mids)).reshape(len(trees), inner)
+        for (d, nodes), hit in zip(trees.items(), hits):
             i = 0
             for _ in range(_BISECTIONS):
-                i = 2 * i + (1 if hit[s, i] else 2)
-            edges[d] = d * 0.5 * (lo[s, i] + hi[s, i])
-    return ToleranceBand(float(edges[-1.0]), float(edges[1.0]), float(threshold))
-
-
-INFIDELITY_FLOOR = 1e-14
+                i = 2 * i + (1 if hit[i] else 2)
+            a, b = nodes[i]
+            edges[d] = d * (0.5 * (a + b))
+    return ToleranceBand(edges[-1.0], edges[1.0], float(threshold))
 
 
 def infidelity_order(

@@ -217,9 +217,13 @@ def test_fidelity_curves_even_in_epsilon():
         assert asym < 1e-12, seq.label
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, 1.0, 2.0, -0.1])
+@pytest.mark.parametrize(
+    "threshold", [float("nan"), float("inf"), 0.0, 1.0, 2.0, -0.1, 1e-15, 1e-300, 5e-324]
+)
 def test_tolerance_band_rejects_bad_threshold(threshold):
-    with pytest.raises(ValidationError):
+    # below INFIDELITY_FLOOR = 1e-14, 1 - F is rounding noise: BB2's edges
+    # at 1e-16 came out lopsided although its curve is even in eps
+    with pytest.raises(ValidationError, match=r"\[1e-14, 1\)"):
         tolerance_band(catalog.single(TH), threshold=threshold)
 
 

@@ -161,6 +161,7 @@ def each_band_sequence_at(*thresholds):
     st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 0.9]),
 )
 @each_band_sequence_at(1e-4, 0.9)
+@example(BAND_SEQUENCES[0], pi / 4, 1e-6)  # crosses at 0.0018, below the first probe
 def test_batched_band_equals_scalar_march(make, theta, threshold):
     seq = make(theta)
     band = tolerance_band(seq, threshold)
@@ -180,11 +181,8 @@ def test_batched_band_with_one_side_at_eps_limit(angle):
     assert (band.eps_low, band.eps_high) == scalar_march_band(seq, 1e-4, 1.5, 1e-3, 1e-4)
 
 
-def test_band_search_work(monkeypatch):
-    # the march stops at the first bracket, and the four bisection levels
-    # of both sides ride in one call: BB1 crosses 1e-4 at |eps| = 0.109,
-    # BB6 at 0.459 (marching the whole eps_limit and bisecting one point
-    # per call takes 10 calls and 3009 points for either)
+def count_fidelity_calls(monkeypatch):
+    """Sizes of the ``analysis._fidelities`` calls made from now on."""
     calls = []
     fidelities = analysis._fidelities
 
@@ -193,10 +191,80 @@ def test_band_search_work(monkeypatch):
         return fidelities(seq, epsilons, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "_fidelities", spy)
-    for n, most_calls, most_points in ((1, 4, 450), (6, 6, 2000)):
+    return calls
+
+
+def test_band_search_work(monkeypatch):
+    # a probe pass, a march to the first over-threshold probe and one
+    # bisection pass: BB1 crosses 1e-4 at |eps| = 0.109 (probe 0.110),
+    # BB6 at 0.454 (probe 0.504); a single gate never loses 90 % within
+    # EPS_LIMIT, so it marches the whole grid and bisects nothing
+    calls = count_fidelity_calls(monkeypatch)
+    for seq, threshold, passes, most_points in (
+        (catalog.broadband(1, pi / 4), 1e-4, 3, 301),
+        (catalog.broadband(6, pi / 4), 1e-4, 3, 1089),
+        (catalog.single(pi / 4), 0.9, 2, 3051),
+    ):
         calls.clear()
-        tolerance_band(catalog.broadband(n, pi / 4))
-        assert len(calls) <= most_calls and sum(calls) <= most_points, (n, calls)
+        tolerance_band(seq, threshold)
+        assert len(calls) == passes and sum(calls) <= most_points, (seq.label, calls)
+
+
+def test_probe_ladder_bounds_the_march():
+    # each probe is at most round(1.25 x) the one before, so the march to
+    # the first over-threshold probe overshoots a crossing by 25 % at most
+    p = analysis._PROBES.tolist()
+    assert p[0] <= 8 and p[-1] == len(analysis._MARCH_GRID) - 1
+    assert all(a < b <= round(1.25 * a) for a, b in zip(p, p[1:]))
+
+
+def test_band_at_the_infidelity_floor_equals_scalar_march():
+    for seq in (catalog.single(pi / 4), catalog.broadband(1, pi / 4), catalog.broadband(2, pi / 4)):
+        band = tolerance_band(seq, analysis.INFIDELITY_FLOOR)
+        expected = scalar_march_band(seq, analysis.INFIDELITY_FLOOR, 1.5, 1e-3, 1e-4)
+        assert (band.eps_low, band.eps_high) == expected, seq.label
+
+
+def _synthetic_curves():
+    """Infidelity curves (threshold 1e-4) that test the search logic, each
+    an exact function of eps."""
+    grid, probes = analysis._MARCH_GRID, analysis._PROBES.tolist()
+    # a spike over only the grid point midway between two probes, then a
+    # broad crossing at 0.9
+    a, b = next((a, b) for a, b in zip(probes, probes[1:]) if b - a >= 4)
+    spike = grid[(a + b) // 2]
+    on_probe = grid[probes[10]] - 1e-4  # the first grid point past it is a probe
+    return {
+        "spike-between-probes": (
+            lambda e: np.where(np.abs(np.abs(e) - spike) < 4e-4, 2e-4, 0.0) + 1e-4 * (e / 0.9) ** 2,
+            spike - 4e-4,
+        ),
+        # and with no probe over the threshold on either side
+        "spike-alone": (lambda e: np.where(np.abs(np.abs(e) - spike) < 4e-4, 2e-4, 0.0), spike - 4e-4),
+        "below-first-probe": (lambda e: 1e-4 * (e / 0.0042) ** 2, 0.0042),
+        "at-a-probe": (lambda e: 1e-4 * (e / on_probe) ** 2, on_probe),
+        "one-side-only": (lambda e: 1e-4 * (np.maximum(e, 0.0) / 0.31) ** 2, 0.31),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_synthetic_curves()))
+def test_band_search_on_synthetic_curves(monkeypatch, name):
+    infid, crossing = _synthetic_curves()[name]
+
+    def fidelities(seq, epsilons, *args, **kwargs):
+        return 1.0 - infid(np.atleast_1d(np.asarray(epsilons, dtype=float)))
+
+    monkeypatch.setattr(analysis, "_fidelities", fidelities)
+    seq = catalog.single(pi / 4)  # ignored by the curves
+    calls = count_fidelity_calls(monkeypatch)
+    band = tolerance_band(seq, 1e-4)
+    assert len(calls) == 3
+    assert (band.eps_low, band.eps_high) == scalar_march_band(seq, 1e-4, 1.5, 1e-3, 1e-4)
+    assert abs(band.eps_high - crossing) <= 6.25e-5
+    if name == "one-side-only":
+        assert band.sides_at_limit() == ("low",)
+    else:
+        assert band.eps_low == -band.eps_high
 
 
 @given(non_finite, st.booleans())

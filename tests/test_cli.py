@@ -247,7 +247,7 @@ def test_cli_option_list_is_pinned():
     assert found == OPTIONS
 
 
-@pytest.mark.parametrize("threshold", ["nan", "2"])
+@pytest.mark.parametrize("threshold", ["nan", "2", "1e-16"])
 def test_band_rejects_invalid_threshold(tmp_path, capsys, threshold):
     seq_path = tmp_path / "single.csv"
     main(["catalog", "--entry", "single", "--out", str(seq_path)])
