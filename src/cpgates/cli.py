@@ -38,6 +38,7 @@ from .derivatives import broadband_residuals, narrowband_residuals
 from .errors import TruncationError, ValidationError
 from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND, ideal_cphase
 from .iontrap import (
+    _coupling_with_error,
     composite_physical_gate,
     extract_qubit_gate,
     ideal_two_pulse_gate,
@@ -193,7 +194,7 @@ def cmd_iontrap(args) -> int:
         u = composite_physical_gate(seq, cfg, eps_g, analytic=args.analytic)
         reference = ideal_cphase(seq.target_theta)
     else:
-        pulse = replace(cfg, g=cfg.g * (1.0 + eps_g))
+        pulse = replace(cfg, g=_coupling_with_error(cfg, eps_g))
         u = two_pulse_gate(pulse, analytic=args.analytic)
         reference = ideal_two_pulse_gate(cfg)
     qubit_gate = extract_qubit_gate(u, cfg)

@@ -39,7 +39,8 @@ oscillators of n_max+1 levels:
     U(T)   = sum_b P_b (x) U_b(T).
 
 Six facts of H_b, none of them taken from the Magnus closed form, fix
-how much work a composite gate needs, and (g) does so for the closed form:
+how much work a composite gate needs, and (g) and (h) do so for the
+closed form:
 
 (a) beta_{-b} = -beta_b, and a pi shift of both zm maps beta_b to
     -beta_b, so the second pulse of a gate has the blocks U_{-b} of the
@@ -59,9 +60,9 @@ how much work a composite gate needs, and (g) does so for the closed form:
     eigenbasis every gate, and with it the composite, is block-diagonal,
     sum_{s1} P1_{s1} (x) C_{s1}.  Since sigma_z P2_+ sigma_z = P2_-,
     (b) gives C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi): the composite
-    is one product of 2(n_max+1)-square blocks
-    C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}, assembled on the
-    full space once (:func:`_assemble`).  A single pulse or gate is the
+    is one product of 2(n_max+1)-square blocks (2-square in closed form,
+    by (h)) C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}, assembled
+    on the full space once (:func:`_assemble`).  A single pulse or gate is the
     one-factor case.  Both sums over eigenprojectors are the gate model's
     block identity, implemented once in :func:`cpgates.gates._from_branches`,
     which also embeds the gates' 2x2 blocks as 4x4 matrices.
@@ -76,7 +77,16 @@ how much work a composite gate needs, and (g) does so for the closed form:
 (g) By the same identity, D(r e^{if}) = e^{ifN} exp(r (a^dag - a)) e^{-ifN}
     exactly in the truncated space, so one eigendecomposition of the
     fixed Hermitian i (a - a^dag) gives every displacement, whatever g,
-    Delta and the durations (:func:`_closed_form_pairs`).
+    Delta and the durations (:func:`_closed_form_pairs`); it is computed
+    once per level count (:func:`_displacement_basis`).
+(h) The truncated generator alpha a^dag - alpha^* a is anti-Hermitian, so
+    Pi D(alpha) Pi = D(-alpha) = D(alpha)^{-1} exactly, and s1 s2 is the
+    same for b and -b: by (a) and (b) the closed-form two-pulse gate is
+    one phase per branch, G_b = e^{2i (phi0 + theta_c s1 s2)} times the
+    phonon identity (:func:`_gate_pairs`).  Its chain multiplies blocks of
+    one level per branch, and the result is expanded to the full space as
+    Q (x) 1 once; only the truncation guard reads D(alpha_b), in its top
+    two rows (:func:`_displacement_corners`).
 
 The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
 alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b, built by (g).  The
@@ -95,7 +105,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from math import ceil, factorial, inf, pi, sin, tan, ulp
 
 import numpy as np
@@ -214,9 +224,13 @@ def _branch_amplitudes(cfg: TrapConfig) -> np.ndarray:
 
 def _assemble(cfg: TrapConfig, plus: np.ndarray) -> np.ndarray:
     """sum_{s1} P1_{s1} (x) C_{s1} on the full space from ion 1's block
-    C_+ = ``plus`` on qubit 2 (x) phonon: C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi)."""
-    flip = np.outer([1.0, -1.0], (-1.0) ** np.arange(cfg.n_max + 1)).ravel()
-    return _from_branches(cfg.zeta_plus[0], (plus, np.outer(flip, flip) * plus))
+    C_+ = ``plus`` on qubit 2 (x) phonon: C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi).
+    A block of one level per branch, a closed-form gate chain (fact (h)),
+    acts as the phonon identity and is expanded as Q (x) 1."""
+    levels = plus.shape[-1] // 2
+    flip = np.outer([1.0, -1.0], (-1.0) ** np.arange(levels)).ravel()
+    full = _from_branches(cfg.zeta_plus[0], (plus, np.outer(flip, flip) * plus))
+    return full if levels == cfg.n_max + 1 else np.kron(full, np.eye(cfg.n_max + 1))
 
 
 def _operator(cfg: TrapConfig, pair: np.ndarray) -> np.ndarray:
@@ -242,20 +256,53 @@ def _propagated_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
     return frame * (v * np.exp(-1j * t * lam)[:, :, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
+@cache
+def _displacement_basis(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs w, V of the Hermitian i (a - a^dag) on ``levels`` Fock
+    states, read-only: by fact (g) they give every displacement."""
+    a = destroy(levels)
+    w, v = np.linalg.eigh(1j * (a - a.conj().T))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
+def _closed_form_phases(cfgs: list[TrapConfig]) -> np.ndarray:
+    """phi0 + theta_c s1 s2 of the branches (+,+) and (+,-), one row per config."""
+    s1s2 = np.array([1.0, -1.0])
+    return np.array([0.5 * rotation_angle(c) + single_pulse_spin_angle(c) * s1s2 for c in cfgs])
+
+
 def _closed_form_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
     """U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) of the branches
     (+,+) and (+,-) for configs that differ only in their durations: by
     fact (g), one eigendecomposition V diag(w) V^dag of i (a - a^dag)
     serves every alpha_b = r e^{if}, as D = W e^{i r w} W^dag, W = e^{ifN} V."""
     n = np.arange(cfgs[0].n_max + 1)
-    a = destroy(n.size)
-    w, v = np.linalg.eigh(1j * (a - a.conj().T))
-    s1s2 = np.array([1.0, -1.0])
-    phases = np.array([0.5 * rotation_angle(c) + single_pulse_spin_angle(c) * s1s2 for c in cfgs])
+    w, v = _displacement_basis(n.size)
     alpha = np.array([displacement_amplitudes(c)[:2] for c in cfgs])
     rot = np.exp(1j * np.angle(alpha)[..., None, None] * n[:, None]) * v
     disp = (rot * np.exp(1j * np.abs(alpha)[..., None, None] * w)) @ rot.conj().swapaxes(-1, -2)
-    return np.exp(1j * phases)[..., None, None] * disp
+    return np.exp(1j * _closed_form_phases(cfgs))[..., None, None] * disp
+
+
+def _displacement_corners(cfgs: list[TrapConfig]) -> np.ndarray:
+    """The part of each closed-form pulse pair that :func:`_branch_leakage`
+    reads, the top two rows and first initial_fock+1 columns, up to phases:
+    e^{ifN} of fact (g) and the pulse phase have modulus 1, so
+    |D(r e^{if})| = |V e^{i r w} V^dag| entry by entry."""
+    cfg = cfgs[0]
+    w, v = _displacement_basis(cfg.n_max + 1)
+    r = np.abs([displacement_amplitudes(c)[:2] for c in cfgs])[..., None, None]
+    return (v[-2:] * np.exp(1j * r * w)) @ v[: cfg.initial_fock + 1].conj().T
+
+
+def _guard(cfgs: list[TrapConfig], pairs) -> None:
+    """TruncationError at the first pulse whose pair, or the corner of it
+    that :func:`_branch_leakage` reads, leaks into the top two Fock levels."""
+    for cfg, pair in zip(cfgs, pairs):
+        if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
+            raise TruncationError(
+                f"population {leak:.2e} reached the top two Fock levels; increase n_max")
 
 
 def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool) -> np.ndarray:
@@ -263,11 +310,11 @@ def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool) -> np.ndarray:
     their durations, one eigendecomposition for all of them, by (g) in
     closed form or by (f).  Every pulse is guarded: TruncationError when one
     leaks population into the top two Fock levels."""
-    pairs = (_closed_form_pairs if analytic else _propagated_pairs)(cfgs)
-    for cfg, pair in zip(cfgs, pairs):
-        if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
-            raise TruncationError(
-                f"population {leak:.2e} reached the top two Fock levels; increase n_max")
+    if analytic:
+        _guard(cfgs, _displacement_corners(cfgs))
+        return _closed_form_pairs(cfgs)
+    pairs = _propagated_pairs(cfgs)
+    _guard(cfgs, pairs)
     return pairs
 
 
@@ -276,6 +323,17 @@ def _gate(pair: np.ndarray) -> np.ndarray:
     of pulse pair P, by facts (a) and (b)."""
     parity = (-1.0) ** np.arange(pair.shape[-1])
     return (np.outer(parity, parity) * pair) @ pair
+
+
+def _gate_pairs(cfgs: list[TrapConfig], analytic: bool) -> np.ndarray:
+    """Branch blocks G_b of (+,+) and (+,-) of the two-pulse gates of pulses
+    that differ only in their durations, every pulse guarded: in closed form
+    one phase per branch, blocks of one level (fact (h)), else the gates of
+    the propagated pulse pairs, blocks of n_max+1 levels."""
+    if analytic:
+        _guard(cfgs, _displacement_corners(cfgs))
+        return np.exp(2j * _closed_form_phases(cfgs))[..., None, None]
+    return np.array([_gate(pair) for pair in _pulse_pairs(cfgs, analytic=False)])
 
 
 def evolve_numerical(cfg: TrapConfig) -> np.ndarray:
@@ -321,8 +379,9 @@ def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
     shifted by pi.  The displacement cancels, restoring the vibrational
     state regardless of the (common) detuning, and the spin-spin angle
     doubles to :func:`rotation_angle`.  One pulse is computed; the second
-    one's branch blocks are its blocks in reverse order."""
-    return _operator(cfg, _gate(*_pulse_pairs([cfg], analytic)))
+    one's branch blocks are its blocks in reverse order, and in closed form
+    the gate is one phase per branch (fact (h))."""
+    return _operator(cfg, *_gate_pairs([cfg], analytic))
 
 
 def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
@@ -394,6 +453,14 @@ def duration_for_angle(g: float, delta: float, theta: float) -> float:
     return (k * _TWO_PI_HI + (k * _TWO_PI_LO + u)) / abs(delta)
 
 
+def _coupling_with_error(cfg: TrapConfig, eps_g: float) -> float:
+    """Rabi frequency g (1 + eps_g) of ``cfg`` under the relative error
+    eps_g; ValidationError unless eps_g is finite and >= -1 (so g >= 0)."""
+    if not (np.isfinite(eps_g) and eps_g >= -1.0):
+        raise ValidationError(f"eps_g={eps_g} must be finite and >= -1")
+    return cfg.g * (1.0 + eps_g)
+
+
 def composite_physical_gate(
     seq: CompositeSequence,
     cfg_base: TrapConfig,
@@ -412,15 +479,18 @@ def composite_physical_gate(
     eigendecomposition, and the gates are multiplied as ion 1's s1 = +
     blocks, assembled on the full space once.  The terminal frame
     rotation, a software phase, is applied as an ideal qubit operation.
-    The induced relative rotation-angle error is (1+eps_g)^2 - 1.
+    The induced relative rotation-angle error is (1+eps_g)^2 - 1.  In
+    closed form the chain multiplies one phase per branch (fact (h)).
     """
+    g = _coupling_with_error(cfg_base, eps_g)
     gates = [gate for gate in seq.gates if gate.theta != 0.0]
     angles = {abs(gate.theta) for gate in gates}
     durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
     times = sorted(set(durations.values()))
-    cfgs = [replace(cfg_base, g=cfg_base.g * (1.0 + eps_g), duration=t) for t in times]
-    pairs = dict(zip(times, map(_gate, _pulse_pairs(cfgs, analytic) if cfgs else [])))
-    levels = cfg_base.n_max + 1
+    cfgs = [replace(cfg_base, g=g, duration=t) for t in times]
+    blocks = _gate_pairs(cfgs, analytic) if cfgs else np.ones((0, 2, 1, 1), dtype=complex)
+    pairs = dict(zip(times, blocks))
+    levels = blocks.shape[-1]
     chain = np.eye(2 * levels, dtype=complex)
     for gate in gates:
         phi = gate.phi + pi if gate.theta * cfg_base.delta < 0 else gate.phi
@@ -447,10 +517,12 @@ def parse_config(text: str) -> tuple[TrapConfig, float]:
     """Parse the flat key=value pulse description.
 
     Angle-like keys (zeta*, delta_t) are given in units of pi; g, delta
-    and T are raw angular-frequency / time values.  Returns the config and
-    the Rabi-frequency error eps_g (0 when absent).
+    and T are raw angular-frequency / time values.  Each key is given at
+    most once, and the duration by t or delta_t, not both.  Returns the
+    config and the Rabi-frequency error eps_g (0 when absent).
     """
     values: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -461,6 +533,8 @@ def parse_config(text: str) -> tuple[TrapConfig, float]:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ValidationError(f"line {lineno}: {key} repeats line {lines[key]}")
         try:
             value = float(val)
         except ValueError:
@@ -469,10 +543,13 @@ def parse_config(text: str) -> tuple[TrapConfig, float]:
             raise ValidationError(f"line {lineno}: {key} must be finite")
         if key in _INTEGER_KEYS and not value.is_integer():
             raise ValidationError(f"line {lineno}: {key} must be an integer, got {val.strip()!r}")
-        values[key] = value
+        values[key], lines[key] = value, lineno
     for required in ("g", "delta"):
         if required not in values:
             raise ValidationError(f"missing required key {required!r}")
+    if "t" in values and "delta_t" in values:
+        raise ValidationError(f"line {lines['t']} gives t and line {lines['delta_t']} "
+                              "delta_t: give the duration once")
     if "t" in values:
         duration = values["t"]
     elif "delta_t" in values:

@@ -330,12 +330,45 @@ def test_iontrap_rejects_invalid_rtol(tmp_path, capsys, rtol, analytic):
     assert f"unrecognized arguments: --rtol {rtol}" in captured.err
 
 
-@pytest.mark.parametrize("eps_g", ["nan", "inf"])
+@pytest.mark.parametrize("eps_g", ["nan", "inf", "-3", "-1.000001"])
 def test_iontrap_rejects_non_finite_eps_g(tmp_path, capsys, eps_g):
-    config = tmp_path / "trap.txt"
+    # eps_g is checked up front, in its own name, on the bare gate and on
+    # --seq, also for a sequence whose gates are all idle
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "idle.csv"
     config.write_text(TRAP_CONFIG)
-    assert main(["iontrap", "--config", str(config), "--eps-g", eps_g]) == 1
-    assert capsys.readouterr().out == ""
+    seq_path.write_text("index,theta_over_pi,phi_over_pi\n0,0,0.5\n")
+    for seq in ([], ["--seq", str(seq_path)]):
+        assert main(["iontrap", "--config", str(config), "--eps-g", eps_g] + seq) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"eps_g={float(eps_g)} must be finite and >= -1" in captured.err
+        if eps_g.startswith("-"):
+            # the same check reads the config file's eps_g
+            config.write_text(TRAP_CONFIG + f"eps_g = {eps_g}\n")
+            assert main(["iontrap", "--config", str(config)] + seq) == 1
+            assert f"eps_g={float(eps_g)} must be" in capsys.readouterr().err
+            config.write_text(TRAP_CONFIG)
+
+
+#: the iontrap workload's trap config: g/delta = 1/sqrt(32), delta*T = 2 pi
+WORKLOAD_TRAP = "g=0.17677669529663687\ndelta=1\ndelta_t=2\nnmax=25\n"
+
+
+@pytest.mark.parametrize("entry", ["bb6", "pb33"])
+def test_iontrap_routes_print_the_same_summary(tmp_path, capsys, entry):
+    # the closed form's gate is the phonon identity exactly, so its leakage
+    # is 0 like the numerical route's, not rounding noise above the floor
+    config, seq_path = tmp_path / "trap.txt", tmp_path / f"{entry}.csv"
+    config.write_text(WORKLOAD_TRAP)
+    main(["catalog", "--entry", entry, "--out", str(seq_path)])
+    lines = []
+    for route in ([], ["--analytic"]):
+        out = tmp_path / "gate.csv"
+        assert main(["iontrap", "--config", str(config), "--seq", str(seq_path),
+                     "--eps-g", "0.02", "--out", str(out)] + route) == 0
+        lines.append(out.read_text().splitlines()[-1])
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("leakage=0.000000e+00 ")
 
 
 @pytest.mark.parametrize("line,value", [(1, "g = abc"), (4, "nmax = 25.7"), (2, "delta = nan")])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from math import pi, sin, sqrt, ulp
 
@@ -519,8 +519,9 @@ def test_one_eigendecomposition_per_composite(monkeypatch):
     # a composite: BB1 has pi/4 and pi/2, BB2(pi/3) three angles, and a
     # negative angle is a spin-phase shift of the positive one.  The
     # numerical route decomposes K_b + Delta N of the branches (+,+) and
-    # (+,-) in one batch (fact (f)), the closed form i (a - a^dag) alone
-    # (fact (g))
+    # (+,-) in one batch per composite (fact (f)); the closed form
+    # decomposes i (a - a^dag) once per level count (fact (g)), so after
+    # the cache is cleared its first run makes one eigh and a repeat none
     for analytic in (False, True):
         runs = [
             (cfg, lambda: two_pulse_gate(cfg, analytic)),
@@ -532,10 +533,12 @@ def test_one_eigendecomposition_per_composite(monkeypatch):
                 analytic=analytic)),
         ] + [(cfg, lambda: analytic_propagator(cfg))] * analytic
         for c, run in runs:
-            calls.clear()
-            run()
             levels = c.n_max + 1
-            assert calls == [(levels, levels) if analytic else (2, levels, levels)], analytic
+            iontrap._displacement_basis.cache_clear()
+            for expected in ([(levels, levels)], []) if analytic else ([(2, levels, levels)],) * 2:
+                calls.clear()
+                run()
+                assert calls == expected, analytic
 
 
 @settings(max_examples=10)
@@ -685,6 +688,102 @@ def test_branch_leakage_equals_leakage_of_the_assembled_operator():
             assert abs(iontrap._branch_leakage(order, cfg) - expected) <= 1e-14 * expected
 
 
+def closed_form_batch(ratio, delta, zeta_minus, durations, n_max, initial_fock=0):
+    """Configs of one composite batch: equal g = ratio |delta|, one per duration."""
+    return [TrapConfig(g=ratio * abs(delta), delta=delta, duration=t, zeta_minus=zeta_minus,
+                       n_max=n_max, initial_fock=min(initial_fock, n_max)) for t in durations]
+
+
+@settings(max_examples=30)
+@given(
+    ratio=st.floats(0.0, G_QUARTER),
+    delta=st.sampled_from([1.0, -1.0, 1.7]),
+    zeta_minus=st.tuples(phases, phases),
+    durations=st.lists(st.floats(0.1, 12.0), min_size=1, max_size=4),
+    n_max=st.integers(23, 30),
+)
+def test_closed_form_gate_is_one_phase_per_branch(ratio, delta, zeta_minus, durations, n_max):
+    # fact (h): (Pi P Pi) P of the full displacement pairs is the phonon
+    # identity times e^{2i (phi0 + theta_c s1 s2)}, the phase blocks
+    cfgs = closed_form_batch(ratio, delta, zeta_minus, durations, n_max)
+    full = iontrap._gate(iontrap._closed_form_pairs(cfgs))
+    blocks = iontrap._gate_pairs(cfgs, analytic=True)
+    assert blocks.shape == (len(cfgs), 2, 1, 1)
+    assert np.max(np.abs(full - blocks * np.eye(n_max + 1))) < 1e-14
+
+
+@settings(max_examples=30)
+@given(
+    ratio=st.floats(0.0, G_QUARTER),
+    delta=st.sampled_from([1.0, -1.0, 1.7]),
+    zeta_minus=st.tuples(phases, phases),
+    durations=st.lists(st.floats(0.1, 12.0), min_size=1, max_size=4),
+    n_max=st.integers(16, 30),
+    initial_fock=st.integers(0, 20),
+)
+@example(ratio=G_QUARTER, delta=1.0, zeta_minus=(0.0, 0.0), n_max=25, initial_fock=13,
+         durations=[duration_for_angle(G_QUARTER, 1.0, pi / 8)])
+def test_displacement_guard_equals_branch_leakage(ratio, delta, zeta_minus, durations, n_max,
+                                                  initial_fock):
+    # the guard reads the top two rows and first fock0+1 columns of
+    # |D(alpha_b)| only; GUARD_CFG's pi/8 pulse (the example) leaks past
+    # LEAKAGE_LIMIT
+    try:
+        cfgs = closed_form_batch(ratio, delta, zeta_minus, durations, n_max, initial_fock)
+    except ValidationError:  # n_max below the peak displacement's bound
+        reject()
+    corners = iontrap._displacement_corners(cfgs)
+    assert corners.shape == (len(cfgs), 2, 2, cfgs[0].initial_fock + 1)
+    guard, full = (np.array([iontrap._branch_leakage(pair, cfg) for cfg, pair in zip(cfgs, pairs)])
+                   for pairs in (corners, iontrap._closed_form_pairs(cfgs)))
+    assert np.max(np.abs(np.sqrt(guard) - np.sqrt(full))) <= 1e-14
+    assert np.array_equal(guard > iontrap.LEAKAGE_LIMIT, full > iontrap.LEAKAGE_LIMIT)
+
+
+@pytest.mark.parametrize("seq", [
+    catalog.broadband(2, 0.37 * pi),
+    CompositeSequence((PhasedGate(pi / 4, 0.3), PhasedGate(-pi / 2, 1.2)), 0.4),
+])
+def test_closed_form_chain_carries_no_phonon_blocks(monkeypatch, seq):
+    # fact (h): the closed-form chain multiplies one phase per branch, and
+    # no displacement pair is built; only the assembly sees 2x2 blocks
+    shapes = []
+    from_branches = iontrap._from_branches
+
+    def recording(zp, blocks):
+        shapes.append(np.shape(blocks[0]))
+        return from_branches(zp, blocks)
+
+    def no_pairs(cfgs):
+        raise AssertionError("the closed-form gate built a displacement pair")
+
+    base = quarter_cfg(zeta_plus=(0.4, 0.0))
+    expected = composite_per_pulse(seq, base, 0.02, analytic=True)
+    monkeypatch.setattr(iontrap, "_from_branches", recording)
+    monkeypatch.setattr(iontrap, "_closed_form_pairs", no_pairs)
+    u = composite_physical_gate(seq, base, 0.02, analytic=True)
+    assert shapes == [(1, 1)] * len(seq.gates) + [(2, 2)]
+    assert u.shape == (base.dim, base.dim)
+    assert np.max(np.abs(u - expected)) < 1e-12
+    shapes.clear()
+    assert two_pulse_gate(base, analytic=True).shape == (base.dim, base.dim)
+    assert shapes == [(1, 1), (2, 2)]
+
+
+def test_eps_g_is_checked_up_front():
+    base = quarter_cfg()
+    idle = CompositeSequence((PhasedGate(0.0, 0.3),))
+    for seq in (idle, catalog.broadband(1)):
+        for eps_g in (float("nan"), float("inf"), -3.0, -1.0 - 1e-12):
+            for analytic in (False, True):
+                with pytest.raises(ValidationError, match="eps_g=.* must be finite and >= -1"):
+                    composite_physical_gate(seq, base, eps_g, analytic=analytic)
+    # eps_g = -1 switches the coupling off: every gate is idle
+    u = composite_physical_gate(catalog.broadband(1), base, -1.0, analytic=True)
+    assert np.max(np.abs(u - np.kron(phase_gate(catalog.broadband(1).terminal_phase, 2),
+                                     np.eye(base.n_max + 1)))) < 1e-15
+
+
 @pytest.mark.parametrize("field", ["g", "delta", "duration", "zeta_plus", "zeta_minus"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_trap_parameters_raise(field, bad):
@@ -727,6 +826,21 @@ def test_parse_config_names_the_bad_line(text, lineno):
 def test_parse_config_accepts_integral_float_levels():
     cfg, _ = parse_config("g=0.1\ndelta=1\nt=1\nnmax=2.5e1\nfock0=2.0\n")
     assert (cfg.n_max, cfg.initial_fock) == (25, 2)
+
+
+def test_parse_config_rejects_a_repeated_key():
+    with pytest.raises(ValidationError, match="line 4: g repeats line 1"):
+        parse_config("g=0.17677669529663687\ndelta=1\ndelta_t=2\ng=5\n")
+    # keys are case-insensitive, so G repeats g
+    with pytest.raises(ValidationError, match="line 3: g repeats line 1"):
+        parse_config("g=0.1\ndelta=1\nG=0.1\nt=1\n")
+
+
+def test_parse_config_rejects_t_with_delta_t():
+    with pytest.raises(ValidationError, match="line 3 gives t and line 4 delta_t"):
+        parse_config("g=0.1\ndelta=1\nt=1\ndelta_t=2\n")
+    with pytest.raises(ValidationError, match="line 4 gives t and line 3 delta_t"):
+        parse_config("g=0.1\ndelta=1\ndelta_t=2\nt=1\n")
 
 
 def test_parse_config_delta_t_needs_nonzero_delta():
