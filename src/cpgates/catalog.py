@@ -194,11 +194,3 @@ def table_rows(tables: str, theta: float = pi / 4) -> list:
         ]
     return rows
 
-
-#: Published total angles of the broadband entries at theta = pi/4,
-#: in units of pi.
-BROADBAND_TOTAL_ANGLES = {1: 1.25, 2: 2.25, 3: 3.25, 4: 3.75, 5: 4.75, 6: 5.75}
-
-#: Published fault-tolerance bands |eps| (infidelity below 1e-4) of the
-#: broadband entries at theta = pi/4.
-BROADBAND_TOLERANCE_BANDS = {1: 0.11, 2: 0.22, 3: 0.30, 4: 0.37, 5: 0.42, 6: 0.46}

@@ -36,16 +36,16 @@ from .analysis import (
 )
 from .derivatives import broadband_residuals, narrowband_residuals
 from .errors import TruncationError, ValidationError
-from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND, ideal_cphase
+from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND, _from_branches, ideal_cphase
 from .iontrap import (
+    _composite_block,
     _coupling_with_error,
-    composite_physical_gate,
-    extract_qubit_gate,
+    _gate_pairs,
+    _leakage,
+    _qubit_gate,
     ideal_two_pulse_gate,
-    leakage,
     parse_config,
     rotation_angle,
-    two_pulse_gate,
 )
 from .seqio import read_sequence, sequence_to_csv
 from .solver import SolverConfig, _residual_rank, solve_with_escalation
@@ -88,6 +88,8 @@ def cmd_solve(args) -> int:
     orders = args.order if family == FAMILY_BROADBAND else (args.order, args.order2)
     if family == FAMILY_PASSBAND and args.order2 is None:
         raise ValidationError("passband solves need --order2")
+    if family == FAMILY_BROADBAND and args.order2 is not None:
+        raise ValidationError("broadband solves take no --order2; it is the passband order")
     config = SolverConfig(
         residual_tolerance=args.tolerance,
         max_newton_iters=args.max_iters,
@@ -191,14 +193,14 @@ def cmd_iontrap(args) -> int:
             raise ValidationError("zeta2p is not used with --seq: ion 2's spin phase is "
                                   "zeta1p plus each gate's phase; remove the key")
         seq = read_sequence(args.seq)
-        u = composite_physical_gate(seq, cfg, eps_g, analytic=args.analytic)
+        plus = _composite_block(seq, cfg, eps_g, args.analytic)
         reference = ideal_cphase(seq.target_theta)
     else:
         pulse = replace(cfg, g=_coupling_with_error(cfg, eps_g))
-        u = two_pulse_gate(pulse, analytic=args.analytic)
+        plus = _from_branches(cfg.zeta_plus[1], _gate_pairs([pulse], args.analytic)[0])
         reference = ideal_two_pulse_gate(cfg)
-    qubit_gate = extract_qubit_gate(u, cfg)
-    leak = leakage(u, cfg)
+    qubit_gate = _qubit_gate(cfg, plus)
+    leak = _leakage(cfg, plus)
     leak = 0.0 if leak < _LEAKAGE_FLOOR else leak
     fid = abs(trace_overlap(reference, qubit_gate))
     _emit(_matrix_csv(qubit_gate) + "leakage=%.6e fidelity=%.12f\n" % (leak, fid), args.out)

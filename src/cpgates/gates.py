@@ -177,14 +177,14 @@ def _sequence_blocks(seq: CompositeSequence, epsilons, xi: float = 0.0) -> np.nd
 
 def _from_branches(zp: float, blocks) -> np.ndarray:
     """sum_s P_s (x) blocks[s] for the eigenprojectors P_+- = (1 +- sigma(zp))/2
-    of one qubit's axis, each (batched) block acting on everything after that
-    qubit: 1 (x) M + sigma(zp) (x) D with M and D the half sum and difference."""
+    of one qubit's axis, each (batched, maybe rectangular) block acting on all
+    after that qubit: 1 (x) M + sigma(zp) (x) D, M and D the half sum and difference."""
     mean, diff = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
     phase = np.exp(1j * zp)
-    n = mean.shape[-1]
-    out = np.empty(mean.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    out[..., :n, :n] = out[..., n:, n:] = mean
-    out[..., :n, n:], out[..., n:, :n] = np.conj(phase) * diff, phase * diff
+    m, n = mean.shape[-2:]
+    out = np.empty(mean.shape[:-2] + (2 * m, 2 * n), dtype=complex)
+    out[..., :m, :n] = out[..., m:, n:] = mean
+    out[..., :m, n:], out[..., m:, :n] = np.conj(phase) * diff, phase * diff
     return out
 
 

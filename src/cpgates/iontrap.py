@@ -61,11 +61,13 @@ closed form:
     sum_{s1} P1_{s1} (x) C_{s1}.  Since sigma_z P2_+ sigma_z = P2_-,
     (b) gives C_- = (sigma_z (x) Pi) C_+ (sigma_z (x) Pi): the composite
     is one product of 2(n_max+1)-square blocks (2-square in closed form,
-    by (h)) C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}, assembled
-    on the full space once (:func:`_assemble`).  A single pulse or gate is the
-    one-factor case.  Both sums over eigenprojectors are the gate model's
-    block identity, implemented once in :func:`cpgates.gates._from_branches`,
-    which also embeds the gates' 2x2 blocks as 4x4 matrices.
+    by (h)) C_+ = prod_gates sum_{s2} P2_{s2} (x) G_{(+,s2)}.  A single pulse
+    or gate is the one-factor case.  C_+ alone gives the qubit gate and the
+    leakage (:func:`_qubit_gate`, :func:`_leakage`); only the public
+    functions assemble the full space (:func:`_assemble`).  Both sums over
+    eigenprojectors are the gate model's block identity, implemented once in
+    :func:`cpgates.gates._from_branches`, which also embeds the gates' 2x2
+    blocks as 4x4 matrices.
 (f) With N = diag(0..n_max), e^{i Delta t N} a^dag e^{-i Delta t N} =
     e^{i Delta t} a^dag holds exactly in the truncated space, so
     H_b(t) = e^{i Delta t N} K_b e^{-i Delta t N} with the constant
@@ -84,9 +86,9 @@ closed form:
     same for b and -b: by (a) and (b) the closed-form two-pulse gate is
     one phase per branch, G_b = e^{2i (phi0 + theta_c s1 s2)} times the
     phonon identity (:func:`_gate_pairs`).  Its chain multiplies blocks of
-    one level per branch, and the result is expanded to the full space as
-    Q (x) 1 once; only the truncation guard reads D(alpha_b), in its top
-    two rows (:func:`_displacement_corners`).
+    one level per branch, which the readers of (e) take as C_+ (x) 1 and
+    only :func:`_assemble` expands; only the truncation guard reads
+    D(alpha_b), in its top two rows (:func:`_displacement_corners`).
 
 The closed form is U_b(T) = e^{i (phi0 + theta_c s1 s2)} D(alpha_b) with
 alpha_b = -(g/Delta) (e^{i Delta T} - 1) beta_b, built by (g).  The
@@ -194,27 +196,6 @@ def _fock_level(cfg: TrapConfig, level: int, name: str) -> int:
     return int(level)
 
 
-def leakage(u: np.ndarray, cfg: TrapConfig) -> float:
-    """Worst-case population in the top two phonon levels over all input
-    basis states with phonon level <= cfg.initial_fock."""
-    levels = cfg.n_max + 1
-    blocks = u.reshape(4, levels, 4, levels)
-    top = blocks[:, -2:, :, : cfg.initial_fock + 1]
-    return float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
-
-
-def _branch_leakage(pair: np.ndarray, cfg: TrapConfig) -> float:
-    """:func:`leakage` of the operator with branch blocks ``pair`` for
-    (+,+) and (+,-) and their parity images, from the pair alone.
-
-    Every entry of the branch basis has modulus 1/2, so a spin input sees
-    each branch with weight 1/4, and a parity image has the moduli of its
-    block: the value depends neither on the basis nor on the order of the
-    pair."""
-    top = np.abs(pair[:, -2:, : cfg.initial_fock + 1]) ** 2
-    return float(np.max(np.mean(np.sum(top, axis=1), axis=0)))
-
-
 def _branch_amplitudes(cfg: TrapConfig) -> np.ndarray:
     """beta_b = s1 e^{-i zm_1} + s2 e^{-i zm_2} for the branches (s1, s2)
     ordered (+,+), (+,-), (-,+), (-,-)."""
@@ -231,6 +212,30 @@ def _assemble(cfg: TrapConfig, plus: np.ndarray) -> np.ndarray:
     flip = np.outer([1.0, -1.0], (-1.0) ** np.arange(levels)).ravel()
     full = _from_branches(cfg.zeta_plus[0], (plus, np.outer(flip, flip) * plus))
     return full if levels == cfg.n_max + 1 else np.kron(full, np.eye(cfg.n_max + 1))
+
+
+def _qubit_gate(cfg: TrapConfig, plus: np.ndarray) -> np.ndarray:
+    """4x4 qubit gate of the operator with ion 1's block C_+ = ``plus`` that
+    acts as the identity on the phonons: the 2x2 block q of C_+ at Fock level
+    initial_fock, or at the one level of a closed-form chain, and sigma_z q sigma_z of C_-."""
+    levels = plus.shape[-1] // 2
+    p = min(cfg.initial_fock, levels - 1)
+    q = plus.reshape(2, levels, 2, levels)[:, p, :, p]
+    return _from_branches(cfg.zeta_plus[0], (q, q * np.array([[1.0, -1.0], [-1.0, 1.0]])))
+
+
+def _leakage(cfg: TrapConfig, plus: np.ndarray) -> float:
+    """Worst-case population in the top two phonon levels, over the inputs at
+    levels <= initial_fock, of the operator with ion 1's block C_+ = ``plus``:
+    C_- has the moduli of C_+ and ion 1's projectors split every input evenly,
+    so it is the largest column sum of |C_+|^2 over those rows and columns, to
+    which ``plus`` may be cut.  One level per branch is C_+ (x) 1 (fact (h))."""
+    levels = plus.shape[-2] // 2
+    blocks = plus.reshape(2, levels, 2, -1)
+    if levels == 1:
+        blocks = blocks * np.eye(cfg.n_max + 1)[-2:, None, : cfg.initial_fock + 1]
+    top = np.abs(blocks[:, -2:, :, : cfg.initial_fock + 1]) ** 2
+    return float(np.max(np.sum(top, axis=(0, 1))))
 
 
 def _operator(cfg: TrapConfig, pair: np.ndarray) -> np.ndarray:
@@ -286,8 +291,8 @@ def _closed_form_pairs(cfgs: list[TrapConfig]) -> np.ndarray:
 
 
 def _displacement_corners(cfgs: list[TrapConfig]) -> np.ndarray:
-    """The part of each closed-form pulse pair that :func:`_branch_leakage`
-    reads, the top two rows and first initial_fock+1 columns, up to phases:
+    """The part of each closed-form pulse pair that :func:`_leakage` reads,
+    the top two rows and first initial_fock+1 columns, up to phases:
     e^{ifN} of fact (g) and the pulse phase have modulus 1, so
     |D(r e^{if})| = |V e^{i r w} V^dag| entry by entry."""
     cfg = cfgs[0]
@@ -296,25 +301,14 @@ def _displacement_corners(cfgs: list[TrapConfig]) -> np.ndarray:
     return (v[-2:] * np.exp(1j * r * w)) @ v[: cfg.initial_fock + 1].conj().T
 
 
-def _guard(cfgs: list[TrapConfig], pairs) -> None:
-    """TruncationError at the first pulse whose pair, or the corner of it
-    that :func:`_branch_leakage` reads, leaks into the top two Fock levels."""
+def _guard(cfgs: list[TrapConfig], pairs):
+    """``pairs`` once every pulse is checked: TruncationError at the first whose
+    (+,+) and (+,-) blocks P, or their corners, leak into the top two Fock levels,
+    read from ion 1's block sum_{s2} P2_{s2} (x) P[s2] at any of ion 2's phases."""
     for cfg, pair in zip(cfgs, pairs):
-        if (leak := _branch_leakage(pair, cfg)) > LEAKAGE_LIMIT:
+        if (leak := _leakage(cfg, _from_branches(0.0, pair))) > LEAKAGE_LIMIT:
             raise TruncationError(
                 f"population {leak:.2e} reached the top two Fock levels; increase n_max")
-
-
-def _pulse_pairs(cfgs: list[TrapConfig], analytic: bool) -> np.ndarray:
-    """Branch blocks U_b(T) of (+,+) and (+,-) of pulses that differ only in
-    their durations, one eigendecomposition for all of them, by (g) in
-    closed form or by (f).  Every pulse is guarded: TruncationError when one
-    leaks population into the top two Fock levels."""
-    if analytic:
-        _guard(cfgs, _displacement_corners(cfgs))
-        return _closed_form_pairs(cfgs)
-    pairs = _propagated_pairs(cfgs)
-    _guard(cfgs, pairs)
     return pairs
 
 
@@ -333,7 +327,7 @@ def _gate_pairs(cfgs: list[TrapConfig], analytic: bool) -> np.ndarray:
     if analytic:
         _guard(cfgs, _displacement_corners(cfgs))
         return np.exp(2j * _closed_form_phases(cfgs))[..., None, None]
-    return np.array([_gate(pair) for pair in _pulse_pairs(cfgs, analytic=False)])
+    return np.array([_gate(pair) for pair in _guard(cfgs, _propagated_pairs(cfgs))])
 
 
 def evolve_numerical(cfg: TrapConfig) -> np.ndarray:
@@ -344,7 +338,7 @@ def evolve_numerical(cfg: TrapConfig) -> np.ndarray:
     Independent of the closed form: it sees only the Hamiltonian.  Raises
     TruncationError when population leaks into the top two Fock levels.
     """
-    return _operator(cfg, *_pulse_pairs([cfg], analytic=False))
+    return _operator(cfg, *_guard([cfg], _propagated_pairs([cfg])))
 
 
 def rotation_angle(cfg: TrapConfig) -> float:
@@ -371,7 +365,7 @@ def analytic_propagator(cfg: TrapConfig) -> np.ndarray:
     D(alpha_b) per spin branch b in the truncated space (displacement
     times spin-spin exponential times scalar phase), by fact (g); raises
     TruncationError when it leaks into the top two Fock levels."""
-    return _operator(cfg, *_pulse_pairs([cfg], analytic=True))
+    return _operator(cfg, *_guard([cfg], _closed_form_pairs([cfg])))
 
 
 def two_pulse_gate(cfg: TrapConfig, analytic: bool = False) -> np.ndarray:
@@ -394,13 +388,6 @@ def ideal_two_pulse_gate(cfg: TrapConfig) -> np.ndarray:
         theta * np.cos(cfg.zeta_minus[0] - cfg.zeta_minus[1]),
     )
     return np.exp(1j * theta) * spin
-
-
-def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig) -> np.ndarray:
-    """4x4 qubit block of a propagator that acts as identity on the
-    phonon factor, read off at the initial Fock level ``cfg.initial_fock``."""
-    levels, p = cfg.n_max + 1, cfg.initial_fock
-    return u.reshape(4, levels, 4, levels)[:, p, :, p].copy()
 
 
 # 2 pi = _TWO_PI_HI + _TWO_PI_LO to 2^-62 (Cody & Waite); the high part has
@@ -461,6 +448,30 @@ def _coupling_with_error(cfg: TrapConfig, eps_g: float) -> float:
     return cfg.g * (1.0 + eps_g)
 
 
+def _composite_block(seq: CompositeSequence, cfg_base: TrapConfig, eps_g: float,
+                     analytic: bool) -> np.ndarray:
+    """Ion 1's block C_+ of :func:`composite_physical_gate` on qubit 2 (x)
+    phonon, n_max+1 levels per branch, or one in closed form (fact (h))."""
+    g = _coupling_with_error(cfg_base, eps_g)
+    gates = [gate for gate in seq.gates if gate.theta != 0.0]
+    angles = {abs(gate.theta) for gate in gates}
+    durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
+    times = sorted(set(durations.values()))
+    cfgs = [replace(cfg_base, g=g, duration=t) for t in times]
+    blocks = _gate_pairs(cfgs, analytic) if cfgs else np.ones((0, 2, 1, 1), dtype=complex)
+    pairs = dict(zip(times, blocks))
+    levels = blocks.shape[-1]
+    chain = np.eye(2 * levels, dtype=complex)
+    for gate in gates:
+        phi = gate.phi + pi if gate.theta * cfg_base.delta < 0 else gate.phi
+        pair = pairs[durations[abs(gate.theta)]]
+        chain = _from_branches(cfg_base.zeta_plus[0] + phi, pair) @ chain
+    if seq.terminal_phase != 0.0:
+        # the frame rotation diag(e^{-it}, e^{it}) on qubit 2 commutes with sigma_z (x) Pi
+        chain = np.repeat(np.exp(np.array([-1j, 1j]) * seq.terminal_phase), levels)[:, None] * chain
+    return chain
+
+
 def composite_physical_gate(
     seq: CompositeSequence,
     cfg_base: TrapConfig,
@@ -482,24 +493,7 @@ def composite_physical_gate(
     The induced relative rotation-angle error is (1+eps_g)^2 - 1.  In
     closed form the chain multiplies one phase per branch (fact (h)).
     """
-    g = _coupling_with_error(cfg_base, eps_g)
-    gates = [gate for gate in seq.gates if gate.theta != 0.0]
-    angles = {abs(gate.theta) for gate in gates}
-    durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
-    times = sorted(set(durations.values()))
-    cfgs = [replace(cfg_base, g=g, duration=t) for t in times]
-    blocks = _gate_pairs(cfgs, analytic) if cfgs else np.ones((0, 2, 1, 1), dtype=complex)
-    pairs = dict(zip(times, blocks))
-    levels = blocks.shape[-1]
-    chain = np.eye(2 * levels, dtype=complex)
-    for gate in gates:
-        phi = gate.phi + pi if gate.theta * cfg_base.delta < 0 else gate.phi
-        pair = pairs[durations[abs(gate.theta)]]
-        chain = _from_branches(cfg_base.zeta_plus[0] + phi, pair) @ chain
-    if seq.terminal_phase != 0.0:
-        # the frame rotation diag(e^{-it}, e^{it}) on qubit 2 commutes with sigma_z (x) Pi
-        chain = np.repeat(np.exp(np.array([-1j, 1j]) * seq.terminal_phase), levels)[:, None] * chain
-    return _assemble(cfg_base, chain)
+    return _assemble(cfg_base, _composite_block(seq, cfg_base, eps_g, analytic))
 
 
 # ---------------------------------------------------------------------------

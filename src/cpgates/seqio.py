@@ -8,8 +8,8 @@ Optional trailing rows carry metadata:
     target,<theta_over_pi>,          target angle (defaults to gate 0's)
     family,<name>,                   family tag (single/broadband/...)
 
-Unknown trailing labels and repeated rows are rejected so that typos do
-not silently drop information.
+Unknown trailing labels, repeated rows and non-empty cells after the
+third are rejected so that typos do not silently drop information.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ def sequence_from_csv(text: str) -> CompositeSequence:
     terminal = 0.0
     target = None
     family = FAMILY_SINGLE
-    label = ""
     seen = set()
     for row in rows[1:]:
         tag = row[0].strip()
         if tag in seen:
             raise ValidationError(f"repeated {tag!r} row")
+        if any(cell.strip() for cell in row[3:]):
+            raise ValidationError(f"malformed row {row!r}: a row has at most three cells")
         try:
             if tag == "terminal":
                 terminal = float(row[2]) * pi
@@ -84,7 +85,6 @@ def sequence_from_csv(text: str) -> CompositeSequence:
         terminal_phase=terminal,
         target_theta=target,
         family=family,
-        label=label,
     )
 
 

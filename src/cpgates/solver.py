@@ -550,6 +550,12 @@ def _residual_rank(stage: SolverProblem) -> int:
     return _RANKS[key]
 
 
+def _is_integer_pair(orders) -> bool:
+    """Whether ``orders`` is a tuple or list of two Python or numpy integers."""
+    return (isinstance(orders, (tuple, list)) and len(orders) == 2
+            and all(isinstance(n, (int, np.integer)) for n in orders))
+
+
 def solve_with_escalation(
     family: str,
     orders,
@@ -571,8 +577,7 @@ def solve_with_escalation(
             raise ValidationError(f"broadband orders must be one integer, got {orders!r}")
         stages = broadband_progression(int(orders), target_theta)
     elif family == FAMILY_PASSBAND:
-        if not (isinstance(orders, (tuple, list)) and len(orders) == 2
-                and all(isinstance(n, (int, np.integer)) for n in orders)):
+        if not _is_integer_pair(orders):
             raise ValidationError(f"passband orders must be a pair of integers, got {orders!r}")
         stages = passband_progression(int(orders[0]), int(orders[1]), target_theta)
     else:
@@ -609,13 +614,15 @@ def polish(seq: CompositeSequence, orders, config: SolverConfig = SolverConfig()
 
     Builds the problem matching the sequence's skeleton (fixed gate
     angles, gate-0 phase, terminal phase free when nonzero) and runs the
-    Newton search seeded with the sequence's own phases.
+    Newton search seeded with the sequence's own phases; ``orders`` is n1 or (n1, n2).
     """
-    n1, n2 = (orders, 0) if isinstance(orders, int) else tuple(orders)
+    pair = (orders, 0) if isinstance(orders, (int, np.integer)) else orders
+    if not _is_integer_pair(pair):
+        raise ValidationError(f"orders must be an integer or a pair of integers, got {orders!r}")
     free_terminal = seq.terminal_phase != 0.0
     problem = SolverProblem(
         family=seq.family,
-        orders=(n1, n2),
+        orders=(int(pair[0]), int(pair[1])),
         target_theta=seq.target_theta,
         thetas=tuple(g.theta for g in seq.gates),
         phi0=seq.gates[0].phi,

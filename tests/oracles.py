@@ -18,8 +18,10 @@ tests use live here too: the closed form of a product of phased Pauli
 axes, the fusion of neighbouring gates of equal phase, and the ion-trap
 readers (the Hamiltonian at one time, a propagator distance and the
 phonon-identity defect over source levels clear of the truncation edge,
-and a Fock population), the paper's published three-decimal phases
-of the tabulated catalog entries, and for pulse durations the root of
+a Fock population, and the qubit gate and the leakage read from the full
+space, which the library reads from ion 1's block), the paper's
+published three-decimal phases of the tabulated catalog entries with
+Table 1's total angles and tolerance bands, and for pulse durations the root of
 x - sin x = y by bracketing and x - sin x - y in 60-digit decimals.
 """
 
@@ -46,11 +48,12 @@ from cpgates.iontrap import (
     TrapConfig, _assemble, _branch_amplitudes, _fock_level, _from_branches, analytic_propagator,
     destroy, duration_for_angle, evolve_numerical,
 )
-from cpgates.linalg import IDENTITY_2, SIGMA_Z, mat_exp_hermitian_generator, sigma_axis
+from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import (
     STALL_DROP, STALL_WINDOW, SolverResult, _jacobian, _residuals, objective_D,
 )
 
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: Tag returned by :func:`pauli_string_product` for even-length strings,
 #: whose product is exp(i * argument * sigma_z).
@@ -102,6 +105,14 @@ PUBLISHED = {
     "pb13": ((0.076, 1.604, 1.851, 0.595, 1.443, 0.751, 0.691, 1.111), 0.0),
     "pb33": ((0.091, 0.644, 1.866, 0.941, 1.596), 0.0),
 }
+
+#: Published total angles of the broadband entries at theta = pi/4,
+#: in units of pi (Table 1).
+BROADBAND_TOTAL_ANGLES = {1: 1.25, 2: 2.25, 3: 3.25, 4: 3.75, 5: 4.75, 6: 5.75}
+
+#: Published fault-tolerance bands |eps| (infidelity below 1e-4) of the
+#: broadband entries at theta = pi/4 (Table 1).
+BROADBAND_TOLERANCE_BANDS = {1: 0.11, 2: 0.22, 3: 0.30, 4: 0.37, 5: 0.42, 6: 0.46}
 
 
 def published_entry(name: str) -> CompositeSequence:
@@ -582,6 +593,23 @@ def phonon_identity_defect(
     ideal = np.einsum("qr,pm->qprm", blocks[:, p, :, p], np.eye(levels))
     da = (blocks - ideal)[:, :, :, : src + 1]
     return float(np.linalg.norm(da))
+
+
+def extract_qubit_gate(u: np.ndarray, cfg: TrapConfig) -> np.ndarray:
+    """4x4 qubit block of a full-space propagator that acts as identity on
+    the phonon factor, read off at the initial Fock level ``cfg.initial_fock``."""
+    levels, p = cfg.n_max + 1, cfg.initial_fock
+    return u.reshape(4, levels, 4, levels)[:, p, :, p].copy()
+
+
+def leakage(u: np.ndarray, cfg: TrapConfig) -> float:
+    """Worst-case population of a full-space propagator in the top two
+    phonon levels over all input basis states with phonon level <=
+    cfg.initial_fock."""
+    levels = cfg.n_max + 1
+    blocks = u.reshape(4, levels, 4, levels)
+    top = blocks[:, -2:, :, : cfg.initial_fock + 1]
+    return float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
 
 
 def fock_population(u: np.ndarray, cfg: TrapConfig, qubit_state: np.ndarray, level: int) -> float:

@@ -28,13 +28,13 @@ from cpgates.iontrap import (
     analytic_propagator,
     composite_physical_gate,
     evolve_numerical,
-    extract_qubit_gate,
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_unitary, sigma_axis
 from cpgates.solver import SolverConfig, broadband_problem, solve
 from oracles import (
-    absolute_composite_propagator, fock_population, pauli_string_matrix, pauli_string_product,
+    BROADBAND_TOLERANCE_BANDS, BROADBAND_TOTAL_ANGLES, absolute_composite_propagator,
+    extract_qubit_gate, fock_population, pauli_string_matrix, pauli_string_product,
     propagator_distance, reduced_narrowband_conditions,
 )
 
@@ -90,10 +90,10 @@ def test_criterion_3_tolerance_ladder():
     widths = {}
     for n in catalog.BROADBAND_ORDERS:
         seq = catalog.broadband(n, TH)
-        expected_total = catalog.BROADBAND_TOTAL_ANGLES[n] * pi
+        expected_total = BROADBAND_TOTAL_ANGLES[n] * pi
         assert abs(seq.total_angle() - expected_total) < 1e-12
         widths[n] = tolerance_band(seq).symmetric_width()
-        assert abs(widths[n] - catalog.BROADBAND_TOLERANCE_BANDS[n]) <= 0.02
+        assert abs(widths[n] - BROADBAND_TOLERANCE_BANDS[n]) <= 0.02
     assert all(widths[n + 1] > widths[n] for n in range(1, 6))
     elapsed = time.time() - t0
     assert elapsed < 600.0

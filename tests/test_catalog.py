@@ -10,7 +10,7 @@ from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
 from cpgates.seqio import sequence_from_csv, sequence_to_csv
 from cpgates.solver import SolverConfig, broadband_problem, passband_problem, polish
-from oracles import PUBLISHED, published_entry
+from oracles import BROADBAND_TOTAL_ANGLES, PUBLISHED, published_entry
 
 
 @pytest.mark.parametrize("n", catalog.BROADBAND_ORDERS)
@@ -63,7 +63,7 @@ def test_parametric_passband_any_theta(orders, theta):
 @pytest.mark.parametrize("n", catalog.BROADBAND_ORDERS)
 def test_broadband_total_angles_exact(n):
     seq = catalog.broadband(n, pi / 4)
-    assert abs(seq.total_angle() - catalog.BROADBAND_TOTAL_ANGLES[n] * pi) < 1e-12
+    assert abs(seq.total_angle() - BROADBAND_TOTAL_ANGLES[n] * pi) < 1e-12
 
 
 def test_fixed_point_entries_require_quarter_pi():
@@ -114,6 +114,17 @@ def test_csv_rejects_bad_header_and_labels():
     for row in ("target,0.3,", "terminal,,0.5", "family,broadband,"):
         with pytest.raises(ValidationError, match="repeated"):
             sequence_from_csv(good + f"{row}\n{row}\n")
+
+
+def test_csv_rejects_a_fourth_cell_but_not_an_empty_one():
+    header = "index,theta_over_pi,phi_over_pi\n"
+    for extra in ("99", " 0 "):
+        for row in (f"0,0.25,0,{extra}", f"0,0.25,0\nterminal,,0.5,{extra}",
+                    f"0,0.25,0\ntarget,0.3,,,{extra}"):
+            with pytest.raises(ValidationError, match="at most three cells"):
+                sequence_from_csv(header + row + "\n")
+    seq = sequence_from_csv(header + "0,0.25,0,\n1,0.5,1, \n")
+    assert [(g.theta, g.phi) for g in seq.gates] == [(0.25 * pi, 0.0), (0.5 * pi, pi)]
 
 
 #: gate phases, tiny negative ones included: np.mod(-1e-16, 2 pi) rounds to 2 pi

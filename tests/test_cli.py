@@ -11,7 +11,7 @@ import pytest
 
 import cpgates
 from cpgates.analysis import band_report, sequence_fidelity, tolerance_band
-from cpgates import cli
+from cpgates import cli, iontrap
 from cpgates.cli import build_parser, main
 from cpgates.seqio import read_sequence
 
@@ -422,6 +422,15 @@ def test_solve_rejects_negative_orders(tmp_path, capsys, orders):
     assert not out.exists()
 
 
+def test_solve_broadband_rejects_order2(tmp_path, capsys):
+    # BB orders are one integer: a passband order is an error, not dropped
+    out = tmp_path / "seq.csv"
+    assert main(["solve", "--family", "bb", "--order", "1", "--order2", "2",
+                 "--out", str(out)]) == 1
+    assert "error: broadband solves take no --order2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", [
     ["--family", "bb", "--order", "1"],
     ["--family", "pb", "--order", "1", "--order2", "1"],
@@ -574,6 +583,48 @@ def test_iontrap_truncation_guard_exit_code(tmp_path, capsys, seq, analytic):
     assert main(argv) == 2
     assert "truncation guard:" in capsys.readouterr().err
     assert not (tmp_path / "gate.csv").exists()
+
+
+IDLE_SEQUENCE = "index,theta_over_pi,phi_over_pi\n0,0,0.3\nterminal,,0.2\n"
+
+
+@pytest.mark.parametrize("fock0", [24, 25])
+def test_iontrap_idle_sequence_leaks_wholly_from_the_top_levels(tmp_path, capsys, fock0):
+    # no pulse runs, so the composite is the phonon identity: an input in
+    # the top two Fock levels stays there, and its population is all leakage
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "idle.csv"
+    config.write_text(WORKLOAD_TRAP + f"fock0 = {fock0}\n")
+    seq_path.write_text(IDLE_SEQUENCE)
+    for route in ([], ["--analytic"]):
+        out = tmp_path / "gate.csv"
+        assert main(["iontrap", "--config", str(config), "--seq", str(seq_path),
+                     "--out", str(out)] + route) == 0
+        assert out.read_text().splitlines()[-1].startswith("leakage=1.000000e+00 ")
+
+
+def test_iontrap_reads_ion_one_block_without_the_full_space(tmp_path, capsys, monkeypatch):
+    # the qubit gate and the leakage come from ion 1's block: no full-space
+    # operator is assembled, and np.kron builds nothing beyond 4x4 qubit gates
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "bb2.csv"
+    config.write_text(WORKLOAD_TRAP)
+    main(["catalog", "--entry", "bb2", "--out", str(seq_path)])
+    kron, shapes = np.kron, []
+
+    def recording_kron(a, b):
+        out = kron(a, b)
+        shapes.append(out.shape)
+        return out
+
+    def no_assembly(cfg, plus):
+        raise AssertionError("cmd_iontrap assembled the full space")
+
+    monkeypatch.setattr(iontrap, "_assemble", no_assembly)
+    monkeypatch.setattr(np, "kron", recording_kron)
+    for seq in ([], ["--seq", str(seq_path)]):
+        for route in ([], ["--analytic"]):
+            assert main(["iontrap", "--config", str(config), "--out", str(tmp_path / "gate.csv")]
+                        + seq + route) == 0
+    assert set(shapes) <= {(4, 4)}
 
 
 def test_iontrap_seq_with_negative_detuning(tmp_path, capsys):

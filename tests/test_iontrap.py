@@ -17,9 +17,7 @@ from cpgates.iontrap import (
     displacement_amplitudes,
     duration_for_angle,
     evolve_numerical,
-    extract_qubit_gate,
     ideal_two_pulse_gate,
-    leakage,
     parse_config,
     rotation_angle,
     single_pulse_spin_angle,
@@ -30,8 +28,10 @@ from oracles import (
     analytic_full_space,
     composite_per_pulse,
     evolve_full_space,
+    extract_qubit_gate,
     fock_population,
     hamiltonian_at,
+    leakage,
     loop_angle_bracketed,
     phonon_identity_defect,
     propagator_distance,
@@ -236,10 +236,11 @@ def test_closed_form_matches_dense_oracle(zeta_plus, zeta_minus, g, delta, durat
 )
 def test_batched_closed_form_matches_dense_oracle(zeta_plus, zeta_minus, g, delta, durations):
     # one batch of durations, as a composite builds it: each pulse must
-    # land at its own index of the batch
+    # land at its own index of the batch, and the guard passes it through
     cfgs = [TrapConfig(g=g, delta=delta, duration=t, zeta_plus=zeta_plus,
                        zeta_minus=zeta_minus, n_max=20) for t in durations]
-    pairs = iontrap._pulse_pairs(cfgs, analytic=True)
+    pairs = iontrap._closed_form_pairs(cfgs)
+    assert iontrap._guard(cfgs, pairs) is pairs
     assert len(pairs) == len(cfgs)
     for cfg, pair in zip(cfgs, pairs):
         u = iontrap._operator(cfg, pair)
@@ -675,17 +676,60 @@ def test_composite_matches_gate_model_for_either_detuning_sign(analytic, tol, de
     assert np.max(np.abs(q - overlap / abs(overlap) * model)) < tol
 
 
-def test_branch_leakage_equals_leakage_of_the_assembled_operator():
+def test_leakage_of_any_ion_one_block_equals_that_of_the_assembled_operator():
+    # C_+ need not come from a pulse: every block with its parity image
+    # C_- has one leakage, whatever ion 2's phase and the order of its pair
     rng = np.random.default_rng(8)
     for fock in (0, 3, 20):
         cfg = TrapConfig(g=0.1, delta=1.0, duration=1.0, zeta_plus=tuple(rng.uniform(0, 2 * pi, 2)),
                          n_max=20, initial_fock=fock)
-        # a pair of branch blocks, assembled with its parity images
         pair = rng.normal(size=(2, 21, 21)) + 1j * rng.normal(size=(2, 21, 21))
         plus = iontrap._from_branches(cfg.zeta_plus[1], pair)
         expected = leakage(iontrap._assemble(cfg, plus), cfg)
-        for order in (pair, pair[::-1]):
-            assert abs(iontrap._branch_leakage(order, cfg) - expected) <= 1e-14 * expected
+        for zp, order in ((cfg.zeta_plus[1], pair), (0.0, pair[::-1])):
+            got = iontrap._leakage(cfg, iontrap._from_branches(zp, order))
+            assert abs(got - expected) <= 1e-14 * expected
+
+
+IDLE = [(0.0, 0.3)]
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(
+    gates=st.lists(st.tuples(st.sampled_from([0.0, pi / 8, pi / 4, -pi / 4, pi / 2]), phases),
+                   min_size=1, max_size=4),
+    terminal=st.floats(-pi, pi),
+    zeta_plus=st.tuples(phases, phases),
+    zeta_minus=st.tuples(phases, phases),
+    eps_g=st.floats(-0.05, 0.05),
+    n_max=st.integers(23, 30),
+    fock=st.integers(0, 30),
+)
+@example(gates=IDLE, terminal=0.2, zeta_plus=(0.4, 0.0), zeta_minus=(0.0, 0.0), eps_g=0.0,
+         n_max=25, fock=24)
+@example(gates=IDLE, terminal=0.2, zeta_plus=(0.4, 0.0), zeta_minus=(0.0, 0.0), eps_g=0.0,
+         n_max=25, fock=25)
+def test_ion_one_block_readers_equal_the_full_space_readers(analytic, gates, terminal, zeta_plus,
+                                                            zeta_minus, eps_g, n_max, fock):
+    # the qubit gate and the leakage read from C_+ are those of the assembled
+    # operator: the gate entry for entry (kron's products with 1 may turn a
+    # -0.0 to 0.0), the leakage to rounding.  An idle composite is a block of
+    # one level per branch; at fock0 >= n_max - 1 (the examples) it leaks wholly
+    seq = CompositeSequence(tuple(PhasedGate(t, p) for t, p in gates), terminal)
+    cfg = quarter_cfg(n_max=n_max, zeta_plus=zeta_plus, zeta_minus=zeta_minus,
+                      initial_fock=min(fock, n_max))
+    try:
+        plus = iontrap._composite_block(seq, cfg, eps_g, analytic)
+    except TruncationError:  # an input near the top level, or the pi/8 pulse's displacement
+        reject()
+    full = iontrap._assemble(cfg, plus)
+    assert np.array_equal(iontrap._qubit_gate(cfg, plus), extract_qubit_gate(full, cfg))
+    expected = leakage(full, cfg)
+    assert abs(iontrap._leakage(cfg, plus) - expected) <= 1e-14 * expected
+    if all(theta == 0.0 for theta, _ in gates):
+        assert plus.shape == (2, 2)
+        assert expected == pytest.approx(float(cfg.initial_fock >= n_max - 1), abs=1e-14)
 
 
 def closed_form_batch(ratio, delta, zeta_minus, durations, n_max, initial_fock=0):
@@ -723,8 +767,8 @@ def test_closed_form_gate_is_one_phase_per_branch(ratio, delta, zeta_minus, dura
 )
 @example(ratio=G_QUARTER, delta=1.0, zeta_minus=(0.0, 0.0), n_max=25, initial_fock=13,
          durations=[duration_for_angle(G_QUARTER, 1.0, pi / 8)])
-def test_displacement_guard_equals_branch_leakage(ratio, delta, zeta_minus, durations, n_max,
-                                                  initial_fock):
+def test_displacement_guard_equals_leakage_of_the_full_pair(ratio, delta, zeta_minus, durations,
+                                                           n_max, initial_fock):
     # the guard reads the top two rows and first fock0+1 columns of
     # |D(alpha_b)| only; GUARD_CFG's pi/8 pulse (the example) leaks past
     # LEAKAGE_LIMIT
@@ -734,7 +778,8 @@ def test_displacement_guard_equals_branch_leakage(ratio, delta, zeta_minus, dura
         reject()
     corners = iontrap._displacement_corners(cfgs)
     assert corners.shape == (len(cfgs), 2, 2, cfgs[0].initial_fock + 1)
-    guard, full = (np.array([iontrap._branch_leakage(pair, cfg) for cfg, pair in zip(cfgs, pairs)])
+    guard, full = (np.array([iontrap._leakage(cfg, iontrap._from_branches(0.0, pair))
+                             for cfg, pair in zip(cfgs, pairs)])
                    for pairs in (corners, iontrap._closed_form_pairs(cfgs)))
     assert np.max(np.abs(np.sqrt(guard) - np.sqrt(full))) <= 1e-14
     assert np.array_equal(guard > iontrap.LEAKAGE_LIMIT, full > iontrap.LEAKAGE_LIMIT)
@@ -746,7 +791,8 @@ def test_displacement_guard_equals_branch_leakage(ratio, delta, zeta_minus, dura
 ])
 def test_closed_form_chain_carries_no_phonon_blocks(monkeypatch, seq):
     # fact (h): the closed-form chain multiplies one phase per branch, and
-    # no displacement pair is built; only the assembly sees 2x2 blocks
+    # no displacement pair is built; the guard reads the top two rows of
+    # each distinct pulse, and only the assembly sees 2x2 blocks
     shapes = []
     from_branches = iontrap._from_branches
 
@@ -762,12 +808,13 @@ def test_closed_form_chain_carries_no_phonon_blocks(monkeypatch, seq):
     monkeypatch.setattr(iontrap, "_from_branches", recording)
     monkeypatch.setattr(iontrap, "_closed_form_pairs", no_pairs)
     u = composite_physical_gate(seq, base, 0.02, analytic=True)
-    assert shapes == [(1, 1)] * len(seq.gates) + [(2, 2)]
+    corners = [(2, base.initial_fock + 1)] * len({abs(gate.theta) for gate in seq.gates})
+    assert shapes == corners + [(1, 1)] * len(seq.gates) + [(2, 2)]
     assert u.shape == (base.dim, base.dim)
     assert np.max(np.abs(u - expected)) < 1e-12
     shapes.clear()
     assert two_pulse_gate(base, analytic=True).shape == (base.dim, base.dim)
-    assert shapes == [(1, 1), (2, 2)]
+    assert shapes == [(2, 1), (1, 1), (2, 2)]
 
 
 def test_eps_g_is_checked_up_front():

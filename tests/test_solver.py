@@ -279,6 +279,14 @@ def test_polish_refines_catalog_decimals():
     assert np.max(np.abs(np.mod(after - before + pi, 2 * pi) - pi)) < 0.1
 
 
+def test_polish_takes_numpy_integers_and_rejects_other_orders():
+    seq = catalog.broadband(3)
+    assert polish(seq, np.int64(3)) == polish(seq, 3)
+    for orders in (3.0, (3,)):
+        with pytest.raises(ValidationError, match="orders must be an integer or a pair"):
+            polish(seq, orders)
+
+
 def test_passband_escalation_pb11():
     result = solve_with_escalation(
         FAMILY_PASSBAND, (1, 1), TH, SolverConfig(rng_seed=3, max_restarts=60)

@@ -1,8 +1,8 @@
 """The library ships no code that only tests call, and no stale copy.
 
 The public surface is ``cpgates.__all__``, a literal list pinned here.
-Every public module-level function or class of ``src/cpgates`` is
-referenced from other ``src`` code, listed in ``cpgates.__all__`` or
+Every public module-level function, class or assigned name of
+``src/cpgates`` is referenced from other ``src`` code, listed in ``cpgates.__all__`` or
 traced by the benchmark (a ``TARGETS`` attribute of
 ``bench/spans.py``).  Every private one (``_name``, dunders aside) is
 referenced from another top-level statement of its own module or
@@ -105,6 +105,16 @@ def _definitions(tree):
     return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
 
 
+def _assigned(tree):
+    """(name, statement) of each name a top-level assignment of ``tree`` binds."""
+    return [
+        (name.id, node)
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target) if isinstance(name, ast.Name)
+    ]
+
+
 def _imports(tree):
     """(module, name) of each name ``tree`` imports at top level from cpgates."""
     return {
@@ -144,13 +154,13 @@ def test_every_public_definition_is_used_by_the_program():
         for tree in trees.values() for top in tree.body
     ]
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in _definitions(tree)
-        if not node.name.startswith("_")
-        and node.name not in exported
-        and (module, node.name) not in traced
-        and not any(node.name in names for top, names in statements if top is not node)
+        for name, node in [(d.name, d) for d in _definitions(tree)] + _assigned(tree)
+        if not name.startswith("_")
+        and name not in exported
+        and (module, name) not in traced
+        and not any(name in names for top, names in statements if top is not node)
     ]
     assert unused == []
 
