@@ -48,7 +48,7 @@ from .iontrap import (
     rotation_angle,
 )
 from .seqio import read_sequence, sequence_to_csv
-from .solver import SolverConfig, _residual_rank, solve_with_escalation
+from .solver import SolverConfig, solve_with_escalation
 
 _RESIDUAL_TOL = 1e-10
 _FIDELITY_TOL = 1e-12
@@ -102,12 +102,8 @@ def cmd_solve(args) -> int:
     finally:
         if args.log and log is not None:
             log.close()
-    if not result.converged or result.sequence is None:
-        stage, rank = result.problem, _residual_rank(result.problem)
-        reason = (f"every stage is below its rank; the largest, {stage.gate_count} gates "
-                  f"({stage.shape}), has {stage.free_phase_count} unknowns and needs rank {rank},"
-                  if stage.free_phase_count < rank else f"best D={result.residual_D:.3e}")
-        print(f"did not converge: {reason} after gate counts "
+    if not result.converged:
+        print(f"did not converge: best D={result.residual_D:.3e} after gate counts "
               f"{list(result.attempted_gate_counts)}", file=sys.stderr)
         return 2
     seq = result.sequence

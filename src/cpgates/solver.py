@@ -37,15 +37,17 @@ restart that converged (later restarts of its round are dropped
 unlogged), so results and logs do not depend on the round size: they
 are those of running the restarts one after another.
 
-Escalation skips a stage with fewer free phases than the rank C of its
-residual conditions (n + ceil(n/2) + 1 for order-n broadband), as such a
-stage generically has no solution.
+Escalation walks a fixed ladder of (shape, chain length) stages per
+family and builds only the stages whose free phases reach the rank C of
+their residual conditions (n + ceil(n/2) + 1 for order-n broadband): a
+stage below it generically has no solution.  An order that no stage
+reaches is a ValidationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from math import isfinite, pi
 from typing import Optional
 
@@ -71,13 +73,6 @@ STALL_DROP = 1e-3
 #: in lockstep; results and logs do not depend on it
 ROUND_SIZE = 16
 
-SHAPE_HALF_CHAIN_TERMINAL = "half-pi chain + free terminal"
-SHAPE_HALF_CHAIN = "half-pi chain"
-SHAPE_HALF_CHAIN_SHORT = "half-pi chain, leading gates merged"
-SHAPE_PI_CHAIN = "pi chain"
-SHAPE_PI_CHAIN_SHORT = "pi chain, leading gates merged"
-
-
 @dataclass(frozen=True)
 class SolverProblem:
     """A fixed gate-angle skeleton whose phases are to be solved.
@@ -94,7 +89,7 @@ class SolverProblem:
     thetas: tuple[float, ...]
     phi0: float = 0.0
     free_terminal: bool = False
-    shape: str = SHAPE_HALF_CHAIN
+    shape: str = "custom"
 
     def __post_init__(self):
         if min(self.orders) < 0:
@@ -447,107 +442,78 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# problem shapes and escalation
+# ladder shapes and escalation
 # ---------------------------------------------------------------------------
 
-def broadband_problem(
-    n: int, target_theta: float, half_pi_gates: int, short: bool = False,
-    free_terminal: bool = False,
-) -> SolverProblem:
-    """Broadband problem: target gate followed by a chain of pi/2 gates.
+@dataclass(frozen=True)
+class Shape:
+    """A gate-angle skeleton short of its chain length: gate 0 is the
+    target gate plus ``lead`` with the fixed phase ``phi0``, followed by a
+    chain of ``chain`` gates; ``free_terminal`` makes the terminal frame
+    rotation an unknown.  ``name`` labels the stage in solver logs."""
 
-    ``short`` merges the leading pi/2 gate into the target gate (the
-    target gate then carries the fixed phase pi and the chain has an odd
-    gate count); otherwise gate 0 is the bare target with phase 0 and the
-    chain count must be even for the zero-order condition to be solvable.
-    """
-    thetas = (target_theta,) + (HALF,) * half_pi_gates
-    return SolverProblem(
-        family=FAMILY_BROADBAND,
-        orders=(n, 0),
-        target_theta=target_theta,
-        thetas=thetas,
-        phi0=pi if short else 0.0,
-        free_terminal=free_terminal,
-        shape=(
-            SHAPE_HALF_CHAIN_SHORT
-            if short
-            else (SHAPE_HALF_CHAIN_TERMINAL if free_terminal else SHAPE_HALF_CHAIN)
-        ),
-    )
+    name: str
+    chain: float
+    lead: float = 0.0
+    phi0: float = 0.0
+    free_terminal: bool = False
+
+    def problem(self, family: str, orders: tuple[int, int], target_theta: float,
+                m: int) -> SolverProblem:
+        """The problem of this shape with a chain of ``m`` gates."""
+        # a zero lead keeps the sign of a zero target
+        first = target_theta + self.lead if self.lead else target_theta
+        return SolverProblem(
+            family=family, orders=orders, target_theta=target_theta,
+            thetas=(first,) + (self.chain,) * m, phi0=self.phi0,
+            free_terminal=self.free_terminal, shape=self.name,
+        )
 
 
-def passband_problem(
-    n1: int, n2: int, target_theta: float, gate_count: int,
-    shape: str = SHAPE_PI_CHAIN,
-) -> SolverProblem:
-    """Passband problem on a chain of pi gates (optionally merged leading
-    gate) or pi/2 gates following the target gate."""
-    if shape == SHAPE_PI_CHAIN:
-        thetas = (target_theta,) + (pi,) * gate_count
-        phi0 = 0.0
-    elif shape == SHAPE_PI_CHAIN_SHORT:
-        thetas = (target_theta + HALF,) + (pi,) * gate_count
-        phi0 = pi
-    elif shape == SHAPE_HALF_CHAIN:
-        thetas = (target_theta,) + (HALF,) * gate_count
-        phi0 = 0.0
-    else:
-        raise ValidationError(f"unsupported passband shape {shape!r}")
-    return SolverProblem(
-        family=FAMILY_PASSBAND,
-        orders=(n1, n2),
-        target_theta=target_theta,
-        thetas=thetas,
-        phi0=phi0,
-        free_terminal=False,
-        shape=shape,
-    )
+_HALF_CHAIN = Shape("half-pi chain", HALF)
+_HALF_CHAIN_SHORT = Shape("half-pi chain, leading gates merged", HALF, phi0=pi)
+_PI_CHAIN = Shape("pi chain", pi)
+
+#: the escalation ladder of each family: (shape, chain gates) stages in
+#: the order they are tried.  Broadband starts from three gates with a
+#: free terminal and past six chain gates merges the leading pi/2 gate
+#: into the target gate, which then carries the phase pi; this keeps the
+#: published total angles minimal.  A plain pi/2 chain needs an even
+#: count for the zero-order condition to be solvable, a merged one an odd
+#: count.  Passband is ordered by total angle, with two ties: the 6
+#: half-pi gates go before the 3 pi gates (theta + 3 pi), and the 4 pi
+#: gates before the 8 half-pi gates (theta + 4 pi).
+LADDERS = {
+    FAMILY_BROADBAND: (
+        (Shape("half-pi chain + free terminal", HALF, free_terminal=True), 2),
+        (_HALF_CHAIN, 4), (_HALF_CHAIN, 6), (_HALF_CHAIN_SHORT, 7),
+        (_HALF_CHAIN_SHORT, 9), (_HALF_CHAIN_SHORT, 11), (_HALF_CHAIN_SHORT, 13),
+    ),
+    FAMILY_PASSBAND: (
+        (_PI_CHAIN, 2), (_HALF_CHAIN, 6), (_PI_CHAIN, 3), (_PI_CHAIN, 4), (_HALF_CHAIN, 8),
+        (_PI_CHAIN, 5), (Shape("pi chain, leading gates merged", pi, lead=HALF, phi0=pi), 5),
+    ),
+}
 
 
-def broadband_progression(n: int, target_theta: float) -> list[SolverProblem]:
-    """Gate-count escalation ladder for broadband problems.
-
-    Starts from the three-gate shape with a free terminal phase, continues
-    with even pi/2 chains, and past six chain gates switches to the merged
-    short form (which is what keeps the published total angles minimal).
-    """
-    stages = [broadband_problem(n, target_theta, 2, free_terminal=True)]
-    stages += [broadband_problem(n, target_theta, m) for m in (4, 6)]
-    stages += [broadband_problem(n, target_theta, m, short=True) for m in (7, 9, 11, 13)]
-    return stages
+@cache
+def _residual_rank(family: str, orders: tuple[int, int], shape: Shape) -> int:
+    """Rank C of the residual conditions of ``orders`` on ``shape``: the
+    Jacobian's rank (singular values above 1e-12 of the largest) at a
+    fixed random point of a 24-gate chain of the shape at target 0.3 pi."""
+    chain = shape.problem(family, orders, 0.3 * pi, 24)
+    x = np.random.default_rng(0).uniform(0.0, 2.0 * pi, (1, chain.free_phase_count))
+    s = np.linalg.svd(_jacobian(chain, x)[1][0], compute_uv=False)
+    return int(np.count_nonzero(s > 1e-12 * s[0]))
 
 
-def passband_progression(n1: int, n2: int, target_theta: float) -> list[SolverProblem]:
-    """Gate-count escalation ladder for passband problems, ordered by
-    total rotation angle."""
+def _stages(family: str, orders: tuple[int, int], target_theta: float) -> list[SolverProblem]:
+    """The stages of the family's ladder whose unknowns reach their rank
+    C, in ladder order; a stage below it generically has no solution."""
     return [
-        passband_problem(n1, n2, target_theta, 2, SHAPE_PI_CHAIN),
-        passband_problem(n1, n2, target_theta, 6, SHAPE_HALF_CHAIN),
-        passband_problem(n1, n2, target_theta, 3, SHAPE_PI_CHAIN),
-        passband_problem(n1, n2, target_theta, 4, SHAPE_PI_CHAIN),
-        passband_problem(n1, n2, target_theta, 8, SHAPE_HALF_CHAIN),
-        passband_problem(n1, n2, target_theta, 5, SHAPE_PI_CHAIN),
-        passband_problem(n1, n2, target_theta, 5, SHAPE_PI_CHAIN_SHORT),
+        shape.problem(family, orders, target_theta, m) for shape, m in LADDERS[family]
+        if m + shape.free_terminal >= _residual_rank(family, orders, shape)
     ]
-
-
-_RANKS: dict = {}
-
-
-def _residual_rank(stage: SolverProblem) -> int:
-    """Rank C of a ladder stage's residual conditions: the Jacobian's rank
-    (singular values above 1e-12 of the largest) at a fixed random point
-    of a 24-gate chain of the stage's shape at target 0.3 pi.  A shape
-    fixes the chain and the first gate, so C is cached by shape."""
-    key = (stage.orders, stage.shape, stage.free_terminal)
-    if key not in _RANKS:
-        first = 0.3 * pi + stage.thetas[0] - stage.target_theta
-        chain = replace(stage, target_theta=0.3 * pi, thetas=(first,) + stage.thetas[-1:] * 24)
-        x = np.random.default_rng(0).uniform(0.0, 2.0 * pi, (1, chain.free_phase_count))
-        s = np.linalg.svd(_jacobian(chain, x)[1][0], compute_uv=False)
-        _RANKS[key] = int(np.count_nonzero(s > 1e-12 * s[0]))
-    return _RANKS[key]
 
 
 def _is_integer_pair(orders) -> bool:
@@ -563,50 +529,50 @@ def solve_with_escalation(
     config: SolverConfig = SolverConfig(),
     log=None,
 ) -> SolverResult:
-    """Try progressively longer gate-count shapes, returning the first
-    converged result; records every attempted gate count.  ``orders`` is
-    one integer n for broadband (BBn) and a pair (n1, n2) for passband.
+    """Run the stages of the family's ladder (:data:`LADDERS`) in order,
+    returning the first converged result; ``orders`` is one integer n for
+    broadband (BBn) and a pair (n1, n2) for passband.
 
-    A stage with fewer free phases than its rank (:func:`_residual_rank`)
-    is skipped, logged and still listed; if every stage is, the result has
-    no restarts and the stage with the most free phases as its problem.
-    Each stage that runs has the Monte-Carlo budget ``config.max_restarts``.
+    Only the stages whose unknowns reach their rank (:func:`_stages`) are
+    built and run, and ``attempted_gate_counts`` lists those that ran; an
+    order that no stage reaches is a ValidationError, raised before any
+    search.  Each stage has the Monte-Carlo budget ``config.max_restarts``.
+    ``config.initial_phases`` seeds restart 0 of the stages with as many
+    unknowns; a length that fits no stage is a ValidationError.
     """
     if family == FAMILY_BROADBAND:
         if not isinstance(orders, (int, np.integer)):
             raise ValidationError(f"broadband orders must be one integer, got {orders!r}")
-        stages = broadband_progression(int(orders), target_theta)
+        orders = (int(orders), 0)
     elif family == FAMILY_PASSBAND:
         if not _is_integer_pair(orders):
             raise ValidationError(f"passband orders must be a pair of integers, got {orders!r}")
-        stages = passband_progression(int(orders[0]), int(orders[1]), target_theta)
+        orders = (int(orders[0]), int(orders[1]))
     else:
         raise ValidationError(f"escalation is defined for broadband/passband, got {family!r}")
-    attempted: list[int] = []
-    last = SolverResult(
-        sequence=None, residual_D=float("inf"), restarts_used=0, iterations_used=0,
-        converged=False, problem=max(stages, key=lambda s: s.free_phase_count),
-    )
-    for stage in stages:
-        attempted.append(stage.gate_count)
-        rank = _residual_rank(stage)
-        if stage.free_phase_count < rank:
-            if log is not None:
-                log.write(f"stage gates={stage.gate_count} skipped: "
-                          f"unknowns {stage.free_phase_count} < rank {rank}\n")
-            continue
+    stages = _stages(family, orders, target_theta)
+    label = entry_label(family, *orders)
+    if not stages:
+        shape, m = max(LADDERS[family], key=lambda entry: entry[1] + entry[0].free_terminal)
+        raise ValidationError(
+            f"{label} has no ladder stage at the rank of its residual conditions: the largest, "
+            f"{m + 1} gates ({shape.name}), has {m + shape.free_terminal} unknowns and needs "
+            f"rank {_residual_rank(family, orders, shape)}"
+        )
+    phases = config.initial_phases
+    unknowns = [stage.free_phase_count for stage in stages]
+    if phases is not None and len(phases) not in unknowns:
+        raise ValidationError(f"initial_phases has {len(phases)} entries, and the stages of "
+                              f"{label} have {unknowns} unknowns")
+    for k, stage in enumerate(stages):
         if log is not None:
-            log.write(
-                f"stage gates={stage.gate_count} shape={stage.shape!r} "
-                f"unknowns={stage.free_phase_count}\n"
-            )
-        seed_phases = config.initial_phases
-        if seed_phases is not None and len(seed_phases) != stage.free_phase_count:
-            seed_phases = None
-        last = solve(stage, replace(config, initial_phases=seed_phases), log=log)
-        if last.converged:
+            log.write(f"stage gates={stage.gate_count} shape={stage.shape!r} "
+                      f"unknowns={unknowns[k]}\n")
+        fits = phases is not None and len(phases) == unknowns[k]
+        result = solve(stage, replace(config, initial_phases=phases if fits else None), log=log)
+        if result.converged:
             break
-    return replace(last, attempted_gate_counts=tuple(attempted))
+    return replace(result, attempted_gate_counts=tuple(s.gate_count for s in stages[: k + 1]))
 
 
 def polish(seq: CompositeSequence, orders, config: SolverConfig = SolverConfig()) -> SolverResult:

@@ -14,7 +14,8 @@ scan CSV as one ``%`` row per grid point, the ion-trap pulse, closed
 form and integrated, as dense operators over the full spin-phonon
 space, and composite ion-trap gates as a loop over gates and pulses,
 each pulse computed on its own.  Helpers that only
-tests use live here too: the closed form of a product of phased Pauli
+tests use live here too: broadband and passband solver problems on the
+escalation ladders' shapes, the closed form of a product of phased Pauli
 axes, the fusion of neighbouring gates of equal phase, and the ion-trap
 readers (the Hamiltonian at one time, a propagator distance and the
 phonon-identity defect over source levels clear of the truncation edge,
@@ -41,7 +42,7 @@ from cpgates.abserr import AbsoluteComposite
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import (
-    CompositeSequence, PhasedGate, _blocks, distorted_theta, ideal_cphase, phase_gate,
+    FAMILY_BROADBAND, FAMILY_PASSBAND, CompositeSequence, PhasedGate, _blocks, distorted_theta, ideal_cphase, phase_gate,
     phased_cphase,
 )
 from cpgates.iontrap import (
@@ -50,7 +51,7 @@ from cpgates.iontrap import (
 )
 from cpgates.linalg import IDENTITY_2, mat_exp_hermitian_generator, sigma_axis
 from cpgates.solver import (
-    STALL_DROP, STALL_WINDOW, SolverResult, _jacobian, _residuals, objective_D,
+    LADDERS, STALL_DROP, STALL_WINDOW, SolverResult, _jacobian, _residuals, objective_D,
 )
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -120,6 +121,25 @@ def published_entry(name: str) -> CompositeSequence:
     seq = catalog.by_name(name)
     phases, terminal = PUBLISHED[name]
     return seq.with_phis((seq.gates[0].phi,) + tuple(p * pi for p in phases), terminal * pi)
+
+
+#: the shapes of the escalation ladders, by name
+SHAPES = {shape.name: shape for ladder in LADDERS.values() for shape, _ in ladder}
+
+
+def broadband_problem(n, target_theta, half_pi_gates, short=False, free_terminal=False):
+    """BBn on a chain of ``half_pi_gates`` pi/2 gates: with the leading
+    pi/2 gate merged into the target gate (``short``), with a free
+    terminal, or plain."""
+    name = ("half-pi chain, leading gates merged" if short
+            else "half-pi chain + free terminal" if free_terminal else "half-pi chain")
+    return SHAPES[name].problem(FAMILY_BROADBAND, (n, 0), target_theta, half_pi_gates)
+
+
+def passband_problem(n1, n2, target_theta, chain_gates, shape="pi chain"):
+    """PB(n1, n2) on the ladder shape called ``shape`` with ``chain_gates``
+    chain gates."""
+    return SHAPES[shape].problem(FAMILY_PASSBAND, (n1, n2), target_theta, chain_gates)
 
 
 def merge_adjacent(seq: CompositeSequence, tol: float = 1e-12) -> CompositeSequence:

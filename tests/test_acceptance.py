@@ -31,11 +31,11 @@ from cpgates.iontrap import (
     two_pulse_gate,
 )
 from cpgates.linalg import frobenius_norm, is_unitary, sigma_axis
-from cpgates.solver import SolverConfig, broadband_problem, solve
+from cpgates.solver import SolverConfig, solve
 from oracles import (
     BROADBAND_TOLERANCE_BANDS, BROADBAND_TOTAL_ANGLES, absolute_composite_propagator,
-    extract_qubit_gate, fock_population, pauli_string_matrix, pauli_string_product,
-    propagator_distance, reduced_narrowband_conditions,
+    broadband_problem, extract_qubit_gate, fock_population, pauli_string_matrix,
+    pauli_string_product, propagator_distance, reduced_narrowband_conditions,
 )
 
 TH = pi / 4

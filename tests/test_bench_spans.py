@@ -12,6 +12,7 @@ import pytest
 
 from cpgates import derivatives, iontrap, solver
 from cpgates.cli import main
+from oracles import broadband_problem
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -33,7 +34,7 @@ def test_recorder_traces_derivative_stack_and_integrator(spans):
     recorder = spans.SpanRecorder()
     recorder.install()
     try:
-        problem = solver.broadband_problem(1, pi / 4, 2, free_terminal=True)
+        problem = broadband_problem(1, pi / 4, 2, free_terminal=True)
         solver.solve(problem, solver.SolverConfig(rng_seed=7, max_restarts=3))
         cfg = iontrap.TrapConfig(g=0.05, delta=1.0, duration=0.5, n_max=20)
         iontrap.evolve_numerical(cfg)

@@ -9,8 +9,10 @@ from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
 from cpgates.seqio import sequence_from_csv, sequence_to_csv
-from cpgates.solver import SolverConfig, broadband_problem, passband_problem, polish
-from oracles import BROADBAND_TOTAL_ANGLES, PUBLISHED, published_entry
+from cpgates.solver import SolverConfig, polish
+from oracles import (
+    BROADBAND_TOTAL_ANGLES, PUBLISHED, broadband_problem, passband_problem, published_entry,
+)
 
 
 @pytest.mark.parametrize("n", catalog.BROADBAND_ORDERS)

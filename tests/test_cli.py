@@ -64,13 +64,12 @@ def test_solve_writes_log(tmp_path):
     assert rc == 0
     lines = log.read_text().splitlines()
     assert any(ln.startswith("restart=") and " iters=" in ln and " D=" in ln for ln in lines)
-    # the three-gate stage is below rank 4 and skipped, with no stop-count
-    # line; every stage that runs has one; the sequence output does not change
-    assert lines[0] == "stage gates=3 skipped: unknowns 3 < rank 4"
-    assert lines[1].startswith("stage gates=5 ")
-    skipped = sum(" skipped: " in ln for ln in lines)
+    # the three-gate stage is below rank 4 and is not built, so the log
+    # starts at five gates; every stage has one stop-count line; the
+    # sequence output does not change
+    assert lines[0] == "stage gates=5 shape='half-pi chain' unknowns=4"
     assert sum(ln.startswith("stage-end ") for ln in lines) == sum(
-        ln.startswith("stage gates=") for ln in lines) - skipped
+        ln.startswith("stage gates=") for ln in lines)
     plain = tmp_path / "plain.csv"
     assert main(["solve", "--family", "bb", "--order", "2", "--seed", "3",
                  "--out", str(plain)]) == 0
@@ -82,12 +81,14 @@ def test_solve_with_every_stage_below_rank_exits_at_once(tmp_path, capsys, order
     out = tmp_path / "x.csv"
     argv = ["solve", "--family", "pb", "--order", order, "--order2", order2, "--out", str(out)]
     t0 = time.perf_counter()
-    assert main(argv) == 2
+    # no stage reaches the rank: a validation error before any search
+    assert main(argv) == 1
     assert time.perf_counter() - t0 < 1.0
     assert not out.exists()
     err = capsys.readouterr().err
-    assert re.search(rf"the largest, 9 gates \(half-pi chain\), has 8 unknowns "
-                     rf"and needs rank {rank},", err)
+    assert re.search(rf"error: PB\({order},{order2}\) has no ladder stage at the rank of its "
+                     rf"residual conditions: the largest, 9 gates \(half-pi chain\), has 8 "
+                     rf"unknowns and needs rank {rank}$", err, re.M)
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):

@@ -17,30 +17,27 @@ from cpgates.errors import ValidationError
 from cpgates.gates import FAMILY_BROADBAND, FAMILY_PASSBAND, _blocks
 from cpgates.seqio import sequence_to_csv
 from cpgates.solver import (
-    SHAPE_HALF_CHAIN,
+    LADDERS,
     SolverConfig,
     SolverProblem,
     _jacobian,
     _residual_rank,
     _residuals,
-    broadband_problem,
-    broadband_progression,
+    _stages,
     objective_D,
-    passband_problem,
-    passband_progression,
     polish,
     solve,
     solve_with_escalation,
 )
 from oracles import (
-    central_difference_jacobian, embed_blocks_4x4, newton_sequential, published_entry,
-    residual_matrices_4x4, residuals_4x4, solve_sequential,
+    broadband_problem, central_difference_jacobian, embed_blocks_4x4, newton_sequential,
+    passband_problem, published_entry, residual_matrices_4x4, residuals_4x4, solve_sequential,
 )
 
 TH = pi / 4
 
 #: ``sequence_to_csv`` text of the escalation tests' results, captured
-#: before stages below the rank of their residual conditions were skipped
+#: while the stages below the rank of their residual conditions still ran
 GOLDEN_ESCALATION = json.loads(
     (Path(__file__).parent / "golden" / "escalation.json").read_text())
 
@@ -170,15 +167,11 @@ def test_solver_log_ends_each_stage_with_stop_counts():
                           SolverConfig(rng_seed=7, max_restarts=12, max_newton_iters=8), log=log)
     lines = log.getvalue().splitlines()
     ends = [ln for ln in lines if ln.startswith("stage-end ")]
-    # a stage below its rank is skipped: one line, no restarts and no
-    # stop counts; every stage that runs ends with one stop-count line
-    skipped = [i for i, ln in enumerate(lines) if " skipped: " in ln]
-    assert [lines[i].split()[1] for i in skipped] == ["gates=3", "gates=5"]
-    for i in skipped:
-        m = re.fullmatch(r"stage gates=\d+ skipped: unknowns (\d+) < rank (\d+)", lines[i])
-        assert m and int(m[1]) < int(m[2]) == 6
-        assert lines[i + 1].startswith("stage gates=")
-    assert len(ends) == sum(ln.startswith("stage gates=") for ln in lines) - len(skipped)
+    # the stages of 3 and 5 gates are below rank 6 and are not built, so
+    # the log starts at 7 gates; every stage ends with one stop-count line
+    assert lines[0] == "stage gates=7 shape='half-pi chain' unknowns=6"
+    assert not any(" skipped" in ln for ln in lines)
+    assert len(ends) == sum(ln.startswith("stage gates=") for ln in lines)
     counts = []
     for ln in ends:
         m = re.fullmatch(r"stage-end restarts=(\d+) converged=(\d+) stalled=(\d+) "
@@ -202,7 +195,7 @@ def test_escalation_gives_every_stage_the_config_budget():
                           residual_tolerance=1e-300)
     solve_with_escalation(FAMILY_BROADBAND, 1, TH, config, log=log)
     ends = [ln.split()[1] for ln in log.getvalue().splitlines() if ln.startswith("stage-end ")]
-    assert ends == ["restarts=150"] * len(broadband_progression(1, TH))
+    assert ends == ["restarts=150"] * len(LADDERS[FAMILY_BROADBAND])
 
 
 def test_phases_reported_in_canonical_range():
@@ -226,15 +219,16 @@ def test_escalation_bb3_reaches_published_length():
     config = SolverConfig(rng_seed=7, max_restarts=12, max_newton_iters=60)
     result = solve_with_escalation(FAMILY_BROADBAND, 3, TH, config)
     assert result.converged
-    assert result.attempted_gate_counts == (3, 5, 7)
+    # the stages of 3 and 5 gates are below rank 6 and do not run
+    assert result.attempted_gate_counts == (7,)
     assert abs(result.sequence.total_angle() - 3.25 * pi) < 1e-12
     assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["bb3_seed7"]
 
 
 def test_escalation_bb6_total_angle():
-    # seed the search with the published phases: the earlier (shorter)
-    # stages are below the rank of the order-six conditions and are
-    # skipped, and the published twelve-gate shape converges immediately
+    # seed the search with the published phases: the shorter stages are
+    # below the rank of the order-six conditions and are not built, so
+    # the published twelve-gate shape runs first and converges immediately
     seed_phases = tuple(g.phi for g in published_entry("bb6").gates[1:])
     config = SolverConfig(
         rng_seed=1, max_restarts=2, max_newton_iters=150, initial_phases=seed_phases
@@ -250,7 +244,7 @@ def test_escalation_bb6_total_angle():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_escalation_bb6_from_random_starts(seed):
     # measured 0.4-0.5 s per seed (2 vCPU, one BLAS thread): the five
-    # stages below rank 10 are skipped, and only the twelve-gate stage runs
+    # stages below rank 10 are not built, and only the twelve-gate stage runs
     t0 = time.perf_counter()
     result = solve_with_escalation(FAMILY_BROADBAND, 6, TH, SolverConfig(rng_seed=seed))
     elapsed = time.perf_counter() - t0
@@ -297,40 +291,43 @@ def test_passband_escalation_pb11():
     assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["pb11_seed3"]
 
 
-# --- the rank of the residual conditions -------------------------------------
+# --- the rank of the residual conditions and the ladders ---------------------
 
-#: passband ranks (pi chain, plain or short; half-pi chain) by (n1, n2)
+#: passband ranks (pi chain, plain or short; half-pi chain) by (n1, n2).
+#: They follow m + ceil(m/2) with m = max(n1, n2) on a pi chain, and
+#: n1 + ceil(n1/2) + 1 + n2 + ceil(n2/2) on a half-pi chain.
 PASSBAND_RANKS = {
     (1, 1): (2, 5), (2, 1): (3, 6), (1, 2): (3, 6), (2, 2): (3, 7),
     (1, 3): (5, 8), (3, 3): (5, 11), (4, 4): (6, 13), (2, 4): (6, 10),
+    (3, 1): (5, 8), (2, 3): (5, 9), (3, 2): (5, 9), (1, 4): (6, 9),
+    (4, 1): (6, 9), (3, 4): (6, 12), (4, 2): (6, 10), (4, 3): (6, 12),
 }
-LADDERS = [(FAMILY_BROADBAND, n) for n in range(1, 9)] + [
+LADDER_KEYS = [(FAMILY_BROADBAND, (n, 0)) for n in range(1, 9)] + [
     (FAMILY_PASSBAND, orders) for orders in PASSBAND_RANKS]
 
 
 def ladder(family, orders, theta):
-    if family == FAMILY_BROADBAND:
-        return broadband_progression(orders, theta)
-    return passband_progression(*orders, theta)
+    """(shape, stage) of every ladder entry, those below rank included."""
+    return [(shape, shape.problem(family, orders, theta, m)) for shape, m in LADDERS[family]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_broadband_rank_closed_form(n):
     # every broadband shape, plain, short and with a free terminal
-    for stage in broadband_progression(n, TH):
-        assert _residual_rank(stage) == n + ceil(n / 2) + 1
+    for shape, _ in LADDERS[FAMILY_BROADBAND]:
+        assert _residual_rank(FAMILY_BROADBAND, (n, 0), shape) == n + ceil(n / 2) + 1
 
 
 @pytest.mark.parametrize("orders", PASSBAND_RANKS)
 def test_passband_rank_by_shape(orders):
     pi_chain, half_chain = PASSBAND_RANKS[orders]
-    for stage in passband_progression(*orders, TH):
-        want = half_chain if stage.shape == SHAPE_HALF_CHAIN else pi_chain
-        assert _residual_rank(stage) == want, stage.shape
+    for shape, _ in LADDERS[FAMILY_PASSBAND]:
+        want = half_chain if shape.chain == pi / 2 else pi_chain
+        assert _residual_rank(FAMILY_PASSBAND, orders, shape) == want, shape.name
 
 
 @settings(max_examples=40)
-@given(ladder_key=st.sampled_from(LADDERS), theta=st.floats(0.02 * pi, 0.98 * pi),
+@given(ladder_key=st.sampled_from(LADDER_KEYS), theta=st.floats(0.02 * pi, 0.98 * pi),
        seed=st.integers(0, 2**32 - 1))
 def test_stage_jacobian_rank_is_min_of_unknowns_and_rank(ladder_key, theta, seed):
     # the Jacobian has rank min(unknowns, C) at a generic point; a single
@@ -338,25 +335,127 @@ def test_stage_jacobian_rank_is_min_of_unknowns_and_rank(ladder_key, theta, seed
     # (s_min/s_0 down to 1e-17 for BB8), so the rank is the largest of
     # four points, and no point may exceed it
     rng = np.random.default_rng(seed)
-    for stage in ladder(*ladder_key, theta):
-        want = min(stage.free_phase_count, _residual_rank(stage))
+    for shape, stage in ladder(*ladder_key, theta):
+        want = min(stage.free_phase_count, _residual_rank(*ladder_key, shape))
         _, jacs = _jacobian(stage, rng.uniform(0.0, 2 * pi, (4, stage.free_phase_count)))
         ranks = [np.linalg.matrix_rank(j, tol=1e-12 * np.linalg.norm(j, 2)) for j in jacs]
         assert max(ranks) == want, (stage.gate_count, stage.shape, ranks)
 
 
+_TERMINAL, _HALF, _SHORT = (
+    "half-pi chain + free terminal", "half-pi chain", "half-pi chain, leading gates merged")
+_PI, _PI_SHORT = "pi chain", "pi chain, leading gates merged"
+
+#: the hand-written ladders the table replaced, as (gate count, shape
+#: name, unknowns) in the order they were tried
+HAND_WRITTEN_LADDERS = {
+    FAMILY_BROADBAND: [(3, _TERMINAL, 3), (5, _HALF, 4), (7, _HALF, 6), (8, _SHORT, 7),
+                       (10, _SHORT, 9), (12, _SHORT, 11), (14, _SHORT, 13)],
+    FAMILY_PASSBAND: [(3, _PI, 2), (7, _HALF, 6), (4, _PI, 3), (5, _PI, 4), (9, _HALF, 8),
+                      (6, _PI, 5), (6, _PI_SHORT, 5)],
+}
+
+
+@pytest.mark.parametrize("family, orders", LADDER_KEYS)
+def test_built_stages_are_the_hand_written_ladder_at_rank(family, orders):
+    # ranks from the closed form and the table above, not from the solver
+    if family == FAMILY_BROADBAND:
+        n = orders[0]
+        rank = {name: n + ceil(n / 2) + 1 for name in (_TERMINAL, _HALF, _SHORT)}
+    else:
+        pi_chain, half_chain = PASSBAND_RANKS[orders]
+        rank = {_PI: pi_chain, _PI_SHORT: pi_chain, _HALF: half_chain}
+    want = [stage for stage in HAND_WRITTEN_LADDERS[family] if stage[2] >= rank[stage[1]]]
+    built = _stages(family, orders, TH)
+    assert [(s.gate_count, s.shape, s.free_phase_count) for s in built] == want
+    for stage in built:
+        assert stage.family == family and stage.orders == orders and stage.target_theta == TH
+
+
+@pytest.mark.parametrize("family", [FAMILY_BROADBAND, FAMILY_PASSBAND])
+def test_every_ladder_entry_builds_a_chain_after_the_lead_gate(family):
+    for shape, m in LADDERS[family]:
+        stage = shape.problem(family, (1, 1), TH, m)
+        assert stage.thetas == (TH + shape.lead,) + (shape.chain,) * m
+        assert stage.free_phase_count == m + shape.free_terminal
+        assert (stage.phi0, stage.free_terminal, stage.shape) == (
+            shape.phi0, shape.free_terminal, shape.name)
+
+
+#: catalog name -> (family, orders) of every catalog entry whose skeleton
+#: is a ladder stage; BB2 and BB4 are the exceptions, pinned below
+LADDER_SKELETONS = {
+    "bb1": (FAMILY_BROADBAND, (1, 0)), "bb3": (FAMILY_BROADBAND, (3, 0)),
+    "bb5": (FAMILY_BROADBAND, (5, 0)), "bb6": (FAMILY_BROADBAND, (6, 0)),
+    "pb11": (FAMILY_PASSBAND, (1, 1)), "pb21": (FAMILY_PASSBAND, (2, 1)),
+    "pb12": (FAMILY_PASSBAND, (1, 2)), "pb22": (FAMILY_PASSBAND, (2, 2)),
+    "pb13": (FAMILY_PASSBAND, (1, 3)), "pb33": (FAMILY_PASSBAND, (3, 3)),
+}
+
+
+def _skeleton(seq):
+    """Gate angles, gate-0 phase and whether there is a terminal."""
+    return tuple(g.theta for g in seq.gates), seq.gates[0].phi, seq.terminal_phase != 0.0
+
+
+def _ladder_skeletons(family, orders):
+    return {(s.thetas, s.phi0, s.free_terminal): s for _, s in ladder(family, orders, TH)}
+
+
+@pytest.mark.parametrize("name", LADDER_SKELETONS)
+def test_catalog_skeletons_are_ladder_stages(name):
+    stage = _ladder_skeletons(*LADDER_SKELETONS[name]).get(_skeleton(catalog.by_name(name)))
+    assert stage is not None
+    # and the stage is built: its unknowns reach the rank
+    assert stage.gate_count in [s.gate_count for s in _stages(stage.family, stage.orders, TH)]
+
+
+def test_catalog_skeletons_outside_the_ladders():
+    # BB4 is the 7-chain short stage, but its stored terminal of about
+    # 1.994 pi (a full turn to three decimals) is a free terminal the
+    # stage does not have
+    thetas, phi0, terminal = _skeleton(catalog.broadband(4))
+    stages = _ladder_skeletons(FAMILY_BROADBAND, (4, 0))
+    assert terminal and (thetas, phi0, terminal) not in stages
+    assert stages[thetas, phi0, False].shape == _SHORT and len(thetas) == 8
+    # the closed-form BB2 holds a pi gate, and every broadband stage is a
+    # chain of pi/2 gates
+    thetas, phi0, terminal = _skeleton(catalog.broadband(2))
+    assert thetas == (TH, pi / 2, pi, pi / 2)
+    assert all(s[0] != thetas for s in _ladder_skeletons(FAMILY_BROADBAND, (2, 0)))
+
+
 @pytest.mark.parametrize("orders, rank", [((4, 4), 13), ((2, 4), 10)])
 def test_escalation_with_every_stage_below_rank_fails_at_once(orders, rank):
+    # no stage is built: the error names the rank and the largest stage,
+    # and no search runs
     log = io.StringIO()
     t0 = time.perf_counter()
-    result = solve_with_escalation(FAMILY_PASSBAND, orders, TH, SolverConfig(rng_seed=1), log=log)
+    label = f"PB({orders[0]},{orders[1]})"
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{label} has no ladder stage at the rank of its residual conditions: the "
+            f"largest, 9 gates (half-pi chain), has 8 unknowns and needs rank {rank}")):
+        solve_with_escalation(FAMILY_PASSBAND, orders, TH, SolverConfig(rng_seed=1), log=log)
     assert time.perf_counter() - t0 < 1.0
-    assert not result.converged and result.sequence is None
-    assert result.restarts_used == 0
-    assert result.attempted_gate_counts == (3, 7, 4, 5, 9, 6, 6)
-    assert (result.problem.free_phase_count, _residual_rank(result.problem)) == (8, rank)
-    lines = log.getvalue().splitlines()
-    assert len(lines) == 7 and all(" skipped: " in ln for ln in lines)
+    assert log.getvalue() == ""
+
+
+def test_escalation_past_the_ladder_fails_at_once():
+    # BB9 needs rank 15; the largest broadband stage has 13 unknowns
+    with pytest.raises(ValidationError, match=re.escape(
+            "the largest, 14 gates (half-pi chain, leading gates merged), has 13 unknowns "
+            "and needs rank 15")):
+        solve_with_escalation(FAMILY_BROADBAND, 9, TH)
+
+
+def test_escalation_rejects_initial_phases_that_fit_no_stage():
+    # BB3 builds stages of 6, 7, 9, 11 and 13 unknowns: five phases fit
+    # none, and are an error rather than dropped for random starts
+    config = SolverConfig(rng_seed=7, initial_phases=(0.1,) * 5)
+    with pytest.raises(ValidationError, match=re.escape(
+            "initial_phases has 5 entries, and the stages of BB3 have [6, 7, 9, 11, 13] "
+            "unknowns")):
+        solve_with_escalation(FAMILY_BROADBAND, 3, TH, config)
 
 
 # --- residuals on 2x2 blocks, batched step ladder, budgets ------------------
