@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import re
 import sys
 from dataclasses import replace
@@ -96,12 +97,12 @@ def cmd_solve(args) -> int:
         max_restarts=args.stage_restarts,
         rng_seed=args.seed,
     )
-    log = open(args.log, "w") if args.log else (sys.stderr if args.verbose else None)
-    try:
-        result = solve_with_escalation(family, orders, theta, config, log=log)
-    finally:
-        if args.log and log is not None:
-            log.close()
+    # the log file is written after the search, so a solve that fails
+    # validation leaves none behind
+    log = io.StringIO() if args.log else (sys.stderr if args.verbose else None)
+    result = solve_with_escalation(family, orders, theta, config, log=log)
+    if args.log:
+        _emit(log.getvalue(), args.log)
     if not result.converged:
         print(f"did not converge: best D={result.residual_D:.3e} after gate counts "
               f"{list(result.attempted_gate_counts)}", file=sys.stderr)

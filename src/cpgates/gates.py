@@ -26,7 +26,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -42,10 +42,12 @@ FAMILY_COMBINED = "combined"
 
 
 def canonical_angle(phi: float) -> float:
-    """Map an angle to the canonical representative in [0, 2*pi)."""
-    if not np.isfinite(phi):
+    """Map an angle to the canonical representative in [0, 2*pi).
+
+    Python's float ``%`` is ``np.mod`` bit for bit, without a numpy scalar."""
+    if not isfinite(phi):
         raise ValidationError(f"angle must be finite, got {phi}")
-    angle = float(np.mod(phi, TWO_PI))
+    angle = float(phi) % TWO_PI
     # a tiny negative angle rounds up to 2*pi itself
     return 0.0 if angle == TWO_PI else angle
 
@@ -62,7 +64,7 @@ class PhasedGate:
     phi: float
 
     def __post_init__(self):
-        if not np.isfinite(self.theta):
+        if not isfinite(self.theta):
             raise ValidationError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "phi", canonical_angle(self.phi))
 
@@ -81,7 +83,7 @@ class CompositeSequence:
         object.__setattr__(self, "gates", tuple(self.gates))
         if not self.gates:
             raise ValidationError("a composite sequence needs at least one gate")
-        if not (np.isfinite(self.terminal_phase) and np.isfinite(self.target_theta)):
+        if not (isfinite(self.terminal_phase) and isfinite(self.target_theta)):
             raise ValidationError("terminal phase and target angle must be finite")
 
     def total_angle(self) -> float:

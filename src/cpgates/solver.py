@@ -59,7 +59,6 @@ from .gates import (
     FAMILY_PASSBAND,
     CompositeSequence,
     PhasedGate,
-    canonical_angle,
 )
 from .catalog import HALF, entry_label
 from .derivatives import residual_rows
@@ -146,9 +145,7 @@ class SolverProblem:
 
     def build_sequence(self, x) -> CompositeSequence:
         phis, terminal = self.split(np.atleast_1d(np.asarray(x, dtype=float)))
-        gates = tuple(
-            PhasedGate(t, canonical_angle(p)) for t, p in zip(self.thetas, phis)
-        )
+        gates = tuple(PhasedGate(t, p) for t, p in zip(self.thetas, phis.tolist()))
         return CompositeSequence(
             gates=gates,
             terminal_phase=float(terminal) if self.free_terminal else 0.0,
@@ -388,8 +385,11 @@ def solve(
     result is the lowest-index converged restart: the later restarts of
     its round are dropped, so the result and the log are those of running
     the restarts one by one.  Non-convergence is reported in the result,
-    not raised.  ``log`` receives one line per restart and a closing
-    ``stage-end`` line counting how the restarts ended.
+    not raised.  The converged phases are wrapped into [0, 2*pi), and
+    ``residual_D`` is recomputed only when the wrap moves a phase: D at
+    a point has the same bits from any batch.  ``log`` receives one line
+    per restart and a closing ``stage-end`` line counting how the
+    restarts ended.
     """
     n = problem.free_phase_count
     if config.initial_phases is not None and len(config.initial_phases) != n:
@@ -418,9 +418,12 @@ def solve(
             best_d = min(best_d, d)
             if d <= config.residual_tolerance:
                 x = np.mod(xs[j], 2.0 * pi)
+                # D at a point has the same bits from any batch
+                if x.tobytes() != xs[j].tobytes():
+                    d = objective_D(problem, x)
                 result = SolverResult(
                     sequence=problem.build_sequence(x),
-                    residual_D=float(objective_D(problem, x)),
+                    residual_D=d,
                     restarts_used=first + j + 1,
                     iterations_used=iters[j],
                     converged=True,

@@ -76,6 +76,15 @@ def test_solve_writes_log(tmp_path):
     assert plain.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("orders", [["--family", "pb", "--order", "4", "--order2", "4"],
+                                    ["--family", "bb", "--order", "-1"]],
+                         ids=["below-rank", "negative"])
+def test_solve_failing_validation_writes_no_log(tmp_path, orders):
+    out, log = tmp_path / "x.csv", tmp_path / "x.log"
+    assert main(["solve", *orders, "--log", str(log), "--out", str(out)]) == 1
+    assert not out.exists() and not log.exists()
+
+
 @pytest.mark.parametrize("order, order2, rank", [("4", "4", 13), ("2", "4", 10)])
 def test_solve_with_every_stage_below_rank_exits_at_once(tmp_path, capsys, order, order2, rank):
     out = tmp_path / "x.csv"

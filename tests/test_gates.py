@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
-from math import pi
+from hypothesis import example, given
+from hypothesis import strategies as st
+from math import nextafter, pi
 
 from cpgates.catalog import broadband
 from cpgates.errors import ValidationError
 from cpgates.gates import (
     CompositeSequence,
     PhasedGate,
+    TWO_PI,
+    canonical_angle,
     convert_phase_conventions,
     ideal_cphase,
     interleaved_from_phases,
@@ -198,3 +202,27 @@ def test_sequence_validation():
 def test_non_finite_target_angle_raises(target):
     with pytest.raises(ValidationError, match="target angle must be finite"):
         CompositeSequence(gates=(PhasedGate(pi / 4, 0.0),), target_theta=target)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(-5e-324)
+@example(TWO_PI)
+@example(nextafter(TWO_PI, 0.0))
+@example(-1e300)
+def test_canonical_angle_is_np_mod_bit_for_bit(phi):
+    # np.mod, with a tiny negative angle's 2*pi taken as 0
+    expected = float(np.mod(phi, TWO_PI))
+    expected = 0.0 if expected == TWO_PI else expected
+    angle = canonical_angle(phi)
+    assert type(angle) is float and angle.hex() == expected.hex()
+    assert 0.0 <= angle < TWO_PI
+    assert canonical_angle(np.float64(phi)).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_angle_rejects_non_finite(phi):
+    with pytest.raises(ValidationError, match="angle must be finite"):
+        canonical_angle(phi)
+    with pytest.raises(ValidationError, match="angle must be finite"):
+        PhasedGate(pi / 4, phi)

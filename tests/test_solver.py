@@ -623,8 +623,9 @@ FULL_STEP_RUNS = [
 
 @pytest.mark.parametrize("problem, seed", FULL_STEP_RUNS, ids=["bb1", "bb2", "pb11"])
 def test_accepted_full_steps_carry_their_jacobian(monkeypatch, problem, seed):
-    # one kernel pass per iteration, and three more: D at the start, the
-    # first Jacobian and D at the wrapped phases
+    # one kernel pass per iteration, and at most three more: D at the
+    # start, the first Jacobian and, when the wrap moves a phase, D at
+    # the wrapped phases
     calls = []
 
     def counting(*args):
@@ -648,8 +649,61 @@ def test_polish_from_a_converged_start_takes_no_jacobian(monkeypatch, n):
     monkeypatch.setattr(solver, "residual_rows", counting)
     result = polish(catalog.broadband(n), n)
     assert result.converged and result.iterations_used == 0
-    # D at the start and at the wrapped phases, both by value
+    # D at the start, by value; the stored phases are in [0, 2 pi), so
+    # the wrap moves none and D is not evaluated again
+    assert partials == [False]
+
+
+def _stored_phases(result):
+    """The free phases that the result's sequence stores: the converged
+    phases wrapped into [0, 2 pi)."""
+    x = [g.phi for g in result.sequence.gates[1:]]
+    if result.problem.free_terminal:
+        x.append(result.sequence.terminal_phase)
+    return x
+
+
+@pytest.mark.parametrize("n1, n2, seq", [row[1:] for row in catalog.table_rows("all")],
+                         ids=[row[3].label for row in catalog.table_rows("all")])
+def test_polish_reports_D_at_its_wrapped_phases(n1, n2, seq):
+    result = polish(seq, (n1, n2))
+    assert result.converged
+    assert result.residual_D.hex() == objective_D(result.problem, _stored_phases(result)).hex()
+
+
+#: (family, orders, theta / pi, seed, restarts): the solves of the
+#: synthesize benchmark workload, at angles of its range
+SYNTHESIZE_SOLVES = [
+    (FAMILY_BROADBAND, 1, 0.3, 7, 20), (FAMILY_BROADBAND, 1, 0.1, 11, 20),
+    (FAMILY_PASSBAND, (1, 1), 0.3, 7, 100), (FAMILY_PASSBAND, (1, 1), 0.45, 2, 100),
+    (FAMILY_BROADBAND, 2, 0.15, 1, 10), (FAMILY_BROADBAND, 2, 0.45, 3, 10),
+]
+
+
+@pytest.mark.parametrize("family, orders, theta, seed, restarts", SYNTHESIZE_SOLVES)
+def test_solve_reports_D_at_its_wrapped_phases(family, orders, theta, seed, restarts):
+    config = SolverConfig(rng_seed=seed, max_restarts=restarts)
+    result = solve_with_escalation(family, orders, theta * pi, config)
+    assert result.converged
+    assert result.residual_D.hex() == objective_D(result.problem, _stored_phases(result)).hex()
+
+
+def test_solve_recomputes_D_when_the_wrap_moves_a_phase(monkeypatch):
+    polished = polish(catalog.broadband(3), 3)
+    moved = np.array(_stored_phases(polished)) + 2.0 * pi
+    partials = []
+
+    def counting(*args):
+        partials.append(args[5])
+        return residual_rows(*args)
+
+    monkeypatch.setattr(solver, "residual_rows", counting)
+    config = SolverConfig(max_restarts=1, initial_phases=tuple(moved))
+    result = solve(polished.problem, config)
+    assert result.converged and result.iterations_used == 0
+    # D at the start, then at the wrapped phases
     assert partials == [False, False]
+    assert result.residual_D.hex() == objective_D(result.problem, np.mod(moved, 2.0 * pi)).hex()
 
 
 #: (problem, config, restarts used) stages run by the lockstep solver and
