@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import inf, isfinite
 from typing import Optional
 
 import numpy as np
@@ -117,6 +118,9 @@ def scan(
     reference is exact.
     """
     check_count("steps", steps, 2)
+    if not isfinite(eps_max - eps_min):
+        raise ValidationError("scan bounds must be finite and span a finite width, got "
+                              f"eps_min={eps_min}, eps_max={eps_max}")
     if not eps_min < eps_max:
         raise ValidationError("eps_min must be below eps_max")
     ref = None if reference is None else _reference_block(np.asarray(reference))
@@ -230,8 +234,8 @@ def infidelity_order(
     sequence at solver precision the slope is 2n + 2.
     """
     lo, hi = fit_window
-    if not 0 < lo < hi:
-        raise ValidationError("fit window must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < inf:
+        raise ValidationError(f"fit window must satisfy 0 < lo < hi < inf, got lo={lo}, hi={hi}")
     eps = np.logspace(np.log10(lo), np.log10(hi), 12)
     infid = 1.0 - _fidelities(seq, eps, xi)
     usable = infid > INFIDELITY_FLOOR

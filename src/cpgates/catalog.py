@@ -16,7 +16,7 @@ published decimals and pins the stored phases to them.
 
 from __future__ import annotations
 
-from math import acos, pi, sqrt
+from math import acos, isfinite, pi, sqrt
 
 from .errors import ValidationError
 from .gates import (
@@ -89,10 +89,17 @@ def entry_label(family: str, n1: int, n2: int = 0) -> str:
     return {FAMILY_BROADBAND: f"BB{n1}", FAMILY_PASSBAND: f"PB({n1},{n2})"}.get(family, family)
 
 
+def _finite(theta: float) -> float:
+    """``theta``, when it is a finite target angle; a ValidationError otherwise."""
+    if not isfinite(theta):
+        raise ValidationError(f"target theta must be finite, got {theta}")
+    return theta
+
+
 def single(theta: float = pi / 4) -> CompositeSequence:
     """The uncorrected single gate U(theta, 0)."""
     return CompositeSequence(
-        gates=(PhasedGate(theta, 0.0),),
+        gates=(PhasedGate(_finite(theta), 0.0),),
         target_theta=theta,
         family=FAMILY_SINGLE,
         label="single",
@@ -132,7 +139,7 @@ def _tabulated(family: str, label: str, theta: float) -> CompositeSequence:
 
 def broadband(n: int, theta: float = pi / 4) -> CompositeSequence:
     """Broadband sequence cancelling the relative error to order n (1..6)."""
-    label = entry_label(FAMILY_BROADBAND, n)
+    label, theta = entry_label(FAMILY_BROADBAND, n), _finite(theta)
     if label in _CLOSED_FORMS:
         return _closed_form(FAMILY_BROADBAND, label, theta)
     return _tabulated(FAMILY_BROADBAND, label, theta)
@@ -154,7 +161,7 @@ def passband_chi2(theta: float) -> float:
 
 def passband(n1: int, n2: int, theta: float = pi / 4) -> CompositeSequence:
     """Passband sequence: broadband order n1 at eps=0, order n2 at eps=-1."""
-    label = entry_label(FAMILY_PASSBAND, n1, n2)
+    label, theta = entry_label(FAMILY_PASSBAND, n1, n2), _finite(theta)
     if label in _CHI1_SIGNS:
         c1 = _CHI1_SIGNS[label] * passband_chi1(theta)
         c2 = passband_chi2(theta)

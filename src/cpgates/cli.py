@@ -9,6 +9,11 @@ outputs.
 
 Exit codes: 0 success, 1 validation error, 2 non-convergence or
 truncation-guard failure.
+
+Start-up is most of a run's wall time, so this module loads only numpy
+and ``errors``, and each subcommand imports the modules it runs at the
+top of its ``cmd_*`` function: printing a scan does not load the solver
+or the ion-trap model.
 """
 
 from __future__ import annotations
@@ -23,33 +28,7 @@ from math import pi
 
 import numpy as np
 
-from . import catalog as cat
-from .abserr import wrap_sequence_absolute
-from .analysis import (
-    EPS_LIMIT,
-    band_report,
-    infidelity_order,
-    scan,
-    scan_csv_text,
-    sequence_fidelity,
-    tolerance_band,
-    trace_overlap,
-)
-from .derivatives import broadband_residuals, narrowband_residuals
 from .errors import TruncationError, ValidationError
-from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND, _from_branches, ideal_cphase
-from .iontrap import (
-    _composite_block,
-    _coupling_with_error,
-    _gate_pairs,
-    _leakage,
-    _qubit_gate,
-    ideal_two_pulse_gate,
-    parse_config,
-    rotation_angle,
-)
-from .seqio import read_sequence, sequence_to_csv
-from .solver import SolverConfig, solve_with_escalation
 
 _RESIDUAL_TOL = 1e-10
 _FIDELITY_TOL = 1e-12
@@ -73,6 +52,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_sequence(args):
+    from .seqio import read_sequence
+
     seq = read_sequence(args.seq)
     if getattr(args, "theta_over_pi", None) is not None:
         seq = replace(seq, target_theta=args.theta_over_pi * pi)
@@ -84,6 +65,10 @@ def _load_sequence(args):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
+    from .gates import FAMILY_BROADBAND, FAMILY_PASSBAND
+    from .seqio import sequence_to_csv
+    from .solver import SolverConfig, solve_with_escalation
+
     theta = args.theta_over_pi * pi
     family = {"bb": FAMILY_BROADBAND, "pb": FAMILY_PASSBAND}[args.family]
     orders = args.order if family == FAMILY_BROADBAND else (args.order, args.order2)
@@ -118,6 +103,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import catalog as cat
+    from .analysis import infidelity_order, sequence_fidelity, tolerance_band
+    from .derivatives import broadband_residuals, narrowband_residuals
+    from .gates import FAMILY_BROADBAND
+
     rows = cat.table_rows(args.catalog.removeprefix("table"), args.theta_over_pi * pi)
     failures = 0
     for name, n1, n2, seq in rows:
@@ -147,6 +137,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .analysis import scan, scan_csv_text
+
     seq = _load_sequence(args)
     ref = np.eye(4, dtype=complex) if args.identity_ref else None
     result = scan(seq, args.min, args.max, args.steps, xi=args.xi * pi, reference=ref)
@@ -155,6 +147,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_band(args) -> int:
+    from .analysis import EPS_LIMIT, band_report, tolerance_band
+
     seq = _load_sequence(args)
     band = tolerance_band(seq, threshold=args.threshold)
     if sides := band.sides_at_limit():
@@ -165,6 +159,8 @@ def cmd_band(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .analysis import infidelity_order
+
     seq = _load_sequence(args)
     slope = infidelity_order(seq, (args.wmin, args.wmax), xi=args.xi * pi)
     _emit("order=indeterminate\n" if np.isnan(slope) else "order=%.6g\n" % slope, args.out)
@@ -172,6 +168,9 @@ def cmd_order(args) -> int:
 
 
 def cmd_wrap_abs(args) -> int:
+    from .abserr import wrap_sequence_absolute
+    from .seqio import read_sequence, sequence_to_csv
+
     _emit(sequence_to_csv(wrap_sequence_absolute(read_sequence(args.seq))), args.out)
     return 0
 
@@ -181,6 +180,12 @@ def _matrix_csv(m: np.ndarray) -> str:
 
 
 def cmd_iontrap(args) -> int:
+    from .analysis import trace_overlap
+    from .gates import _from_branches, ideal_cphase
+    from .iontrap import (_composite_block, _coupling_with_error, _gate_pairs, _leakage,
+                          _qubit_gate, ideal_two_pulse_gate, parse_config, rotation_angle)
+    from .seqio import read_sequence
+
     with open(args.config) as fh:
         cfg, eps_g = parse_config(fh.read())
     if args.eps_g is not None:
@@ -207,6 +212,9 @@ def cmd_iontrap(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as cat
+    from .seqio import sequence_to_csv
+
     theta = args.theta_over_pi * pi
     if args.entry:
         _emit(sequence_to_csv(cat.by_name(args.entry, theta)), args.out)
@@ -318,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("catalog", "dump the catalog's sequence tables at full precision")
     p.add_argument("--table", choices=("1", "2", "all"), default="all")
-    p.add_argument("--entry", help="write one entry as a sequence CSV: " + ", ".join(cat.NAMES))
+    p.add_argument("--entry", metavar="NAME",
+                   help="write one entry as a sequence CSV; an unknown NAME lists the entries")
     p.add_argument("--theta-over-pi", type=float, default=0.25)
     p.add_argument("--out")
     p.set_defaults(func=cmd_catalog)

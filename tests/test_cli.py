@@ -11,7 +11,8 @@ import pytest
 
 import cpgates
 from cpgates.analysis import band_report, sequence_fidelity, tolerance_band
-from cpgates import cli, iontrap
+from cpgates import catalog, cli, iontrap
+from cpgates.errors import ValidationError
 from cpgates.cli import build_parser, main
 from cpgates.seqio import read_sequence
 
@@ -321,6 +322,25 @@ def test_non_finite_xi_exit_code(tmp_path, capsys, command):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["scan", "--min", "0", "--max", "inf", "--steps", "5"], "eps_min=0.0, eps_max=inf"),
+    (["scan", "--min", "-1e308", "--max", "1e308", "--steps", "5"],
+     "eps_min=-1e+308, eps_max=1e+308"),
+    (["order", "--wmax", "inf"], "lo=0.001, hi=inf"),
+])
+def test_non_finite_bounds_fail_before_the_grid(tmp_path, argv, named):
+    # an infinite bound, or a span that overflows, is rejected before
+    # numpy builds the grid, so no RuntimeWarning reaches stderr
+    seq_path = tmp_path / "bb1.csv"
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    done = _fresh_run("import sys; from cpgates.cli import main; sys.exit(main(sys.argv[1:]))",
+                      *argv, "--seq", str(seq_path))
+    assert (done.returncode, done.stdout) == (1, "")
+    config, error = done.stderr.splitlines()
+    assert config.startswith("config: ")
+    assert error.startswith("error: ") and error.endswith(named)
+
+
 TRAP_CONFIG = "g = 0.1767766952966369\ndelta = 1.0\ndelta_t = 2.0\nnmax = 25\n"
 
 
@@ -482,13 +502,40 @@ def test_verify_rejects_angle_beyond_closed_form_reach(capsys):
     assert "BB1 has closed-form phases only for |theta| <= pi" in capsys.readouterr().err
 
 
-def _fresh_python(code: str, *args: str) -> str:
-    """Standard output of ``code`` run in a new interpreter on this cpgates."""
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(catalog.NAMES))
+def test_catalog_rejects_non_finite_target(tmp_path, capsys, name, theta):
+    message = f"target theta must be finite, got {float(theta)}"
+    with pytest.raises(ValidationError) as err:
+        catalog.by_name(name, float(theta))
+    assert str(err.value) == message
+    out = tmp_path / "seq.csv"
+    assert main(["catalog", "--entry", name, f"--theta-over-pi={theta}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["catalog", "verify"])
+def test_tables_reject_non_finite_target(capsys, command):
+    assert main([command, "--theta-over-pi", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: target theta must be finite, got nan"
+
+
+def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter on this cpgates, output captured."""
     src = str(Path(cpgates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True)
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this cpgates."""
+    done = _fresh_run(code, *args)
+    done.check_returncode()
     return done.stdout.strip()
 
 
@@ -496,6 +543,63 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     code = ("import sys, cpgates.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
     assert _fresh_python(code) == "[]"
+
+
+#: the cpgates modules that importing the CLI and building its parser load
+PARSER_MODULES = ["cpgates", "cpgates.cli", "cpgates.errors"]
+#: the further modules each command loads: the ones it runs, and no other
+COMMAND_MODULES = {
+    "catalog": (["catalog"], "catalog gates linalg seqio"),
+    "catalog-entry": (["catalog", "--entry", "bb1", "--out", "@out"], "catalog gates linalg seqio"),
+    "scan": (["scan", "--seq", "@seq", "--min", "-1e-3", "--max", "1e-3", "--steps", "3"],
+             "analysis gates linalg seqio"),
+    "band": (["band", "--seq", "@seq"], "analysis gates linalg seqio"),
+    "order": (["order", "--seq", "@seq"], "analysis gates linalg seqio"),
+    "wrap-abs": (["wrap-abs", "--seq", "@seq", "--out", "@out"], "abserr gates linalg seqio"),
+    "verify": (["verify", "--bands"], "analysis catalog derivatives gates linalg"),
+    "solve": (["solve", "--family", "bb", "--order", "1", "--out", "@out"],
+              "catalog derivatives gates linalg seqio solver"),
+    "iontrap-analytic": (["iontrap", "--config", "@trap", "--analytic"],
+                         "analysis gates iontrap linalg seqio"),
+    "iontrap-seq": (["iontrap", "--config", "@trap", "--seq", "@seq", "--out", "@out"],
+                    "analysis gates iontrap linalg seqio"),
+}
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'cpgates')"
+
+
+def test_parser_loads_only_the_cli_and_its_errors():
+    code = f"import sys, cpgates.cli; cpgates.cli.build_parser(); print({_LOADED})"
+    assert _fresh_python(code) == str(PARSER_MODULES)
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES.values(), ids=COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    config, seq_path = tmp_path / "trap.txt", tmp_path / "bb1.csv"
+    config.write_text(TRAP_CONFIG)
+    main(["catalog", "--entry", "bb1", "--out", str(seq_path)])
+    paths = {"@trap": str(config), "@seq": str(seq_path), "@out": str(tmp_path / "out.csv")}
+    code = f"import sys; from cpgates.cli import main; code = main(sys.argv[1:]); print(code, {_LOADED})"
+    printed = _fresh_python(code, *(paths.get(a, a) for a in argv))
+    expected = sorted(PARSER_MODULES + [f"cpgates.{m}" for m in modules.split()])
+    assert printed.splitlines()[-1] == f"0 {expected}"
+
+
+def test_bare_import_resolves_every_public_name_and_submodule():
+    submodules = sorted(p.stem for p in Path(cpgates.__file__).parent.glob("*.py")
+                        if p.stem != "__init__")
+    code = ("import json, sys, cpgates\n"
+            f"bare = {_LOADED}\n"
+            "star = {}\n"
+            "exec('from cpgates import *', star)\n"
+            "print(json.dumps([bare, sorted(star.keys() - {'__builtins__'}),\n"
+            "                  [n for n in cpgates.__all__ if star[n] is not getattr(cpgates, n)],\n"
+            "                  [getattr(cpgates, m).__name__ for m in sys.argv[1:]]]))")
+    bare, star, unbound, modules = json.loads(_fresh_python(code, *submodules))
+    assert bare == ["cpgates"]
+    assert star == sorted(cpgates.__all__)
+    assert unbound == []
+    assert modules == [f"cpgates.{m}" for m in submodules]
+    assert not hasattr(cpgates, "no_such_name")
 
 
 def test_iontrap_composite_leaves_scipy_integrate_unloaded(tmp_path):

@@ -13,7 +13,8 @@ or ``bench``.  Test-only helpers live in ``tests/oracles.py``.
 A reference is a bare name that no enclosing function binds as a
 parameter or assignment target, or an attribute of a cpgates module
 alias (``cat.x``): ``args.entry`` or an ``entry`` parameter does not use
-a function ``entry``.
+a function ``entry``.  A function that imports a name from cpgates
+(``from .x import y`` in its body) uses that name.
 """
 
 import ast
@@ -80,13 +81,21 @@ def _local_names(func):
     return names
 
 
+def _from_cpgates(node):
+    """Whether ``node`` is a ``from ... import`` statement of cpgates names."""
+    return isinstance(node, ast.ImportFrom) and (
+        node.level == 1 or (node.module or "").split(".")[0] == "cpgates")
+
+
 def _references(node, aliases, bound=frozenset()):
     """Names read inside ``node`` that can refer to a module-level
-    definition: a bare name that no enclosing function binds, or an
-    attribute of a cpgates module alias (``cat.x``)."""
+    definition: a bare name that no enclosing function binds, an
+    attribute of a cpgates module alias (``cat.x``), or a name that a
+    function imports from cpgates."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         bound = bound | _local_names(node)
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        found = {a.name for n in ast.walk(node) if _from_cpgates(n) for a in n.names}
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
         found = {node.id}
     elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
         found = {node.attr}
@@ -116,11 +125,11 @@ def _assigned(tree):
 
 
 def _imports(tree):
-    """(module, name) of each name ``tree`` imports at top level from cpgates."""
+    """(module, name) of each name ``tree`` imports from cpgates, at top
+    level or inside a function."""
     return {
         ((node.module or "").rsplit(".", 1)[-1], alias.name)
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        and (node.level == 1 or (node.module or "").split(".")[0] == "cpgates")
+        for node in ast.walk(tree) if _from_cpgates(node)
         for alias in node.names
     }
 
