@@ -18,6 +18,20 @@ vectors, and derivative l is l! times coefficient l.  Phase phi_k enters
 gate k only through e^{-i phi_k}, so the same kernel also gives the exact
 partial derivatives with respect to the phases (the solver's Jacobian).
 
+Several expansion points share one gate loop as column blocks: gate k's
+factor is block-diagonal, point j's C_k in row and column block j of
+the C half and its S_k in the same blocks of the S half, zero
+elsewhere, so the points never mix and the loop is that of one point
+with P times the columns.  Points of different orders are expanded to
+the larger one; a Toeplitz factor is upper-triangular, so coefficient m
+reads only coefficients <= m, and the zero blocks and the padding add
+exact zero terms only: the low orders keep their values (only the sign
+of a zero may differ).  The solver's Jacobian pass of a passband problem
+runs eps = 0 and eps = -1 this way (:func:`phase_partials_stack`).
+Value passes stay one :func:`product_derivative_stack` call per point:
+that function is the seam through which the benchmark's tracer
+(``bench/spans.py``) counts the kernel's calls, rows and products.
+
 The residual conditions have one implementation, :func:`residual_rows`,
 which the solver and :func:`broadband_residuals` /
 :func:`narrowband_residuals` share: it fixes the frame rotation, the
@@ -45,28 +59,39 @@ from .gates import CompositeSequence, _blocks, _embed_blocks
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _taylor_factors(thetas: tuple, l_max: int, at_epsilon: float):
-    """Per-gate Toeplitz factors [C_k | S_k] of shape (G, L, 2L) for the
-    cos and i sin parts (row i, column m holds coefficient m - i), and l!
-    for l < L."""
+def _taylor_factors(thetas: tuple, l_max: int, points: tuple):
+    """Per-gate Toeplitz factors [C_k | S_k] of shape (G, P L, 2 P L),
+    L = l_max + 1, for the cos and i sin parts at the P expansion points:
+    point j's C_k sits in row block j and column block j of the C half,
+    its S_k in row block j and column block j of the S half (row i,
+    column m of a block holds coefficient m - i), and every other entry
+    is zero.  Also gate 0 applied to each point's identity row, (1, 2 P L),
+    and l! for the L coefficients of every point."""
     thetas = np.array(thetas)
-    orders = np.arange(l_max + 1)
+    g, n, p = len(thetas), l_max + 1, len(points)
+    orders = np.arange(n)
     factorials = np.array([float(factorial(l)) for l in orders])
     taylor = thetas[:, None] ** orders / factorials
-    ang = thetas[:, None] * (1.0 + at_epsilon) + orders * (pi / 2)
     lag = orders[None, :] - orders[:, None]
     below, lag = lag < 0, np.maximum(lag, 0)
-    factors = np.concatenate([
-        np.where(below, 0j, (taylor * np.cos(ang))[:, lag]),
-        np.where(below, 0j, (1j * taylor * np.sin(ang))[:, lag]),
-    ], axis=2)
-    factors.flags.writeable = factorials.flags.writeable = False
-    return factors, factorials
+    factors = np.zeros((g, p, n, 2, p, n), dtype=complex)
+    first = np.zeros((2, p, n), dtype=complex)
+    for j, at_epsilon in enumerate(points):
+        ang = thetas[:, None] * (1.0 + at_epsilon) + orders * (pi / 2)
+        factors[:, j, :, 0, j] = np.where(below, 0j, (taylor * np.cos(ang))[:, lag])
+        factors[:, j, :, 1, j] = np.where(below, 0j, (1j * taylor * np.sin(ang))[:, lag])
+        first[:, j] = factors[0, j, 0, :, j]
+    factors = factors.reshape(g, p * n, 2 * p * n)
+    first, factorials = first.reshape(1, 2 * p * n), np.tile(factorials, p)
+    for array in (factors, first, factorials):
+        array.flags.writeable = False
+    return factors, first, factorials
 
 
-def _kernel(thetas, e, l_max: int, at_epsilon: float, keep=None):
-    """Taylor rows (a, b), each (B, l_max+1), of the ordered gate product
-    for per-gate phase factors ``e`` (B, G), scaled to derivatives.
+def _kernel(thetas, e, l_max: int, points: tuple, keep=None):
+    """Taylor rows (a, b), each (B, P, l_max+1), of the ordered gate
+    product at each of the P expansion points ``points``, for per-gate
+    phase factors ``e`` (B, G), scaled to derivatives.
 
     ``keep`` (B, G), when given, weights each gate's C_k part.  Gate k
     enters the product linearly, as C_k + e_k S_k, so zeroing its C_k part
@@ -75,22 +100,22 @@ def _kernel(thetas, e, l_max: int, at_epsilon: float, keep=None):
     """
     if l_max < 0:
         raise ValidationError(f"derivative order must be non-negative, got {l_max}")
-    factors, factorials = _taylor_factors(
-        tuple(map(float, thetas)), int(l_max), float(at_epsilon))
-    batch, n = len(e), l_max + 1
+    factors, first, factorials = _taylor_factors(
+        tuple(map(float, thetas)), int(l_max), tuple(map(float, points)))
+    batch, n = len(e), len(factorials)
     # With S_k purely imaginary, conj(b) S = -conj(b S), so gate k maps
     #   a -> a C + e conj(b S),   b -> b C - e conj(a S),   e = e^{-i phi_k}.
-    # The rows of a and b form one (2B, L) matrix, so that each batch row
-    # goes through the same matrix products whatever B is.
+    # The rows of a and b form one (2B, P L) matrix, so that each batch row
+    # goes through the same matrix products whatever B is; the points'
+    # column blocks do not mix, since the factors are block-diagonal.
     signed = (np.array([1.0, -1.0])[:, None, None] * e)[..., None]
-    first = factors[0, :1]  # gate 0 applied to the identity
     a = np.repeat(first[:, :n], batch, axis=0)
     ab = np.concatenate([a if keep is None else keep[:, :1] * a, e[:, :1] * first[:, n:]])
     for k in range(1, len(factors)):
         y = (ab @ factors[k]).reshape(2, batch, 2 * n)
         c = y[..., :n] if keep is None else keep[:, k, None] * y[..., :n]
         ab = (c + signed[:, :, k] * y[::-1, :, n:].conj()).reshape(2 * batch, n)
-    return ab.reshape(2, batch, n) * factorials
+    return (ab.reshape(2, batch, n) * factorials).reshape(2, batch, len(points), l_max + 1)
 
 
 def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
@@ -102,30 +127,40 @@ def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     (it does not depend on the error).
     """
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    return _blocks(*_kernel(thetas, np.exp(-1j * phis), l_max, at_epsilon))
+    a, b = _kernel(thetas, np.exp(-1j * phis), l_max, (at_epsilon,))
+    return _blocks(a[:, 0], b[:, 0])
 
 
-def phase_partials_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
-    """Derivative blocks of the gate product and of its exact partials
-    with respect to the phases of gates 1..G-1.
+@lru_cache(maxsize=128)
+def _partial_patterns(g: int, batch: int):
+    """Where the phase partials sit in each phase vector's (G, G) block
+    of kernel rows, entries (k, k) for k >= 1, and the C-part weights of
+    all B blocks' rows, (B G, G): 0 at those entries, 1 elsewhere."""
+    diagonal = np.eye(g, dtype=bool)
+    diagonal[0, 0] = False
+    keep = np.tile(np.where(diagonal, 0.0, 1.0), (batch, 1))
+    diagonal.flags.writeable = keep.flags.writeable = False
+    return diagonal, keep
 
-    ``phis`` may be (G,) or (B, G); the result is (B, G, l_max+1, 2, 2)
-    with B = 1 for a flat input.  Entry [b, 0] is
-    ``product_derivative_stack(thetas, phis[b], ...)[0]`` and entry
-    [b, k] its derivative with respect to phis[b, k]: gate k's block
-    C_k + e_k S_k is replaced by its phase derivative -i e_k S_k, all
-    entries of all B phase vectors in one batched kernel pass.
+
+def phase_partials_stack(thetas, phis, l_max: int, points: tuple):
+    """First rows (a, b) of the derivatives 0..l_max of the gate product
+    and of its exact partials with respect to the phases of gates
+    1..G-1, at each of the expansion points ``points``.
+
+    ``phis`` is (B, G); the result is (B, G, P, l_max+1, 2).  Entry
+    [b, 0, j] holds the first rows of
+    ``product_derivative_stack(thetas, phis[b], l_max, points[j])[0]`` and
+    entry [b, k, j] their derivatives with respect to phis[b, k]: gate k's
+    block C_k + e_k S_k is replaced by its phase derivative -i e_k S_k.
+    All entries of all B phase vectors at all points take one kernel pass.
     """
-    phis = np.atleast_2d(np.asarray(phis, dtype=float))
     batch, g = phis.shape
-    e = np.repeat(np.exp(-1j * phis)[:, None, :], g, axis=1)
-    keep = np.ones(e.shape)
-    # entries (k, k), k >= 1, of each phase vector's (G, G) block
-    partials = (slice(None), slice(g + 1, None, g + 1))
-    e.reshape(batch, g * g)[partials] *= -1j
-    keep.reshape(batch, g * g)[partials] = 0.0
-    ab = _kernel(thetas, e.reshape(-1, g), l_max, at_epsilon, keep.reshape(-1, g))
-    return _blocks(*ab).reshape(batch, g, l_max + 1, 2, 2)
+    diagonal, keep = _partial_patterns(g, batch)
+    e = np.exp(-1j * phis)[:, None, :]
+    e = np.where(diagonal, e * -1j, e).reshape(-1, g)
+    ab = _kernel(thetas, e, l_max, points, keep)
+    return ab.transpose(1, 2, 3, 0).reshape(batch, g, len(points), l_max + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +181,10 @@ def derivative_sequence(
 # ---------------------------------------------------------------------------
 # residual conditions
 # ---------------------------------------------------------------------------
+
+#: the frame factor e^{-it} of a frame rotation fixed at t = 0
+_NO_FRAME = np.exp(-1j * np.asarray(0.0))
+
 
 def residual_rows(thetas, phis, terminal, target_theta: float, orders, partials: bool = False):
     """Residual conditions of a batch of phase vectors ``phis`` (B, G)
@@ -169,24 +208,43 @@ def residual_rows(thetas, phis, terminal, target_theta: float, orders, partials:
     -i times the framed eps = 0 rows, 0 for the eps = -1 rows.
     """
     n1, n2 = orders
-    stack = phase_partials_stack if partials else product_derivative_stack
+    if partials:
+        points = (0.0, -1.0) if n2 > 0 else (0.0,)
+        first = phase_partials_stack(thetas, phis, max(n1, n2), points)
+        broad, narrow = first[:, :, 0, : n1 + 1], first[:, :, -1, 1 : n2 + 1]
+        batch, g = first.shape[:2]
+        rows = np.empty((batch, g + (terminal is not None), n1 + n2 + 1, 2), dtype=complex)
+        body = rows[:, :g]
+    else:
+        broad = product_derivative_stack(thetas, phis, n1)[..., 0, :]
+        if n2 > 0:
+            narrow = product_derivative_stack(thetas, phis, n2, at_epsilon=-1.0)[..., 1:, 0, :]
+        body = rows = np.empty((len(broad), n1 + n2 + 1, 2), dtype=complex)
     # the frame rotation diag(e^{-it}, e^{it}) acts on the first row as e^{-it}
-    rows = stack(thetas, phis, n1)[..., 0, :]
-    frame = np.exp(-1j * np.asarray(0.0 if terminal is None else terminal))
-    rows = frame.reshape(frame.shape + (1,) * (rows.ndim - frame.ndim)) * rows
+    frame = _NO_FRAME if terminal is None else np.exp(-1j * np.asarray(terminal))
+    body[..., : n1 + 1, :] = frame.reshape(frame.shape + (1,) * (broad.ndim - frame.ndim)) * broad
     if n2 > 0:
-        narrow = stack(thetas, phis, n2, at_epsilon=-1.0)
-        rows = np.concatenate([rows, narrow[..., 1:, 0, :]], axis=-2)
+        body[..., n1 + 1 :, :] = narrow
     if partials and terminal is not None:
-        dt = np.zeros_like(rows[:, :1])
-        dt[:, :, : n1 + 1] = -1j * rows[:, :1, : n1 + 1]
-        rows = np.concatenate([rows, dt], axis=1)
+        rows[:, g, : n1 + 1] = -1j * rows[:, 0, : n1 + 1]
+        rows[:, g, n1 + 1 :] = 0.0
     value = rows[:, 0] if partials else rows
-    target = np.array([np.cos(target_theta), 1j * np.sin(target_theta)])
-    zero = value[:, :1] - np.array([target, -target])
-    sq = np.sum(zero.view(float) ** 2, axis=2)
-    value[:, 0] = zero[np.arange(len(value)), (sq[:, 1] < sq[:, 0]).astype(int)]
+    zero = value[:, :1] - _signed_targets(float(target_theta).hex())
+    sq = np.add.reduce(zero.view(float) ** 2, axis=2)
+    value[:, 0] = np.where(sq[:, 1:] < sq[:, :1], zero[:, 1], zero[:, 0])
     return rows
+
+
+@lru_cache(maxsize=64)
+def _signed_targets(bits: str):
+    """First rows of +U(target) and -U(target), (2, 2), for the target
+    angle float.fromhex(bits); keyed by the bits, because 0.0 and -0.0
+    are one key and their sines differ in sign."""
+    theta = float.fromhex(bits)
+    target = np.array([np.cos(theta), 1j * np.sin(theta)])
+    signed = np.array([target, -target])
+    signed.flags.writeable = False
+    return signed
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ eigenprojectors as dense kron products, 4x4 products
 gate by gate (the two-gate absolute-error composite among them),
 single-gate derivatives from the shifted-angle closed form
 and the explicit multinomial sum over them, the 4x4 Leibniz recursion
-and the solver residuals built from it, the closed-form low narrowband
+and the solver residuals built from it, the residual partials with one
+kernel pass per expansion point, the closed-form low narrowband
 conditions, the solver Jacobian by central differences, the Newton step
 ladder one candidate at a time and the solver's restarts one after
 another, the band search as a scalar march one grid point at a time, the
@@ -40,6 +41,7 @@ from scipy.optimize import brentq
 from cpgates import catalog
 from cpgates.abserr import AbsoluteComposite
 from cpgates.analysis import sequence_fidelity
+from cpgates.derivatives import _kernel
 from cpgates.errors import ValidationError
 from cpgates.gates import (
     FAMILY_BROADBAND, FAMILY_PASSBAND, CompositeSequence, PhasedGate, _blocks, distorted_theta, ideal_cphase, phase_gate,
@@ -308,6 +310,44 @@ def leibniz_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
             new[:, m] = acc
         p = new
     return p
+
+
+def phase_partials_per_point(thetas, phis, l_max: int, at_epsilon: float):
+    """(B, G, l_max+1, 2, 2) derivative blocks of the gate product at one
+    expansion point and of its partials with respect to the phases of
+    gates 1..G-1: the (G, G) rows of each phase vector built afresh, with
+    gate k's e_k times -i and its C_k part zeroed in row k."""
+    phis = np.atleast_2d(np.asarray(phis, dtype=float))
+    batch, g = phis.shape
+    e = np.repeat(np.exp(-1j * phis)[:, None, :], g, axis=1)
+    keep = np.ones(e.shape)
+    partials = (slice(None), slice(g + 1, None, g + 1))
+    e.reshape(batch, g * g)[partials] *= -1j
+    keep.reshape(batch, g * g)[partials] = 0.0
+    a, b = _kernel(thetas, e.reshape(-1, g), l_max, (at_epsilon,), keep.reshape(-1, g))
+    return _blocks(a[:, 0], b[:, 0]).reshape(batch, g, l_max + 1, 2, 2)
+
+
+def residual_partials_per_point(thetas, phis, terminal, target_theta, orders):
+    """``residual_rows(..., partials=True)`` with one kernel pass per
+    expansion point, each of its own order: eps = 0 to n1, then eps = -1
+    to n2, joined after the passes."""
+    n1, n2 = orders
+    rows = phase_partials_per_point(thetas, phis, n1, 0.0)[..., 0, :]
+    frame = np.exp(-1j * np.asarray(0.0 if terminal is None else terminal))
+    rows = frame.reshape(frame.shape + (1,) * (rows.ndim - frame.ndim)) * rows
+    if n2 > 0:
+        narrow = phase_partials_per_point(thetas, phis, n2, -1.0)
+        rows = np.concatenate([rows, narrow[..., 1:, 0, :]], axis=-2)
+    if terminal is not None:
+        dt = np.zeros_like(rows[:, :1])
+        dt[:, :, : n1 + 1] = -1j * rows[:, :1, : n1 + 1]
+        rows = np.concatenate([rows, dt], axis=1)
+    target = np.array([np.cos(target_theta), 1j * np.sin(target_theta)])
+    zero = rows[:, 0, :1] - np.array([target, -target])
+    sq = np.sum(zero.view(float) ** 2, axis=2)
+    rows[:, 0, 0] = zero[np.arange(len(rows)), (sq[:, 1] < sq[:, 0]).astype(int)]
+    return rows
 
 
 def residual_matrices_4x4(problem, x_batch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from math import pi
 
@@ -10,6 +10,7 @@ from cpgates.derivatives import (
     derivative_sequence,
     narrowband_residuals,
     product_derivative_stack,
+    residual_rows,
 )
 from cpgates.errors import ValidationError
 from cpgates.gates import (
@@ -27,6 +28,7 @@ from oracles import (
     gate_product_propagator,
     leibniz_derivative_stack,
     reduced_narrowband_conditions,
+    residual_partials_per_point,
 )
 
 
@@ -272,3 +274,37 @@ def test_stack_of_flat_phases_is_one_batch_row():
 def test_stack_rejects_negative_order():
     with pytest.raises(ValidationError):
         product_derivative_stack([0.5], [0.0], -1)
+
+
+# --- expansion points as column blocks of one Jacobian pass -----------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gates=st.integers(2, 16),
+    orders=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    batch=st.integers(1, 17),
+    terminal=st.booleans(),
+    data=st.data(),
+)
+@example(gates=3, orders=(2, 1), batch=1, terminal=False, data=None)
+@example(gates=9, orders=(1, 3), batch=5, terminal=True, data=None)
+def test_stacked_partials_equal_per_point_passes(gates, orders, batch, terminal, data):
+    # the points share one gate loop, the shorter expansion padded with
+    # exact zero terms: the values are equal, only the sign of a zero may differ
+    if data is None:
+        rng = np.random.default_rng(gates)
+        thetas = rng.uniform(-2 * pi, 2 * pi, gates)
+        phis = rng.uniform(0.0, 2 * pi, (batch, gates))
+        terminal_phases = rng.uniform(0.0, 2 * pi, batch)
+    else:
+        uniform = st.floats(0.0, 2 * pi)
+        thetas = data.draw(st.lists(st.floats(-2 * pi, 2 * pi), min_size=gates, max_size=gates))
+        phis = np.array(data.draw(st.lists(uniform, min_size=batch * gates,
+                                           max_size=batch * gates))).reshape(batch, gates)
+        terminal_phases = np.array(data.draw(st.lists(uniform, min_size=batch, max_size=batch)))
+    terminal_phases = terminal_phases if terminal else None
+    target = 0.3 * pi
+    stacked = residual_rows(thetas, phis, terminal_phases, target, orders, partials=True)
+    reference = residual_partials_per_point(thetas, phis, terminal_phases, target, orders)
+    assert stacked.shape == (batch, gates + terminal, sum(orders) + 1, 2)
+    assert np.array_equal(stacked, reference)

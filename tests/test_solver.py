@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from math import acos, ceil, pi
 from pathlib import Path
 
-from cpgates import catalog, solver
+from cpgates import catalog, derivatives, solver
 from cpgates.derivatives import (
     broadband_residuals, narrowband_residuals, product_derivative_stack, residual_rows,
 )
@@ -289,6 +289,15 @@ def test_passband_escalation_pb11():
     assert result.attempted_gate_counts == (3,)
     assert abs(result.sequence.total_angle() - (2 * pi + TH)) < 1e-12
     assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["pb11_seed3"]
+
+
+@pytest.mark.parametrize("orders", [(2, 1), (1, 2), (1, 3)], ids=["pb21", "pb12", "pb13"])
+def test_passband_escalation_with_unequal_orders(orders):
+    # the Jacobian pass expands both points to max(n1, n2); these goldens
+    # were captured while each point had a kernel pass of its own order
+    result = solve_with_escalation(FAMILY_PASSBAND, orders, 0.3 * pi, SolverConfig(rng_seed=7))
+    assert result.converged
+    assert sequence_to_csv(result.sequence) == GOLDEN_ESCALATION["pb%d%d_seed7" % orders]
 
 
 # --- the rank of the residual conditions and the ladders ---------------------
@@ -638,6 +647,32 @@ def test_accepted_full_steps_carry_their_jacobian(monkeypatch, problem, seed):
     assert len(calls) <= result.iterations_used + 3
 
 
+@pytest.mark.parametrize("problem", [passband_problem(1, 1, TH, 2),
+                                     passband_problem(2, 1, TH, 6, shape="half-pi chain")],
+                         ids=["pb11", "pb21"])
+def test_passband_jacobian_pass_is_one_kernel_pass(monkeypatch, problem):
+    # a Jacobian pass carries eps = 0 and eps = -1 through one gate loop;
+    # a value pass keeps one kernel pass per point
+    partials, points = [], []
+    kernel = derivatives._kernel
+
+    def counting_rows(*args):
+        partials.append(args[5])
+        return residual_rows(*args)
+
+    def counting_kernel(*args):
+        points.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "residual_rows", counting_rows)
+    monkeypatch.setattr(derivatives, "_kernel", counting_kernel)
+    solve(problem, SolverConfig(rng_seed=7, max_restarts=3))
+    jacobians, values = partials.count(True), partials.count(False)
+    assert jacobians >= 2 and values >= 2
+    assert len(points) == jacobians + 2 * values
+    assert points.count((0.0, -1.0)) == jacobians
+
+
 @pytest.mark.parametrize("n", [3, 6])
 def test_polish_from_a_converged_start_takes_no_jacobian(monkeypatch, n):
     partials = []
@@ -652,6 +687,26 @@ def test_polish_from_a_converged_start_takes_no_jacobian(monkeypatch, n):
     # D at the start, by value; the stored phases are in [0, 2 pi), so
     # the wrap moves none and D is not evaluated again
     assert partials == [False]
+
+
+def test_generator_is_made_at_the_first_draw(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    # polish and a seeded one-restart solve draw nothing
+    polished = polish(catalog.broadband(3), 3)
+    config = SolverConfig(max_restarts=1, initial_phases=tuple(_stored_phases(polished)))
+    assert solve(polished.problem, config).converged
+    assert made == []
+    # a seeded restart 0 that fails makes the generator for the next round
+    config = SolverConfig(rng_seed=5, max_restarts=3, initial_phases=(0.0,) * 6)
+    solve(broadband_problem(3, TH, 6), config)
+    assert made == [5]
 
 
 def _stored_phases(result):
