@@ -13,9 +13,11 @@ r = (diag(R_00 + R_11) + offdiag(R_01 + R_10))/2, e^{i theta sigma_x} for U(thet
 
 Scan CSV cells are exactly ``'%.17g' % value``.  They are converted a
 whole column at a time (:func:`_format_g17`): an exact double-double
-product yields the 17 digits, and table lookups lay them out.  Zeros,
-non-finite values, |x| outside [1e-30, 1e30) and values within the
-proven error bound of a rounding tie go through ``%`` itself.
+product yields the 17 digits, and table lookups lay them out in 32-byte
+cells with the point beside the first digit.  Zeros, non-finite values,
+|x| outside [1e-30, 1e30), 10 <= |x| < 1e17 (where the point falls
+inside the digits) and values within the proven error bound of a
+rounding tie go through ``%`` itself.
 """
 
 from __future__ import annotations
@@ -304,42 +306,32 @@ def _g17_digit_tables():
 def _g17_layout_tables():
     """Tables of :func:`_g17_cells`, built on first use.
 
-    * per decimal exponent X in [K_MIN, K_MAX + 1] of the printed value:
-      the digits before the point (``%g`` uses fixed notation for
-      -4 <= X < 17), the head word ("0." and -X-1 zeros in bytes 2-6
-      for X < 0 in fixed notation) and the exponent word ("e+dd" or
-      "e-dd", NULs in fixed notation);
-    * the head words of a minus sign (byte 1) and of each first digit
-      (byte 7);
-    * the words "_d_d_d_d" of 0..9999 (NUL, digit, ...);
-    * for keep = 0..17, the four words that pass digits 1 .. keep-1.
+    * the head words (step 3 of :func:`_format_g17`) by printed decimal
+      exponent X in [K_MIN, K_MAX + 1], sign, first digit and whether
+      more digits follow; "0.000" is cut to "0." and -X-1 zeros;
+    * the exponent words ("e+dd" or "e-dd", NULs in fixed notation);
+    * the 4-byte words "dddd" of 0..9999;
+    * for keep = 0..17, the two words that pass digits 1 .. keep-1.
     """
     X = np.arange(_G17_K_MIN, _G17_K_MAX + 2)
-    fixed = (X >= -4) & (X < 17)
-    before_point = np.where(fixed, np.maximum(X + 1, 0), 1)
-    head = np.zeros((len(X), 8), np.uint8)
-    prefix = np.where(fixed & (X < 0), 1 - X, 0)  # length of "0.00..."
-    head[:, 2:7] = np.where(np.arange(5) < prefix[:, None], np.frombuffer(b"0.000", np.uint8), 0)
-    minus = np.zeros(8, np.uint8)
-    minus[1] = ord("-")
-    first = np.zeros((10, 8), np.uint8)
-    first[:, 7] = 48 + np.arange(10)
+    prefix = np.where((X >= -4) & (X < 0), 1 - X, 0)  # length of "0.00..."
+    head = np.zeros((len(X), 2, 10, 2, 8), np.uint8)  # X, minus, first digit, more
+    head[..., 2:7] = np.where(np.arange(5) < prefix[:, None], np.frombuffer(b"0.000", np.uint8),
+                              0)[:, None, None, None]
+    head[:, 1, ..., 1] = ord("-")
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)[:, None]
+    head[prefix > 0, ..., 7] = ascii_digits
+    head[prefix == 0, ..., 6] = ascii_digits
+    head[prefix == 0, :, :, 1, 7] = ord(".")
     exponent = np.zeros((len(X), 8), np.uint8)
     exponent[:, :4] = np.stack([np.full(len(X), ord("e")), np.where(X < 0, ord("-"), ord("+")),
                                 48 + abs(X) // 10, 48 + abs(X) % 10], axis=1)
-    exponent[fixed] = 0
-    quads = np.zeros((10000, 8), np.uint8)
-    ascii_digits = np.arange(48, 58, dtype=np.uint8)
-    by_place = quads.reshape(10, 10, 10, 10, 8)
-    by_place[..., 1] = ascii_digits[:, None, None, None]
-    by_place[..., 3] = ascii_digits[:, None, None]
-    by_place[..., 5] = ascii_digits[:, None]
-    by_place[..., 7] = ascii_digits
-    digit = np.arange(32) // 2 + 1  # digit i sits in byte 2i - 1 of words 1-4
-    masks = np.where((np.arange(32) % 2 == 1) & (digit < np.arange(18)[:, None]), 255, 0)
-    masks = masks.astype(np.uint8).reshape(18, 4, 8)
-    return (before_point, _words(head), _words(minus), _words(first), _words(exponent),
-            _words(quads), _words(masks))
+    exponent[(X >= -4) & (X < 17)] = 0
+    n = np.arange(10000)[:, None]
+    quads = (48 + n // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
+    masks = np.where(np.arange(1, 17) < np.arange(18)[:, None], 255, 0).astype(np.uint8)
+    return (head.view(np.uint64).ravel(), _words(exponent), quads.view(np.uint32)[:, 0],
+            masks.view(np.uint64))
 
 
 def _g17_digits(x: np.ndarray):
@@ -389,29 +381,27 @@ def _g17_digits(x: np.ndarray):
 
 
 def _g17_cells(values: np.ndarray, separators: str) -> np.ndarray:
-    """Step 3 of :func:`_format_g17`: one row of six 64-bit words per
+    """Step 3 of :func:`_format_g17`: one row of four 64-bit words per
     value, as bytes."""
-    before_point, head, minus, first, exponent, quads, masks = _g17_layout_tables()
+    head, exponent, quads, masks = _g17_layout_tables()
     x = np.asarray(values, dtype=float)
     rows, cols = x.shape
     x = x.ravel()
     ok, k, lead, groups, significant = _g17_digits(x)
-    whole = before_point[k]
-    keep = np.maximum(significant, whole)
+    ok &= (k < 1 - _G17_K_MIN) | (k > 16 - _G17_K_MIN)  # 1 <= X <= 16: the point is inside
     sep = np.zeros((cols, 8), np.uint8)
     sep[:, 0] = np.frombuffer(separators.encode("ascii"), np.uint8)
-    out = np.empty((len(x), 6), np.uint64)
-    out[:, 0] = ((head[k] | np.where(x < 0, minus, 0) | first[lead])
-                 .reshape(rows, cols) | sep.view(np.uint64)[:, 0]).ravel()
-    out[:, 1:5] = quads.take(groups)
-    out[:, 1:5] &= masks.take(keep, axis=0)
-    out[:, 5] = exponent[k]
+    out = np.empty((len(x), 4), np.uint64)
+    # the head word of (X, minus, first digit, more digits)
+    out.reshape(rows, cols, 4)[..., 0] = head.take(
+        ((k * 2 + (x < 0)) * 10 + lead) * 2 + (significant > 1)).reshape(rows, cols) | _words(sep)
+    out.view(np.uint32)[:, 2:6] = quads.take(groups)
+    out[:, 1:3] &= masks.take(significant, axis=0)
+    out[:, 3] = exponent.take(k)
     out = out.view(np.uint8)
-    point = np.flatnonzero((keep > whole) & (whole > 0))
-    out.ravel()[point * out.shape[1] + 6 + 2 * whole[point]] = ord(".")
     fallback = np.flatnonzero(~ok)
-    text = np.array(["%.17g" % v for v in x[fallback].tolist()], dtype="S47")
-    out[fallback, 1:] = text.view(np.uint8).reshape(-1, 47)
+    text = np.array(["%.17g" % v for v in x[fallback].tolist()], dtype="S31")
+    out[fallback, 1:] = text.view(np.uint8).reshape(-1, 31)
     return out
 
 
@@ -431,16 +421,23 @@ def _format_g17(values: np.ndarray, separators: str) -> str:
        fixed precision from the same kind of bound).
     3. The 17-digit integer, split as 9 + 8 digits in exact double
        arithmetic (10^17 carries into k + 1), is cut into groups of 1, 4,
-       4, 4 and 4 digits.  Each cell fills six 64-bit words by ``%g``'s
-       rules, from tables indexed by X and by digit group: separator,
-       sign, "0.000" prefix and first digit, then digits 1-16 each after
-       a point slot, then the exponent.  Trailing zeros and unused slots
-       are NUL, and ``bytes.translate`` drops every NUL.
+       4, 4 and 4 digits.  Each cell fills four 64-bit words (32 bytes)
+       by ``%g``'s rules, from tables indexed by the printed exponent X
+       and by digit group.  Word 0 holds the separator, the sign and
+       either "0.000" and the first digit (fixed notation, -4 <= X < 0)
+       or the first digit and, when more digits are significant, the
+       point (X = 0, or scientific notation, X < -4 or X >= 17).  Words
+       1-2 hold digits 1-16 as 4-byte words and word 3 the exponent.
+       Trailing zeros and unused bytes are NUL, and ``bytes.translate``
+       drops every NUL.
 
-    Zeros, non-finite values, |x| outside [1e-30, 1e30) and values whose
+    Zeros, non-finite values, |x| outside [1e-30, 1e30), values whose
     fraction lies within ``_G17_TIE_MARGIN`` of 1/2 (exact ties such as
-    2^-25 among them) are formatted by ``%`` itself, so every byte
-    equals the per-value loop's.
+    2^-25 among them) and fixed notation with 1 <= X <= 16, that is
+    10 <= |x| < 1e17 after rounding, where the point falls inside the
+    digits, are formatted by ``%`` itself, so every byte equals the
+    per-value loop's.  Fidelities and infidelities never reach that last
+    case, and grid points only for scan bounds of magnitude 10 or more.
     """
     return _g17_cells(values, separators).tobytes().translate(None, b"\0").decode("ascii")
 

@@ -448,22 +448,23 @@ def solve(
 
 @dataclass(frozen=True)
 class Shape:
-    """A gate-angle skeleton short of its chain length: gate 0 is the
-    target gate plus ``lead`` with the fixed phase ``phi0``, followed by a
-    chain of ``chain`` gates; ``free_terminal`` makes the terminal frame
-    rotation an unknown.  ``name`` labels the stage in solver logs."""
+    """A gate-angle skeleton short of its chain length: gate 0 has the
+    fixed phase ``phi0`` and is followed by a chain of ``chain`` gates;
+    ``free_terminal`` makes the terminal frame rotation an unknown.  Gate
+    0 is the target gate, or with ``phi0`` = pi the target gate merged
+    with one chain gate: the rotation theta - chain, that is chain -
+    theta at the phase pi.  ``name`` labels the stage in solver logs."""
 
     name: str
     chain: float
-    lead: float = 0.0
     phi0: float = 0.0
     free_terminal: bool = False
 
     def problem(self, family: str, orders: tuple[int, int], target_theta: float,
                 m: int) -> SolverProblem:
         """The problem of this shape with a chain of ``m`` gates."""
-        # a zero lead keeps the sign of a zero target
-        first = target_theta + self.lead if self.lead else target_theta
+        # a plain shape keeps the sign of a zero target
+        first = self.chain - target_theta if self.phi0 == pi else target_theta
         return SolverProblem(
             family=family, orders=orders, target_theta=target_theta,
             thetas=(first,) + (self.chain,) * m, phi0=self.phi0,
@@ -481,9 +482,10 @@ _PI_CHAIN = Shape("pi chain", pi)
 #: into the target gate, which then carries the phase pi; this keeps the
 #: published total angles minimal.  A plain pi/2 chain needs an even
 #: count for the zero-order condition to be solvable, a merged one an odd
-#: count.  Passband is ordered by total angle, with two ties: the 6
-#: half-pi gates go before the 3 pi gates (theta + 3 pi), and the 4 pi
-#: gates before the 8 half-pi gates (theta + 4 pi).
+#: count.  Passband is ordered by total angle, with one tie: the 4 pi
+#: gates go before the 8 half-pi gates (theta + 4 pi).  Plain chains of
+#: 3 and 5 pi gates are left out: no order that reaches them converged
+#: there (0 of 2000 restarts for PB(2,2), PB(2,3) and PB(3,3)).
 LADDERS = {
     FAMILY_BROADBAND: (
         (Shape("half-pi chain + free terminal", HALF, free_terminal=True), 2),
@@ -491,8 +493,8 @@ LADDERS = {
         (_HALF_CHAIN_SHORT, 9), (_HALF_CHAIN_SHORT, 11), (_HALF_CHAIN_SHORT, 13),
     ),
     FAMILY_PASSBAND: (
-        (_PI_CHAIN, 2), (_HALF_CHAIN, 6), (_PI_CHAIN, 3), (_PI_CHAIN, 4), (_HALF_CHAIN, 8),
-        (_PI_CHAIN, 5), (Shape("pi chain, leading gates merged", pi, lead=HALF, phi0=pi), 5),
+        (_PI_CHAIN, 2), (_HALF_CHAIN, 6), (_PI_CHAIN, 4), (_HALF_CHAIN, 8),
+        (Shape("pi chain, leading gates merged", pi, phi0=pi), 5),
     ),
 }
 

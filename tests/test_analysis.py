@@ -129,6 +129,14 @@ def _percent_g17(values) -> str:
 @example(1 - 2.0**-53)
 @example(-2.220446049250313e-16)
 @example(1e-14)  # below 10^-14, its 17 digits round up to 10^17
+@example(9.9999999999999982)  # the largest cell laid out at X = 0; 10.0 goes to %
+@example(10.0)
+@example(1e16)
+@example(1e17)  # the first X of scientific notation above the point-inside range
+@example(1e-5)
+@example(1.5e-4)
+@example(-0.1)
+@example(1.0000000000000002)
 def test_format_g17_matches_percent(x):
     assert _format_g17(np.array([[x]]), ",") == _percent_g17([x])
 
@@ -144,6 +152,19 @@ def test_format_g17_sweep():
     x = np.concatenate([bits, window.view(np.float64), rng.uniform(0.0, 1.0, 25_000), tiny])
     x = x[np.isfinite(x)]
     assert _format_g17(x[:, None], ",") == _percent_g17(x.tolist())
+
+
+def test_format_g17_scan_rows_sweep():
+    # (N, 3) rows with the scan's separators: grid points of every size
+    # the kernel lays out or leaves to %, fidelities and infidelities
+    rng = np.random.default_rng(36)
+    n = 20_000
+    eps = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 20, n)
+    eps[rng.random(n) < 0.05] = 0.0
+    f = rng.uniform(0.0, 1.0, n) ** rng.choice([1.0, 1e-9, 1e9], n)
+    cells = np.column_stack([eps, f, 1.0 - f])
+    want = "".join("\n" + ",".join(map("%.17g".__mod__, row)) for row in cells.tolist())
+    assert _format_g17(cells, "\n,,") == want
 
 
 def test_tolerance_band_single_gate():
