@@ -26,11 +26,9 @@ with P times the columns.  Points of different orders are expanded to
 the larger one; a Toeplitz factor is upper-triangular, so coefficient m
 reads only coefficients <= m, and the zero blocks and the padding add
 exact zero terms only: the low orders keep their values (only the sign
-of a zero may differ).  The solver's Jacobian pass of a passband problem
-runs eps = 0 and eps = -1 this way (:func:`phase_partials_stack`).
-Value passes stay one :func:`product_derivative_stack` call per point:
-that function is the seam through which the benchmark's tracer
-(``bench/spans.py``) counts the kernel's calls, rows and products.
+of a zero may differ).  Every residual evaluation, values or Jacobian,
+is one such gate loop over its expansion points: eps = 0, and eps = -1
+for a passband problem.
 
 The residual conditions have one implementation, :func:`residual_rows`,
 which the solver and :func:`broadband_residuals` /
@@ -46,11 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, pi
+from math import factorial, isfinite, pi
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .gates import CompositeSequence, _blocks, _embed_blocks
 
 
@@ -126,6 +124,8 @@ def product_derivative_stack(thetas, phis, l_max: int, at_epsilon: float = 0.0):
     B = 1 for a flat input.  The terminal frame rotation is not included
     (it does not depend on the error).
     """
+    if not isfinite(at_epsilon):
+        raise ValidationError(f"at_epsilon must be finite, got {at_epsilon}")
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     a, b = _kernel(thetas, np.exp(-1j * phis), l_max, (at_epsilon,))
     return _blocks(a[:, 0], b[:, 0])
@@ -141,26 +141,6 @@ def _partial_patterns(g: int, batch: int):
     keep = np.tile(np.where(diagonal, 0.0, 1.0), (batch, 1))
     diagonal.flags.writeable = keep.flags.writeable = False
     return diagonal, keep
-
-
-def phase_partials_stack(thetas, phis, l_max: int, points: tuple):
-    """First rows (a, b) of the derivatives 0..l_max of the gate product
-    and of its exact partials with respect to the phases of gates
-    1..G-1, at each of the expansion points ``points``.
-
-    ``phis`` is (B, G); the result is (B, G, P, l_max+1, 2).  Entry
-    [b, 0, j] holds the first rows of
-    ``product_derivative_stack(thetas, phis[b], l_max, points[j])[0]`` and
-    entry [b, k, j] their derivatives with respect to phis[b, k]: gate k's
-    block C_k + e_k S_k is replaced by its phase derivative -i e_k S_k.
-    All entries of all B phase vectors at all points take one kernel pass.
-    """
-    batch, g = phis.shape
-    diagonal, keep = _partial_patterns(g, batch)
-    e = np.exp(-1j * phis)[:, None, :]
-    e = np.where(diagonal, e * -1j, e).reshape(-1, g)
-    ab = _kernel(thetas, e, l_max, points, keep)
-    return ab.transpose(1, 2, 3, 0).reshape(batch, g, len(points), l_max + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -203,36 +183,35 @@ def residual_rows(thetas, phis, terminal, target_theta: float, orders, partials:
 
     With ``partials`` the result is (B, G, n1 + n2 + 1, 2): [b, 0] the
     residual rows and [b, k] their exact partials with respect to
-    phis[b, k] (k = 1..G-1, from :func:`phase_partials_stack`).  Given
-    terminal phases, [b, G] follows, the partials with respect to them:
-    -i times the framed eps = 0 rows, 0 for the eps = -1 rows.
+    phis[b, k] (k = 1..G-1): gate k's block C_k + e_k S_k is replaced by
+    its phase derivative -i e_k S_k.  Given terminal phases, [b, G]
+    follows, the partials with respect to them: -i times the framed
+    eps = 0 rows, 0 for the eps = -1 rows.  Either way all rows of all B
+    phase vectors at every expansion point take one kernel pass.
     """
     n1, n2 = orders
+    batch, g = phis.shape
+    e, keep = np.exp(-1j * phis), None
     if partials:
-        points = (0.0, -1.0) if n2 > 0 else (0.0,)
-        first = phase_partials_stack(thetas, phis, max(n1, n2), points)
-        broad, narrow = first[:, :, 0, : n1 + 1], first[:, :, -1, 1 : n2 + 1]
-        batch, g = first.shape[:2]
-        rows = np.empty((batch, g + (terminal is not None), n1 + n2 + 1, 2), dtype=complex)
-        body = rows[:, :g]
-    else:
-        broad = product_derivative_stack(thetas, phis, n1)[..., 0, :]
-        if n2 > 0:
-            narrow = product_derivative_stack(thetas, phis, n2, at_epsilon=-1.0)[..., 1:, 0, :]
-        body = rows = np.empty((len(broad), n1 + n2 + 1, 2), dtype=complex)
+        diagonal, keep = _partial_patterns(g, batch)
+        e = np.where(diagonal, e[:, None] * -1j, e[:, None]).reshape(-1, g)
+    ab = _kernel(thetas, e, max(n1, n2), (0.0, -1.0) if n2 > 0 else (0.0,), keep)
+    # first rows (a, b) per point, (B, G or 1, P, max(n1, n2) + 1, 2)
+    width = g if partials else 1
+    first = ab.transpose(1, 2, 3, 0).reshape(batch, width, *ab.shape[2:], 2)
+    framed = partials and terminal is not None
+    rows = np.empty((batch, width + framed, n1 + n2 + 1, 2), dtype=complex)
     # the frame rotation diag(e^{-it}, e^{it}) acts on the first row as e^{-it}
     frame = _NO_FRAME if terminal is None else np.exp(-1j * np.asarray(terminal))
-    body[..., : n1 + 1, :] = frame.reshape(frame.shape + (1,) * (broad.ndim - frame.ndim)) * broad
-    if n2 > 0:
-        body[..., n1 + 1 :, :] = narrow
-    if partials and terminal is not None:
+    rows[:, :width, : n1 + 1] = frame.reshape(-1, 1, 1, 1) * first[:, :, 0, : n1 + 1]
+    rows[:, :width, n1 + 1 :] = first[:, :, -1, 1 : n2 + 1]
+    if framed:
         rows[:, g, : n1 + 1] = -1j * rows[:, 0, : n1 + 1]
         rows[:, g, n1 + 1 :] = 0.0
-    value = rows[:, 0] if partials else rows
-    zero = value[:, :1] - _signed_targets(float(target_theta).hex())
+    zero = rows[:, 0, :1] - _signed_targets(float(target_theta).hex())
     sq = np.add.reduce(zero.view(float) ** 2, axis=2)
-    value[:, 0] = np.where(sq[:, 1:] < sq[:, :1], zero[:, 1], zero[:, 0])
-    return rows
+    rows[:, 0, 0] = np.where(sq[:, 1:] < sq[:, :1], zero[:, 1], zero[:, 0])
+    return rows if partials else rows[:, 0]
 
 
 @lru_cache(maxsize=64)
@@ -276,9 +255,9 @@ class ResidualVector:
 
 
 def _residual_vector(seq: CompositeSequence, n1: int, n2: int) -> ResidualVector:
-    if min(n1, n2) < 0:
-        raise ValidationError("order must be non-negative")
-    rows = residual_rows(seq.thetas(), seq.phis(), seq.terminal_phase, seq.target_theta, (n1, n2))
+    check_count("order", n1, 0)
+    check_count("order", n2, 0)
+    rows = residual_rows(seq.thetas(), seq.phis()[None], seq.terminal_phase, seq.target_theta, (n1, n2))
     return ResidualVector(rows[0], max(1.0, seq.total_angle()))
 
 

@@ -41,12 +41,18 @@ FAMILY_PASSBAND = "passband"
 FAMILY_COMBINED = "combined"
 
 
+def _check_angles(*angles) -> None:
+    """Raise ValidationError unless every angle is finite."""
+    for phi in angles:
+        if not isfinite(phi):
+            raise ValidationError(f"angle must be finite, got {phi}")
+
+
 def canonical_angle(phi: float) -> float:
     """Map an angle to the canonical representative in [0, 2*pi).
 
     Python's float ``%`` is ``np.mod`` bit for bit, without a numpy scalar."""
-    if not isfinite(phi):
-        raise ValidationError(f"angle must be finite, got {phi}")
+    _check_angles(phi)
     angle = float(phi) % TWO_PI
     # a tiny negative angle rounds up to 2*pi itself
     return 0.0 if angle == TWO_PI else angle
@@ -130,6 +136,7 @@ def phase_gate(phi: float, qubit: int = 2) -> np.ndarray:
     """Single-qubit frame rotation exp(-i phi sigma_z) on the selected qubit."""
     if qubit not in (1, 2):
         raise ValidationError(f"qubit must be 1 or 2, got {qubit}")
+    _check_angles(phi)
     f = np.array([[np.exp(-1j * phi), 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
     if qubit == 1:
         return np.kron(f, IDENTITY_2)
@@ -222,6 +229,7 @@ def convert_phase_conventions(varphis) -> tuple[list[float], float]:
     identity, and both realizations produce identical propagators.
     """
     varphis = [float(v) for v in varphis]
+    _check_angles(*varphis)
     cumulative = np.cumsum(varphis) if varphis else np.array([])
     phis = [-2.0 * c for c in cumulative]
     terminal = float(sum(varphis))
@@ -238,6 +246,7 @@ def interleaved_from_phases(phis, terminal: float, tol: float = 1e-9) -> list[fl
         (the interleaved realization fixes terminal = -phis[-1]/2).
     """
     phis = [float(p) for p in phis]
+    _check_angles(*phis, terminal)
     if not phis:
         if abs(terminal) > tol:
             raise ValidationError("empty phase list requires zero terminal phase")

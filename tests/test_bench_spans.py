@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cpgates import derivatives, iontrap, solver
+from cpgates.catalog import broadband
 from cpgates.cli import main
 from oracles import broadband_problem
 
@@ -36,6 +37,7 @@ def test_recorder_traces_derivative_stack_and_integrator(spans):
     try:
         problem = broadband_problem(1, pi / 4, 2, free_terminal=True)
         solver.solve(problem, solver.SolverConfig(rng_seed=7, max_restarts=3))
+        derivatives.derivative_sequence(broadband(2), 1)
         cfg = iontrap.TrapConfig(g=0.05, delta=1.0, duration=0.5, n_max=20)
         iontrap.evolve_numerical(cfg)
     finally:

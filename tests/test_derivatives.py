@@ -276,7 +276,21 @@ def test_stack_rejects_negative_order():
         product_derivative_stack([0.5], [0.0], -1)
 
 
-# --- expansion points as column blocks of one Jacobian pass -----------------
+@pytest.mark.parametrize("call", [
+    lambda seq: derivative_sequence(seq, 1, at_epsilon=float("nan")),
+    lambda seq: derivative_sequence(seq, 1, at_epsilon=float("inf")),
+    lambda seq: product_derivative_stack(seq.thetas(), seq.phis(), 1, -float("inf")),
+    lambda seq: broadband_residuals(seq, 2.5),
+    lambda seq: narrowband_residuals(seq, 1.0),
+    lambda seq: broadband_residuals(seq, -1),
+], ids=["nan_point", "inf_point", "stack_inf_point", "float_order", "integral_float_order",
+        "negative_order"])
+def test_derivative_entry_points_reject_invalid_input(call):
+    with pytest.raises(ValidationError):
+        call(catalog.broadband(2))
+
+
+# --- expansion points as column blocks of one kernel pass -------------------
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -308,3 +322,6 @@ def test_stacked_partials_equal_per_point_passes(gates, orders, batch, terminal,
     reference = residual_partials_per_point(thetas, phis, terminal_phases, target, orders)
     assert stacked.shape == (batch, gates + terminal, sum(orders) + 1, 2)
     assert np.array_equal(stacked, reference)
+    # a value pass is row 0 of the per-point passes, whose C-part weight 1.0 is exact
+    values = residual_rows(thetas, phis, terminal_phases, target, orders)
+    assert np.array_equal(values, reference[:, 0])

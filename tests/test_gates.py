@@ -74,6 +74,21 @@ def test_phase_gate_qubit_validation():
         phase_gate(0.1, 3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda bad: phase_gate(bad),
+    lambda bad: phase_gate(bad, 1),
+    lambda bad: convert_phase_conventions([0.3, bad]),
+    lambda bad: interleaved_from_phases([bad], 0.0),
+    lambda bad: interleaved_from_phases([-0.6], bad),
+    lambda bad: interleaved_from_phases([], bad),
+], ids=["phase_gate", "phase_gate_q1", "convert", "interleaved_phase",
+        "interleaved_terminal", "interleaved_empty"])
+def test_non_finite_phases_are_rejected(call, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        call(bad)
+
+
 def test_single_gate_propagator():
     seq = CompositeSequence(gates=(PhasedGate(pi / 4, 0.0),), target_theta=pi / 4)
     assert frobenius_norm(sequence_propagator(seq) - ideal_cphase(pi / 4)) < 1e-15
