@@ -84,8 +84,9 @@ class ScanResult:
     """Fidelity-versus-relative-error curve for one sequence.
 
     The values may be given as sequences or arrays.  They are checked as
-    arrays, which the result keeps for :func:`scan_csv_text`, and stored
-    as tuples of Python floats.
+    arrays (a finite, strictly increasing grid, fidelities in [0, 1]),
+    which the result keeps for :func:`scan_csv_text`, and stored as tuples
+    of Python floats.
     """
 
     epsilons: tuple[float, ...]
@@ -95,10 +96,10 @@ class ScanResult:
 
     def __post_init__(self):
         eps = np.array(self.epsilons, dtype=float)
-        if np.any(np.diff(eps) <= 0):
-            raise ValidationError("scan grid must be strictly increasing")
+        if not (np.all(np.isfinite(eps)) and np.all(np.diff(eps) > 0)):
+            raise ValidationError("scan grid must be finite and strictly increasing")
         fids = np.array(self.fidelities, dtype=float)
-        if np.any(fids < 0) or np.any(fids > 1 + 1e-12):
+        if not np.all((fids >= 0) & (fids <= 1 + 1e-12)):
             raise ValidationError("fidelities must lie in [0, 1]")
         object.__setattr__(self, "epsilons", tuple(eps.tolist()))
         object.__setattr__(self, "fidelities", tuple(fids.tolist()))
@@ -157,6 +158,8 @@ class ToleranceBand:
     threshold: float
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.eps_low, self.eps_high, self.threshold))):
+            raise ValidationError("tolerance band edges and threshold must be finite")
         if not (self.eps_low <= 0.0 <= self.eps_high):
             raise ValidationError("tolerance band must contain eps = 0")
 

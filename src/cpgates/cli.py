@@ -76,6 +76,8 @@ def cmd_solve(args) -> int:
         raise ValidationError("passband solves need --order2")
     if family == FAMILY_BROADBAND and args.order2 is not None:
         raise ValidationError("broadband solves take no --order2; it is the passband order")
+    if args.log and args.verbose:
+        raise ValidationError("--log and --verbose both take the restart log: give one")
     config = SolverConfig(
         residual_tolerance=args.tolerance,
         max_newton_iters=args.max_iters,
@@ -191,9 +193,6 @@ def cmd_iontrap(args) -> int:
     if args.eps_g is not None:
         eps_g = args.eps_g
     if args.seq:
-        if cfg.zeta_plus[1] != 0.0:
-            raise ValidationError("zeta2p is not used with --seq: ion 2's spin phase is "
-                                  "zeta1p plus each gate's phase; remove the key")
         seq = read_sequence(args.seq)
         plus = _composite_block(seq, cfg, eps_g, args.analytic)
         reference = ideal_cphase(seq.target_theta)

@@ -39,6 +39,9 @@ FAMILY_SINGLE = "single"
 FAMILY_BROADBAND = "broadband"
 FAMILY_PASSBAND = "passband"
 FAMILY_COMBINED = "combined"
+_FAMILIES = (FAMILY_SINGLE, FAMILY_BROADBAND, FAMILY_PASSBAND, FAMILY_COMBINED)
+#: how far :func:`interleaved_from_phases` lets the terminal phase miss its value
+_INTERLEAVE_TOL = 1e-9
 
 
 def _check_angles(*angles) -> None:
@@ -91,6 +94,9 @@ class CompositeSequence:
             raise ValidationError("a composite sequence needs at least one gate")
         if not (isfinite(self.terminal_phase) and isfinite(self.target_theta)):
             raise ValidationError("terminal phase and target angle must be finite")
+        if self.family not in _FAMILIES:
+            raise ValidationError(f"unknown family {self.family!r}: expected one of "
+                                  + ", ".join(_FAMILIES))
 
     def total_angle(self) -> float:
         """Sum of |theta_k| over all gates (duration proxy)."""
@@ -236,24 +242,24 @@ def convert_phase_conventions(varphis) -> tuple[list[float], float]:
     return phis, terminal
 
 
-def interleaved_from_phases(phis, terminal: float, tol: float = 1e-9) -> list[float]:
+def interleaved_from_phases(phis, terminal: float) -> list[float]:
     """Inverse of :func:`convert_phase_conventions`.
 
     Raises
     ------
     ValidationError
-        If the terminal phase is inconsistent with the gate phases
-        (the interleaved realization fixes terminal = -phis[-1]/2).
+        If the terminal phase misses the value the gate phases fix
+        (terminal = -phis[-1]/2) by more than 1e-9.
     """
     phis = [float(p) for p in phis]
     _check_angles(*phis, terminal)
     if not phis:
-        if abs(terminal) > tol:
+        if abs(terminal) > _INTERLEAVE_TOL:
             raise ValidationError("empty phase list requires zero terminal phase")
         return []
     varphis = [-phis[0] / 2.0]
     varphis += [-(phis[k] - phis[k - 1]) / 2.0 for k in range(1, len(phis))]
-    if abs(sum(varphis) - terminal) > tol:
+    if abs(sum(varphis) - terminal) > _INTERLEAVE_TOL:
         raise ValidationError(
             "terminal phase %.6g is not representable by interleaved frame "
             "rotations (expected %.6g)" % (terminal, sum(varphis))

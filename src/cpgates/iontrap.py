@@ -452,20 +452,21 @@ def _composite_block(seq: CompositeSequence, cfg_base: TrapConfig, eps_g: float,
                      analytic: bool) -> np.ndarray:
     """Ion 1's block C_+ of :func:`composite_physical_gate` on qubit 2 (x)
     phonon, n_max+1 levels per branch, or one in closed form (fact (h))."""
+    if cfg_base.zeta_plus[1] != 0.0:
+        raise ValidationError("zeta2p is not used by a composite: ion 2's spin phase is "
+                              "zeta1p plus each gate's phase; leave zeta2p (zeta_plus[1]) at 0")
     g = _coupling_with_error(cfg_base, eps_g)
     gates = [gate for gate in seq.gates if gate.theta != 0.0]
-    angles = {abs(gate.theta) for gate in gates}
-    durations = {t: duration_for_angle(cfg_base.g, cfg_base.delta, t) for t in angles}
-    times = sorted(set(durations.values()))
-    cfgs = [replace(cfg_base, g=g, duration=t) for t in times]
+    angles = sorted({abs(gate.theta) for gate in gates})
+    cfgs = [replace(cfg_base, g=g, duration=duration_for_angle(cfg_base.g, cfg_base.delta, t))
+            for t in angles]
     blocks = _gate_pairs(cfgs, analytic) if cfgs else np.ones((0, 2, 1, 1), dtype=complex)
-    pairs = dict(zip(times, blocks))
+    pairs = dict(zip(angles, blocks))
     levels = blocks.shape[-1]
     chain = np.eye(2 * levels, dtype=complex)
     for gate in gates:
         phi = gate.phi + pi if gate.theta * cfg_base.delta < 0 else gate.phi
-        pair = pairs[durations[abs(gate.theta)]]
-        chain = _from_branches(cfg_base.zeta_plus[0] + phi, pair) @ chain
+        chain = _from_branches(cfg_base.zeta_plus[0] + phi, pairs[abs(gate.theta)]) @ chain
     if seq.terminal_phase != 0.0:
         # the frame rotation diag(e^{-it}, e^{it}) on qubit 2 commutes with sigma_z (x) Pi
         chain = np.repeat(np.exp(np.array([-1j, 1j]) * seq.terminal_phase), levels)[:, None] * chain
@@ -479,19 +480,20 @@ def composite_physical_gate(
     analytic: bool = False,
 ) -> np.ndarray:
     """Full physical propagator of a composite sequence with individual
-    addressing: ion 2's spin phase carries each gate's phase, the pulse
-    duration is chosen per gate so the two-pulse angle matches the gate
-    angle, and the Rabi frequency error eps_g enters every pulse.
+    addressing: ion 2's spin phase is zeta_plus[0] plus each gate's phase
+    (a nonzero zeta_plus[1], which no gate reads, is a ValidationError),
+    each pulse's duration makes its two-pulse angle the gate's |theta|,
+    and the Rabi frequency error eps_g enters every pulse.
 
     A gate whose angle has the opposite sign to the detuning is realised
     by a pi shift of the spin phase, and a zero-angle gate, the identity,
-    by no pulse.  Gates of equal duration share one gate pair, every
-    distinct pulse duration is one product on one shared
-    eigendecomposition, and the gates are multiplied as ion 1's s1 = +
-    blocks, assembled on the full space once.  The terminal frame
-    rotation, a software phase, is applied as an ideal qubit operation.
-    The induced relative rotation-angle error is (1+eps_g)^2 - 1.  In
-    closed form the chain multiplies one phase per branch (fact (h)).
+    by no pulse.  Gates of equal |theta| share one pulse, each pulse is
+    one product on one shared eigendecomposition, and the gates are
+    multiplied as ion 1's s1 = + blocks, assembled on the full space once.
+    The terminal frame rotation, a software phase, is applied as an ideal
+    qubit operation.  The induced relative rotation-angle error is
+    (1+eps_g)^2 - 1.  In closed form the chain multiplies one phase per
+    branch (fact (h)).
     """
     return _assemble(cfg_base, _composite_block(seq, cfg_base, eps_g, analytic))
 

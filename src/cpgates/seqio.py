@@ -2,10 +2,11 @@
 
 Header ``index,theta_over_pi,phi_over_pi``, one row per gate in
 application order, angles in units of pi with 17 significant digits.
-Optional trailing rows carry metadata:
+Trailing rows carry metadata; the target row is required, since no gate
+need have the target angle (a merged lead gate, an absolute-error half):
 
     terminal,,<phi_over_pi>          nonzero terminal frame rotation
-    target,<theta_over_pi>,          target angle (defaults to gate 0's)
+    target,<theta_over_pi>,          target angle
     family,<name>,                   family tag (single/broadband/...)
 
 Unknown trailing labels, repeated rows and non-empty cells after the
@@ -79,7 +80,7 @@ def sequence_from_csv(text: str) -> CompositeSequence:
     if not gates:
         raise ValidationError("sequence CSV contains no gate rows")
     if target is None:
-        target = gates[0].theta
+        raise ValidationError("sequence CSV has no 'target,<theta_over_pi>,' row")
     return CompositeSequence(
         gates=tuple(gates),
         terminal_phase=terminal,

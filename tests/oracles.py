@@ -36,6 +36,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from cpgates import catalog
@@ -561,15 +562,16 @@ def spin_phonon(cfg: TrapConfig):
 
 def analytic_full_space(cfg: TrapConfig) -> np.ndarray:
     """Closed-form pulse propagator e^{i phi0} D(alpha) exp(i theta_c s1 s2)
-    with every factor a dense operator on the full spin-phonon space."""
+    with every factor a dense operator on the full spin-phonon space, both
+    exponentials from scipy's ``expm``."""
     b, s1, s2 = spin_phonon(cfg)
     dt = cfg.phase_angle()
     phi0 = (dt - np.sin(dt)) * 2.0 * (cfg.g / cfg.delta) ** 2
     theta_c = phi0 * np.cos(cfg.zeta_minus[0] - cfg.zeta_minus[1])
     c = -(cfg.g / cfg.delta) * (np.exp(1j * dt) - 1.0)
     gen = c * b - np.conj(c) * b.conj().T        # anti-Hermitian
-    disp = mat_exp_hermitian_generator(-1j * gen, 1.0)
-    spin = mat_exp_hermitian_generator(s1 @ s2, theta_c)
+    disp = expm(gen)
+    spin = expm(1j * theta_c * (s1 @ s2))
     return np.exp(1j * phi0) * (disp @ spin)
 
 

@@ -8,6 +8,7 @@ from cpgates import catalog
 from cpgates.abserr import wrap_sequence_absolute
 from cpgates.analysis import (
     ScanResult,
+    ToleranceBand,
     _format_g17,
     band_report,
     fidelity,
@@ -216,6 +217,29 @@ def test_infidelity_order_indeterminate_below_floor():
 def test_scan_result_validation():
     with pytest.raises(ValidationError):
         ScanResult((0.0, 0.0), (1.0, 1.0), "x", TH)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("eps, fids", [
+    ((NAN, NAN), (NAN, 1.0)), ((0.0, NAN, 0.2), (1.0, 1.0, 1.0)), ((NAN,), (1.0,)),
+    ((0.0, INF), (1.0, 1.0)), ((-INF, 0.0), (1.0, 1.0)), ((0.0, 0.1), (1.0, NAN)),
+    ((0.0, 0.1), (INF, 1.0)), (np.array([0.0, 0.1]), np.array([NAN, NAN])),
+])
+def test_scan_result_rejects_non_finite_values(eps, fids):
+    # a NaN compares false, so each check must pass only values that satisfy it
+    with pytest.raises(ValidationError, match="finite and strictly increasing|in \\[0, 1\\]"):
+        ScanResult(eps, fids, "x", 0.1)
+
+
+@pytest.mark.parametrize("low, high, threshold", [
+    (-0.1, INF, NAN), (-0.1, INF, 1e-4), (-INF, 0.1, 1e-4), (-0.1, 0.1, NAN),
+    (NAN, 0.1, 1e-4), (-0.1, 0.1, INF),
+])
+def test_tolerance_band_rejects_non_finite_values(low, high, threshold):
+    with pytest.raises(ValidationError, match="must be finite"):
+        ToleranceBand(low, high, threshold)
 
 
 def test_band_widths_widen_with_order():

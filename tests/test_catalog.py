@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from math import pi
 
 from cpgates import catalog
+from cpgates.abserr import wrap_sequence_absolute
 from cpgates.analysis import sequence_fidelity
 from cpgates.errors import ValidationError
 from cpgates.gates import CompositeSequence, PhasedGate, sequence_propagator
@@ -125,8 +126,34 @@ def test_csv_rejects_a_fourth_cell_but_not_an_empty_one():
                     f"0,0.25,0\ntarget,0.3,,,{extra}"):
             with pytest.raises(ValidationError, match="at most three cells"):
                 sequence_from_csv(header + row + "\n")
-    seq = sequence_from_csv(header + "0,0.25,0,\n1,0.5,1, \n")
+    seq = sequence_from_csv(header + "0,0.25,0,\n1,0.5,1, \ntarget,0.25,\n")
     assert [(g.theta, g.phi) for g in seq.gates] == [(0.25 * pi, 0.0), (0.5 * pi, pi)]
+
+
+def test_csv_needs_a_target_row():
+    # gate 0 need not carry the target angle: wrap-abs starts with theta/2,
+    # and a merged lead gate is chain - theta; so the target row is required
+    wrapped = wrap_sequence_absolute(catalog.broadband(1, 0.3 * pi))
+    text = sequence_to_csv(wrapped)
+    back = sequence_from_csv(text)
+    assert back.target_theta == wrapped.target_theta and back.gates[0].theta == 0.15 * pi
+    assert sequence_fidelity(back) >= 1 - 1e-12
+    lines = text.splitlines(keepends=True)
+    assert sum(line.startswith("target,") for line in lines) == 1
+    with pytest.raises(ValidationError, match="no 'target,<theta_over_pi>,' row"):
+        sequence_from_csv("".join(line for line in lines if not line.startswith("target,")))
+
+
+@pytest.mark.parametrize("family", ["broadbnd", "", "Broadband", "bb"])
+def test_unknown_family_is_rejected(family):
+    # a typo or an empty tag would round-trip through wrap-abs unseen
+    message = "unknown family .*: expected one of single, broadband, passband, combined"
+    text = sequence_to_csv(catalog.broadband(1))
+    assert "family,broadband,\n" in text
+    with pytest.raises(ValidationError, match=message):
+        sequence_from_csv(text.replace("family,broadband,", f"family,{family},"))
+    with pytest.raises(ValidationError, match=message):
+        CompositeSequence((PhasedGate(pi / 4, 0.0),), family=family)
 
 
 #: gate phases, tiny negative ones included: np.mod(-1e-16, 2 pi) rounds to 2 pi

@@ -86,6 +86,19 @@ def test_solve_failing_validation_writes_no_log(tmp_path, orders):
     assert not out.exists() and not log.exists()
 
 
+def test_solve_rejects_log_with_verbose(tmp_path, capsys):
+    # both options take the restart log, so one of them would go unheard
+    out, log = tmp_path / "x.csv", tmp_path / "x.log"
+    argv = ["solve", "--family", "bb", "--order", "1", "--out", str(out)]
+    assert main(argv + ["--log", str(log), "--verbose"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --log and --verbose both take the restart log: give one" in captured.err
+    assert "restart=" not in captured.err
+    assert not out.exists() and not log.exists()
+    assert main(argv + ["--verbose"]) == 0
+    assert "restart=0 " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order, order2, rank", [("4", "4", 13), ("2", "4", 10)])
 def test_solve_with_every_stage_below_rank_exits_at_once(tmp_path, capsys, order, order2, rank):
     out = tmp_path / "x.csv"
@@ -366,7 +379,7 @@ def test_iontrap_rejects_non_finite_eps_g(tmp_path, capsys, eps_g):
     # --seq, also for a sequence whose gates are all idle
     config, seq_path = tmp_path / "trap.txt", tmp_path / "idle.csv"
     config.write_text(TRAP_CONFIG)
-    seq_path.write_text("index,theta_over_pi,phi_over_pi\n0,0,0.5\n")
+    seq_path.write_text("index,theta_over_pi,phi_over_pi\n0,0,0.5\ntarget,0,\n")
     for seq in ([], ["--seq", str(seq_path)]):
         assert main(["iontrap", "--config", str(config), "--eps-g", eps_g] + seq) == 1
         captured = capsys.readouterr()
@@ -699,7 +712,7 @@ def test_iontrap_truncation_guard_exit_code(tmp_path, capsys, seq, analytic):
     assert not (tmp_path / "gate.csv").exists()
 
 
-IDLE_SEQUENCE = "index,theta_over_pi,phi_over_pi\n0,0,0.3\nterminal,,0.2\n"
+IDLE_SEQUENCE = "index,theta_over_pi,phi_over_pi\n0,0,0.3\nterminal,,0.2\ntarget,0,\n"
 
 
 @pytest.mark.parametrize("fock0", [24, 25])
@@ -775,7 +788,7 @@ def test_iontrap_seq_rejects_zeta2p(tmp_path, capsys):
         assert out.exists() == (code == 0)
         assert main(argv + [str(tmp_path / "bare.csv")]) == 0
         bare[zeta2p] = (tmp_path / "bare.csv").read_bytes()
-    assert "error: zeta2p is not used with --seq" in capsys.readouterr().err
+    assert "error: zeta2p is not used by a composite" in capsys.readouterr().err
     assert bare["0.0"] != bare["0.3"]
 
 

@@ -89,6 +89,17 @@ def test_non_finite_phases_are_rejected(call, bad):
         call(bad)
 
 
+def test_interleaved_tolerance_is_fixed():
+    # the 1e-9 tolerance is a constant: a NaN tolerance cannot pass an
+    # inconsistent terminal phase
+    phis, term = convert_phase_conventions([0.3, -0.2, 0.7])
+    assert np.allclose(interleaved_from_phases(phis, term + 1e-10), [0.3, -0.2, 0.7])
+    with pytest.raises(ValidationError, match="not representable"):
+        interleaved_from_phases(phis, term + 1.0)
+    with pytest.raises(TypeError):
+        interleaved_from_phases(phis, term + 1.0, tol=float("nan"))
+
+
 def test_single_gate_propagator():
     seq = CompositeSequence(gates=(PhasedGate(pi / 4, 0.0),), target_theta=pi / 4)
     assert frobenius_norm(sequence_propagator(seq) - ideal_cphase(pi / 4)) < 1e-15

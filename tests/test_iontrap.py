@@ -700,7 +700,7 @@ IDLE = [(0.0, 0.3)]
     gates=st.lists(st.tuples(st.sampled_from([0.0, pi / 8, pi / 4, -pi / 4, pi / 2]), phases),
                    min_size=1, max_size=4),
     terminal=st.floats(-pi, pi),
-    zeta_plus=st.tuples(phases, phases),
+    zeta_plus=st.tuples(phases, st.just(0.0)),
     zeta_minus=st.tuples(phases, phases),
     eps_g=st.floats(-0.05, 0.05),
     n_max=st.integers(23, 30),
@@ -829,6 +829,18 @@ def test_eps_g_is_checked_up_front():
     u = composite_physical_gate(catalog.broadband(1), base, -1.0, analytic=True)
     assert np.max(np.abs(u - np.kron(phase_gate(catalog.broadband(1).terminal_phase, 2),
                                      np.eye(base.n_max + 1)))) < 1e-15
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_composite_rejects_zeta2p(analytic):
+    # ion 2's spin phase is zeta1p plus each gate's phase, so no gate reads
+    # zeta_plus[1]: a nonzero one is an error, also for an idle sequence
+    idle = CompositeSequence((PhasedGate(0.0, 0.3),))
+    for zeta2p in (0.3, -1e-300, 2 * pi):
+        base = quarter_cfg(zeta_plus=(0.4, zeta2p))
+        for seq in (idle, catalog.broadband(1)):
+            with pytest.raises(ValidationError, match="zeta2p is not used by a composite"):
+                composite_physical_gate(seq, base, 0.02, analytic=analytic)
 
 
 @pytest.mark.parametrize("field", ["g", "delta", "duration", "zeta_plus", "zeta_minus"])

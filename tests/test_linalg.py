@@ -42,14 +42,14 @@ def test_exp_closed_form_for_involutory_generators():
         assert is_unitary(m)
 
 
-def test_exp_general_hermitian_matches_scipy():
-    from scipy.linalg import expm
-
+def test_exp_rejects_a_generator_that_is_not_involutory():
+    # the closed form needs h @ h = I; a general Hermitian h, or a Pauli
+    # string off by a scale, is an error rather than a silent eigh
     rng = np.random.default_rng(2)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = a + a.conj().T
-    got = mat_exp_hermitian_generator(h, 0.37)
-    assert frobenius_norm(got - expm(0.37j * h)) < 1e-11
+    for h in (a + a.conj().T, 1.001 * SXSX, np.diag([1.0, -1.0, 0.0, 1.0])):
+        with pytest.raises(ValidationError, match="not involutory"):
+            mat_exp_hermitian_generator(h, 0.37)
 
 
 def test_exp_rejects_non_hermitian():

@@ -19,6 +19,7 @@ a function ``entry``.  A function that imports a name from cpgates
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -205,3 +206,18 @@ def test_every_method_is_read_somewhere():
         and not node.name.startswith("__") and node.name not in read
     ]
     assert unread == []
+
+
+def test_readme_library_sketch_runs_and_states_its_values():
+    # the README's one python block runs as written, and the values its
+    # comments state hold
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    names = {}
+    exec(compile(blocks[0], "README.md", "exec"), names)
+    band, order, refined = names["band"], names["order"], names["refined"]
+    assert abs(band.eps_low + 0.22) < 5e-3 and abs(band.eps_high - 0.22) < 5e-3
+    assert abs(order - 6.0) < 0.05
+    assert refined.converged and refined.residual_D <= 1e-10
+    assert names["result"].converged
+    assert names["u"].shape == (104, 104)
